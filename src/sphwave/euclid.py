@@ -158,9 +158,9 @@ def limit_convergence_probe(lp: LambdaParam, d: int, xi: EuclideanPoint, rho_seq
         raise ValueError("probe scales below 1e-3 unsupported for d >= 3")
     target = euclidean_limit_eval(lp, d, xi)
     errors = [abs(wavelet_at_scaled_point(lp, d, xi, rho) - target) for rho in rhos]
-    ratios = [e1 / e2 if e2 > 0.0 else math.inf for e1, e2 in zip(errors, errors[1:])]
+    ratios = [e1 / e2 if e2 > 0.0 else None for e1, e2 in zip(errors, errors[1:])]
     order = None
-    if ratios and math.isfinite(ratios[-1]) and ratios[-1] > 0:
+    if ratios and ratios[-1] is not None and ratios[-1] > 0:
         step = rhos[-2] / rhos[-1]
         order = math.log(ratios[-1]) / math.log(step)
     return {

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import LambdaParam, gegenbauer_value, gegenbauer_weighted_sum, norm_const_a
+from .special import LambdaParam, gegenbauer_batch, gegenbauer_value, gegenbauer_weighted_sum, norm_const_a
 
 __all__ = [
     "beta",
@@ -33,6 +33,7 @@ __all__ = [
     "derivative_order",
     "synthesize",
     "synthesize_frame",
+    "sector_basis_frame",
     "sector_weights",
     "sector_pair_sum",
     "structure_polynomial_check",
@@ -151,10 +152,11 @@ def synthesize_frame(field: CoefficientField, cos_theta1, sin_theta1, theta2) ->
 
     Preferred when the point comes from Cartesian data: sin(theta1) computed
     as a vector norm keeps full relative accuracy near the poles, where
-    reconstructing it through arccos would lose half the digits.
+    reconstructing it through arccos would lose half the digits.  Streams the
+    recurrence per order column, so high degrees on many points stay cheap in
+    memory; :func:`sector_basis_frame` keeps every basis function instead.
     """
     lp = field.lp
-    lam = lp.lam
     c1 = np.asarray(cos_theta1, dtype=float)
     s1 = np.asarray(sin_theta1, dtype=float)
     theta2 = np.asarray(theta2, dtype=float)
@@ -164,16 +166,46 @@ def synthesize_frame(field: CoefficientField, cos_theta1, sin_theta1, theta2) ->
         col = field.coeffs[:, k]
         if not np.any(col):
             continue
-        w = np.array([col[l] * norm_const_a(lp, l, k) if l >= k else 0.0 for l in range(L + 1)])
-        radial = gegenbauer_weighted_sum(lam + k, w[k:], c1)
+        radial = gegenbauer_weighted_sum(lp.lam + k, col[k:] * _norm_column(lp, L, k), c1)
         if k > 0:
             radial = radial * s1**k
-        if lp.n == 2:
-            angular = 1.0 if k == 0 else 2.0 * np.cos(k * theta2)
-        else:
-            angular = gegenbauer_value(lam - 0.5, k, np.cos(theta2))
-        total = total + radial * angular
+        total = total + radial * _angular(lp, k, theta2)
     return total
+
+
+def sector_basis_frame(lp: LambdaParam, L: int, K: int, cos_theta1, sin_theta1, theta2) -> np.ndarray:
+    """Every sector basis function Y_l^k, l <= L, k <= K, at the given points.
+
+    Shape ``(L+1, K+1) + shape(points)``; entries with k > l are zero.  A
+    field's synthesis is the contraction of its coefficients with this array,
+    so one evaluation serves any number of fields of the same band and order
+    bound.  Points are given as in :func:`synthesize_frame`.
+    """
+    c1 = np.asarray(cos_theta1, dtype=float)
+    s1 = np.asarray(sin_theta1, dtype=float)
+    theta2 = np.asarray(theta2, dtype=float)
+    shape = np.broadcast(c1, theta2).shape
+    out = np.zeros((L + 1, K + 1) + shape)
+    for k in range(min(K, L) + 1):
+        col = out[k:, k]
+        col[...] = gegenbauer_batch(lp.lam + k, L - k, c1)
+        col *= _norm_column(lp, L, k).reshape((-1,) + (1,) * len(shape))
+        if k > 0:
+            col *= s1**k
+        col *= _angular(lp, k, theta2)
+    return out
+
+
+def _norm_column(lp: LambdaParam, L: int, k: int) -> np.ndarray:
+    """Normalization constants A_l^k for l = k..L."""
+    return np.array([norm_const_a(lp, l, k) for l in range(k, L + 1)])
+
+
+def _angular(lp: LambdaParam, k: int, theta2):
+    """Order-k factor in theta2: the real 2-sphere basis doubles k >= 1."""
+    if lp.n == 2:
+        return 1.0 if k == 0 else 2.0 * np.cos(k * theta2)
+    return gegenbauer_value(lp.lam - 0.5, k, np.cos(theta2))
 
 
 def sector_weights(n: int, order_bound: int) -> np.ndarray:

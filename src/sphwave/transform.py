@@ -11,14 +11,30 @@ Grid design notes
   B integrates every product of harmonics with combined degree <= B exactly:
   the uniform phi sum annihilates all azimuthal cross-modes below its node
   count, and what survives is polynomial in the polar variables.
-* Rotation grids tie node counts to the band limit: with 2L+1 nodes in the
-  two twist angles and L+1 Gauss-Legendre nodes across, products of two
-  band-L functions integrate exactly against the normalized invariant measure
-  (non-zero azimuthal aliases would need index 2L+1 or beyond).
+* Rotation grids tie node counts to the band limit: 2L+1 nodes in the first
+  twist and L+1 Gauss-Legendre nodes across integrate products of two band-L
+  functions exactly against the normalized invariant measure (non-zero
+  azimuthal aliases would need index 2L+1 or beyond).  The third twist turns
+  the wavelet about its own axis, so it sees only the wavelet's sector orders
+  k <= d (the family is steerable); the product of analysing and
+  reconstruction wavelets carries twist modes |k| <= 2d, and a uniform rule
+  with 2 min(d, L) + 1 nodes integrates them exactly.  The round trip uses
+  that steered grid: at band 8, order 1 it has 459 nodes instead of 2601.
+* The transform is factored through the sector basis.  A modified wavelet at
+  scale rho has coefficients s_l(rho) B_{l,k}: s_l is exp(-rho l) rho^d
+  (Poisson) or exp(-rho l^2 / 2 lam) (heat), and the table B is rho-free.  The
+  basis Y_l^k(R^-1 x) is evaluated once on the (rotation x sphere) grid;
+  analysis is then W = S^P B T with the per-degree transforms
+  T = Y (nu f) / sigma, and inversion is f_rec = sum_{l,k,R} V_{l,k}(R)
+  Y_l^k(R^-1 x) with V = C sum_r w_r s^H_l(rho_r) B_{l,k} W_r(R) nu_R.  No
+  step loops over scales in Python, and the basis count does not depend on
+  the number of scale nodes.
 * The scale integral is discretized log-uniformly (trapezoid in log rho),
   natural for the d(rho)/rho measure.  The default range [1e-6, 8] with 60
   nodes keeps every per-degree multiplier within ~1e-4 of 1 for band-8
   signals at order 1; the coarse-scale cutoff dominates the error budget.
+  The round trip multiplies degree l by a known discrete multiplier m_l, so
+  its error is predicted exactly from the signal's per-degree energies.
 
 Everything here is embarrassingly parallel over (scale, rotation) nodes with
 deterministic reduction order; grids are immutable and shareable.
@@ -35,9 +51,9 @@ from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 from .admissibility import GammaVector, admissibility_constant, pair_coefficient_sum, solve_gamma
-from .rotderiv import CoefficientField, sector_weights, synthesize, synthesize_frame
+from .rotderiv import CoefficientField, sector_basis_frame, sector_weights, synthesize, synthesize_frame
 from .special import LambdaParam, dim_harmonic
-from .wavelets import KIND_HEAT, KIND_POISSON, modified_wavelet_field
+from .wavelets import KIND_HEAT, KIND_POISSON, modified_wavelet_table, scale_weights
 
 __all__ = [
     "SphereGrid",
@@ -115,15 +131,25 @@ def build_sphere_grid(n: int, band: int) -> SphereGrid:
     return SphereGrid(n=n, band=band, angles=angles, weights=weights)
 
 
-def build_rotation_grid(band: int) -> RotationGrid:
-    """SO(3) grid exact for products of two band-limited functions."""
+def build_rotation_grid(band: int, order: int | None = None) -> RotationGrid:
+    """SO(3) grid exact for products of two band-limited functions.
+
+    ``order`` is the azimuthal bandwidth of the analysing family: the
+    order-d wavelets have sector modes k <= d only, so products of two of
+    them need 2 min(d, band) + 1 nodes in the third twist.  Without it the
+    third twist gets the full 2 band + 1 nodes.
+    """
+    if band < 0 or (order is not None and order < 0):
+        raise ValueError("band and order must be >= 0")
     n_twist = 2 * band + 1
+    n_steer = n_twist if order is None else 2 * min(order, band) + 1
     tw = 2.0 * np.pi * np.arange(n_twist) / n_twist
+    tg = 2.0 * np.pi * np.arange(n_steer) / n_steer
     t, w = roots_jacobi(band + 1, 0.0, 0.0)
     betas = np.arccos(t[::-1])
     wb = w[::-1] / 2.0
-    a, b, g = np.meshgrid(tw, betas, tw, indexing="ij")
-    wa, wbm, wg = np.meshgrid(np.full(n_twist, 1.0 / n_twist), wb, np.full(n_twist, 1.0 / n_twist), indexing="ij")
+    a, b, g = np.meshgrid(tw, betas, tg, indexing="ij")
+    wa, wbm, wg = np.meshgrid(np.full(n_twist, 1.0 / n_twist), wb, np.full(n_steer, 1.0 / n_steer), indexing="ij")
     euler = np.stack([a.ravel(), b.ravel(), g.ravel()], axis=1)
     weights = (wa * wbm * wg).ravel()
     return RotationGrid(band=band, euler=euler, weights=weights)
@@ -209,6 +235,21 @@ def random_bandlimited_field(lp: LambdaParam, band: int, seed: int = 0, mean_fre
     return CoefficientField(lp, a)
 
 
+def _sector_transforms(basis: np.ndarray, f_values, grid: SphereGrid, lp: LambdaParam) -> np.ndarray:
+    """T_{l,k}(R) = (1/sigma) integral Y_l^k(R^-1 x) f(x) dsigma(x), shape (L+1, K+1, M_rot)."""
+    return basis @ (grid.weights * np.asarray(f_values)) / lp.sigma
+
+
+def _reconstruct(W: np.ndarray, omega_coeffs: np.ndarray, rho_weights, rot: RotationGrid, basis: np.ndarray) -> np.ndarray:
+    """sum_r rho_w_r sum_R nu_R W_r(R) omega_r(R^-1 x) at every sphere node.
+
+    ``omega_coeffs`` has shape (n_rho, L+1, K+1); the scale and rotation sums
+    collapse into one coefficient array V_{l,k}(R) before the basis is touched.
+    """
+    V = np.einsum("r,rlk,rm->lkm", np.asarray(rho_weights, dtype=float), omega_coeffs, W * rot.weights)
+    return np.tensordot(V, basis, axes=3)
+
+
 def wavelet_transform(
     psi_field: CoefficientField,
     f_values: np.ndarray,
@@ -228,9 +269,9 @@ def wavelet_transform(
             "quadrature is not exact for same-band signals",
             stacklevel=2,
         )
-    c1, s1, th2 = rot_frame
-    psi_vals = synthesize_frame(psi_field, c1, s1, th2)
-    return psi_vals @ (grid.weights * np.asarray(f_values)) / psi_field.lp.sigma
+    lp = psi_field.lp
+    basis = sector_basis_frame(lp, psi_field.degree_max, psi_field.order_bound, *rot_frame)
+    return np.tensordot(psi_field.coeffs, _sector_transforms(basis, f_values, grid, lp), axes=2)
 
 
 def inverse_transform(
@@ -244,15 +285,15 @@ def inverse_transform(
     """Reconstruction sum over the (scale x rotation) grid, evaluated at grid nodes.
 
     ``W`` has shape (n_rho, n_rot); ``omega_fields`` is the reconstruction
-    family per scale node (already C-scaled); ``rho_weights`` are the
-    trapezoid-in-log weights realizing the d(rho)/rho measure.
+    family per scale node (already C-scaled, one band and order bound);
+    ``rho_weights`` are the trapezoid-in-log weights realizing the
+    d(rho)/rho measure.  ``grid`` is the sphere grid ``rot_frame`` was built
+    on; the output has one value per node of it.
     """
-    c1, s1, th2 = rot_frame
-    out = np.zeros(grid.size)
-    for r, (field, lw) in enumerate(zip(omega_fields, rho_weights)):
-        omega_vals = synthesize_frame(field, c1, s1, th2)
-        out += lw * ((W[r] * rot.weights) @ omega_vals)
-    return out
+    omega = np.stack([field.coeffs for field in omega_fields])
+    lp = omega_fields[0].lp
+    basis = sector_basis_frame(lp, omega.shape[1] - 1, omega.shape[2] - 1, *rot_frame)
+    return _reconstruct(W, omega, rho_weights, rot, basis)
 
 
 def round_trip(
@@ -264,6 +305,7 @@ def round_trip(
     rho_max: float = DEFAULT_RHO_MAX,
     rho_steps: int = DEFAULT_RHO_STEPS,
     gamma: GammaVector | None = None,
+    rotation: np.ndarray | None = None,
 ) -> dict:
     """Analyse and reconstruct a band-limited signal on the 2-sphere.
 
@@ -273,6 +315,15 @@ def round_trip(
     band-limited signals exact; the reported error is dominated by the scale
     truncation/discretization.  The mean (degree-0) component is annihilated
     for dfrak >= 1 and must be absent from the signal.
+
+    ``rotation`` Q, a 3x3 rotation matrix, makes the analysed signal f o Q^-1;
+    a generic Q fills the sin(k phi) modes that sector fields never hold.
+
+    The round trip multiplies degree l by m_l = (C / N_l) sum_r w_r
+    s^P_l(rho_r) s^H_l(rho_r) sum_k w_k B_{l,k}^2, so the error is predicted
+    from the signal's per-degree energies E_l alone:
+    ``predicted_rel_l2`` = sqrt(sum_l (m_l - 1)^2 E_l / sum_l E_l).  Rotations
+    keep every E_l, so the prediction holds for f o Q^-1 too.
     """
     if lp.n != 2:
         raise ValueError("full round trip is 2-sphere only")
@@ -284,29 +335,40 @@ def round_trip(
     if gamma is None:
         gamma = solve_gamma(lp.lam, dfrak)
     grid = build_sphere_grid(2, 2 * band)
-    rot = build_rotation_grid(band)
-    matrices = rotation_matrices(rot)
-    rot_frame = rotated_sector_frame(matrices, grid)
+    if rotation is None:
+        f_vals = synthesize_on_grid(signal, grid)
+    else:
+        Q = np.asarray(rotation, dtype=float)
+        if Q.shape != (3, 3) or not np.allclose(Q @ Q.T, np.eye(3), atol=1e-12) or np.linalg.det(Q) < 0:
+            raise ValueError("rotation must be a 3x3 rotation matrix")
+        f_vals = synthesize_frame(signal, *rotated_sector_frame(Q[None], grid))[0]
+    rot = build_rotation_grid(band, dfrak)
+    basis = sector_basis_frame(lp, band, dfrak, *rotated_sector_frame(rotation_matrices(rot), grid))
     rhos, rho_w = log_rho_grid(rho_min, rho_max, rho_steps)
     C = admissibility_constant(lp, dfrak)
-    f_vals = synthesize_on_grid(signal, grid)
-    W = np.empty((rho_steps, rot.size))
-    omegas = []
-    for r, rho in enumerate(rhos):
-        psi = modified_wavelet_field(lp, gamma, KIND_POISSON, rho, L=band)
-        omega = modified_wavelet_field(lp, gamma, KIND_HEAT, rho, L=band).scaled(C)
-        W[r] = wavelet_transform(psi, f_vals, grid, rot_frame)
-        omegas.append(omega)
-    f_rec = inverse_transform(W, omegas, rho_w, rot, grid, rot_frame)
+    B = modified_wavelet_table(lp, gamma, band)
+    s_p = scale_weights(lp, KIND_POISSON, dfrak, rhos, band)
+    s_h = scale_weights(lp, KIND_HEAT, dfrak, rhos, band)
+    W = np.tensordot(s_p[:, :, None] * B, _sector_transforms(basis, f_vals, grid, lp), axes=2)
+    f_rec = _reconstruct(W, C * s_h[:, :, None] * B, rho_w, rot, basis)
     err = f_rec - f_vals
     rel_l2 = math.sqrt(grid_inner(grid, err, err) / grid_inner(grid, f_vals, f_vals))
+
+    ls = np.arange(band + 1)
+    multipliers = C * (rho_w @ (s_p * s_h)) * (B**2 @ sector_weights(2, dfrak)) / (2 * ls + 1)
+    energy = signal.coeffs**2 @ sector_weights(2, signal.order_bound)
+    predicted = math.sqrt(float(np.sum((multipliers - 1.0) ** 2 * energy) / np.sum(energy)))
     return {
         "band": band,
         "order": dfrak,
         "rho_min": rho_min,
         "rho_max": rho_max,
         "rho_steps": rho_steps,
+        "rotation_nodes": rot.size,
+        "sphere_nodes": grid.size,
         "rel_l2_error": rel_l2,
+        "predicted_rel_l2": predicted,
+        "multipliers": multipliers,
         "f_values": f_vals,
         "f_reconstructed": f_rec,
         "grid": grid,

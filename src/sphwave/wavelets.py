@@ -36,6 +36,8 @@ __all__ = [
     "poisson_kernel_closed",
     "directional_wavelet_field",
     "modified_wavelet_field",
+    "modified_wavelet_table",
+    "scale_weights",
     "g1_closed",
     "g2_closed",
     "truncation_degree",
@@ -72,11 +74,27 @@ class WaveletSpec:
         return math.exp(-self.rho)
 
 
-def _degree_weights(spec: WaveletSpec, L: int) -> np.ndarray:
+def scale_weights(lp: LambdaParam, kind: str, order: int, rhos, L: int) -> np.ndarray:
+    """Per-degree scale weights s_l(rho) of an order-``order`` family, shape (len(rhos), L+1).
+
+    Poisson kind: exp(-rho l) rho^order; heat kind: exp(-rho l^2 / (2 lam)).
+    The ladder never mixes degrees, so a family member at scale rho has the
+    coefficients s_l(rho) B_{l,k} of one rho-free table B.
+    """
+    rho = np.asarray(rhos, dtype=float)[:, None]
     ls = np.arange(L + 1, dtype=float)
-    if spec.kind == KIND_POISSON:
-        return np.exp(-spec.rho * ls)
-    return np.exp(-spec.rho * ls**2 / (2.0 * spec.lp.lam))
+    if kind == KIND_POISSON:
+        return np.exp(-rho * ls) * rho**order
+    return np.exp(-rho * ls**2 / (2.0 * lp.lam))
+
+
+def _zonal_seed(lp: LambdaParam, L: int) -> np.ndarray:
+    """Kernel zonal coefficients without the degree weight: (1/sigma) (lam+l)/lam / A_l^0."""
+    if L < 0:
+        raise ValueError("L must be >= 0")
+    a0 = np.array([norm_const_a(lp, l, 0) for l in range(L + 1)])
+    ls = np.arange(L + 1, dtype=float)
+    return (lp.lam + ls) / lp.lam / a0 / lp.sigma
 
 
 def kernel_zonal_coeffs(spec: WaveletSpec, L: int) -> np.ndarray:
@@ -85,13 +103,7 @@ def kernel_zonal_coeffs(spec: WaveletSpec, L: int) -> np.ndarray:
     a_l^0 = (1/sigma) (lam+l)/lam * w_l / A_l^0 with w_l the kind-specific
     degree weight.
     """
-    if L < 0:
-        raise ValueError("L must be >= 0")
-    lp = spec.lp
-    w = _degree_weights(spec, L)
-    a0 = np.array([norm_const_a(lp, l, 0) for l in range(L + 1)])
-    ls = np.arange(L + 1, dtype=float)
-    return (lp.lam + ls) / lp.lam * w / a0 / lp.sigma
+    return scale_weights(spec.lp, spec.kind, 0, [spec.rho], L)[0] * _zonal_seed(spec.lp, L)
 
 
 def poisson_kernel_closed(lp: LambdaParam, rho: float, theta1):
@@ -124,6 +136,26 @@ def directional_wavelet_field(
     return field
 
 
+def modified_wavelet_table(lp: LambdaParam, gamma: GammaVector, L: int) -> np.ndarray:
+    """The rho-free table B_{l,k} = sum_d gamma_d (d-th derivative of the unweighted kernel).
+
+    Shape (L+1, order+1).  The modified wavelet of either kind at scale rho
+    has the coefficients ``scale_weights(...)[:, :, None] * B``; the ladder
+    runs once however many scales are used.
+    """
+    if abs(gamma.lam - lp.lam) > 1e-12:
+        raise ValueError(f"gamma vector solved for lam={gamma.lam}, sphere has lam={lp.lam}")
+    dfrak = gamma.order
+    field = zonal_field(lp, _zonal_seed(lp, L))
+    acc = np.zeros((L + 1, dfrak + 1))
+    acc[:, :1] = gamma.gammas[0] * field.coeffs
+    for d in range(1, dfrak + 1):
+        field = derivative_step(field)
+        if gamma.gammas[d]:
+            acc[:, : d + 1] += gamma.gammas[d] * field.coeffs
+    return acc
+
+
 def modified_wavelet_field(
     lp: LambdaParam, gamma: GammaVector, kind: str, rho: float, L: int | None = None, *, eps: float | None = None
 ) -> CoefficientField:
@@ -132,25 +164,13 @@ def modified_wavelet_field(
     Poisson kind carries the rho^order prefactor; the heat-side reconstruction
     family does not.
     """
-    if abs(gamma.lam - lp.lam) > 1e-12:
-        raise ValueError(f"gamma vector solved for lam={gamma.lam}, sphere has lam={lp.lam}")
-    dfrak = gamma.order
-    spec = WaveletSpec(lp=lp, kind=kind, order=dfrak, rho=rho)
+    spec = WaveletSpec(lp=lp, kind=kind, order=gamma.order, rho=rho)
     if (L is None) == (eps is None):
         raise ValueError("give exactly one of L or eps")
     if L is None:
         L = truncation_degree(spec, eps)
-    field = zonal_field(lp, kernel_zonal_coeffs(spec, L))
-    acc = gamma.gammas[0] * field.coeffs.copy() if gamma.gammas[0] else np.zeros_like(field.coeffs)
-    acc = np.pad(acc, ((0, 0), (0, dfrak)))
-    for d in range(1, dfrak + 1):
-        field = derivative_step(field)
-        if gamma.gammas[d]:
-            acc[:, : d + 1] += gamma.gammas[d] * field.coeffs
-    out = CoefficientField(lp, acc)
-    if kind == KIND_POISSON and dfrak > 0:
-        out = out.scaled(rho**dfrak)
-    return out
+    weights = scale_weights(lp, kind, gamma.order, [rho], L)[0]
+    return CoefficientField(lp, weights[:, None] * modified_wavelet_table(lp, gamma, L))
 
 
 def g1_closed(spec: WaveletSpec, theta1, theta2):

@@ -105,6 +105,9 @@ def test_transform_round_trip_report(tmp_path):
     )
     rep = json.loads(out.read_text())
     assert rep["checks"][0]["value"] < 1e-3
+    assert rep["rel_l2_error"] == rep["checks"][0]["value"]
+    assert rep["rel_l2_error"] == pytest.approx(rep["predicted_rel_l2"], rel=1e-8)
+    assert rep["rotation_nodes"] == 9 * 5 * 3
     assert code == 0
 
 
@@ -138,3 +141,40 @@ def test_console_entry_point():
     assert proc.returncode == 0
     for sub in ("eval", "coeffs", "gamma", "verify", "transform", "limit"):
         assert sub in proc.stdout
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_reports_are_strict_json(tmp_path):
+    runs = {
+        "eval.csv.json": ["eval", "--n", "2", "--order", "1", "--grid", "4"],
+        "coeffs.csv.json": ["coeffs", "--n", "2", "--order", "1", "--band", "4"],
+        "gamma.json": ["gamma", "--n", "3", "--order", "2"],
+        "gamma_none.json": ["gamma", "--n", "2", "--order", "3", "--report-only"],
+        "verify.json": ["verify", "--n", "2", "--order", "1", "--band", "4"],
+        "transform.json": ["transform", "--band", "3", "--rho-steps", "20"],
+        "limit.json": ["limit", "--n", "3", "--order", "2"],
+    }
+    for name, argv in runs.items():
+        report = tmp_path / name
+        out = str(report).removesuffix(".json") if name.endswith(".csv.json") else str(report)
+        assert run(argv + ["--out", out]) == 0, argv
+        json.loads(report.read_text(), parse_constant=_reject_constant)
+
+
+def test_limit_report_has_no_tolerance(tmp_path):
+    out = tmp_path / "lim.json"
+    assert run(["limit", "--n", "3", "--order", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["checks"][0]["tol"] is None
+
+
+def test_verify_tail_row_states_its_criterion(tmp_path):
+    out = tmp_path / "verify.json"
+    for order in (1, 2):
+        assert run(["verify", "--n", "2", "--order", str(order), "--band", "4", "--out", str(out)]) == 0
+        row = next(c for c in json.loads(out.read_text())["checks"] if c["check"] == "tail_l1_bounded_sweep")
+        assert row["tol"] == 0.2 and row["expected"] == 1.0
+        assert row["pass"] is (abs(row["value"] - row["expected"]) < row["tol"])
+        assert "non-increasing" in row["identity"]

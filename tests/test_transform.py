@@ -233,6 +233,14 @@ def test_round_trip_rejects_signal_with_mean():
         round_trip(lp, CoefficientField(lp, a), 1)
 
 
+def test_round_trip_rejects_non_rotation():
+    lp = LambdaParam(2)
+    sig = random_bandlimited_field(lp, 2, seed=1)
+    for bad in (np.eye(2), 2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0])):
+        with pytest.raises(ValueError, match="rotation"):
+            round_trip(lp, sig, 1, rotation=bad)
+
+
 def test_round_trip_requires_two_sphere():
     lp = LambdaParam(3)
     sig = random_bandlimited_field(lp, 3, seed=1)
@@ -276,3 +284,129 @@ def test_transform_warns_on_undersized_grid():
     frame = rotated_sector_frame(np.eye(3)[None, :, :], grid)
     with pytest.warns(UserWarning, match="grid band"):
         wavelet_transform(psi, np.ones(grid.size), grid, frame)
+
+
+def random_rotation(rng) -> np.ndarray:
+    """Haar-random 3x3 rotation from the QR factorization of a Gaussian matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def rotated_values(signal, grid, Q) -> np.ndarray:
+    """f(Q^-1 x) at the grid nodes."""
+    return synthesize_frame(signal, *rotated_sector_frame(Q[None], grid))[0]
+
+
+@pytest.mark.parametrize(("band", "order", "pinned"), [(8, 1, 4.948113354610243e-05), (6, 2, 8.243728308624015e-07)])
+def test_round_trip_pinned_values(band, order, pinned):
+    # reference values from per-scale synthesis on the full rotation grid
+    lp = LambdaParam(2)
+    rep = round_trip(lp, random_bandlimited_field(lp, band, seed=0), order)
+    assert rep["rel_l2_error"] == pytest.approx(pinned, rel=1e-9)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_round_trip_matches_prediction(order):
+    lp = LambdaParam(2)
+    band = 6
+    rep = round_trip(lp, random_bandlimited_field(lp, band, seed=5), order, rho_steps=40)
+    assert rep["rel_l2_error"] == pytest.approx(rep["predicted_rel_l2"], rel=1e-8)
+    # the multipliers are the discrete pair-condition sums of the admissibility module
+    gam = solve_gamma(lp.lam, order)
+    rhos, w = log_rho_grid(steps=40)
+    C = admissibility_constant(lp, order)
+    for l in range(1, band + 1):
+        s = sum(wj * pair_coefficient_sum(lp, gam, r, l) for r, wj in zip(rhos, w))
+        assert rep["multipliers"][l] == pytest.approx(C * s / dim_harmonic(2, l), rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_round_trip_of_rotated_signals(order):
+    # f o Q^-1 fills the sin(k phi) modes; the steered twist grid must still be
+    # exact, so the error equals the unrotated one and the prediction
+    lp = LambdaParam(2)
+    signal = random_bandlimited_field(lp, 5, seed=2)
+    base = round_trip(lp, signal, order, rho_steps=30)
+    rng = np.random.default_rng(order)
+    for _ in range(3):
+        rep = round_trip(lp, signal, order, rho_steps=30, rotation=random_rotation(rng))
+        assert rep["rel_l2_error"] == pytest.approx(base["rel_l2_error"], rel=1e-8)
+        assert rep["rel_l2_error"] == pytest.approx(rep["predicted_rel_l2"], rel=1e-8)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_steered_round_trip_equals_full_grid_synthesis(order):
+    # the factored round trip on the steered grid against per-scale analysis
+    # and inversion through the public functions on the full rotation grid
+    from sphwave.wavelets import KIND_HEAT, modified_wavelet_field
+
+    lp = LambdaParam(2)
+    band, steps = 4, 12
+    signal = random_bandlimited_field(lp, band, seed=4)
+    Q = random_rotation(np.random.default_rng(10 + order))
+    rep = round_trip(lp, signal, order, rho_steps=steps, rotation=Q)
+    grid = build_sphere_grid(2, 2 * band)
+    rot = build_rotation_grid(band)
+    frame = rotated_sector_frame(rotation_matrices(rot), grid)
+    gam = solve_gamma(lp.lam, order)
+    C = admissibility_constant(lp, order)
+    rhos, rho_w = log_rho_grid(steps=steps)
+    f_vals = rotated_values(signal, grid, Q)
+    W = np.array([wavelet_transform(modified_wavelet_field(lp, gam, KIND_POISSON, r, L=band), f_vals, grid, frame) for r in rhos])
+    omegas = [modified_wavelet_field(lp, gam, KIND_HEAT, r, L=band).scaled(C) for r in rhos]
+    rec = inverse_transform(W, omegas, rho_w, rot, grid, frame)
+    assert np.allclose(rep["f_values"], f_vals, rtol=0, atol=1e-13)
+    assert np.max(np.abs(rep["f_reconstructed"] - rec)) < 1e-10 * np.max(np.abs(rec))
+
+
+def test_steered_rotation_grid():
+    rot = build_rotation_grid(6, 2)
+    assert rot.size == 13 * 7 * 5
+    assert float(np.sum(rot.weights)) == pytest.approx(1.0, rel=1e-13)
+    assert build_rotation_grid(3, 5).size == build_rotation_grid(3).size
+    with pytest.raises(ValueError):
+        build_rotation_grid(3, -1)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_transform_equivariance_random_rotations(order):
+    # W[f o Q^-1](R) = W[f](Q^-1 R) for generic Q, not only plane rotations
+    from sphwave.wavelets import modified_wavelet_field
+
+    lp = LambdaParam(2)
+    band = 5
+    grid = build_sphere_grid(2, 2 * band)
+    mats = rotation_matrices(build_rotation_grid(band, order))
+    psi = modified_wavelet_field(lp, solve_gamma(lp.lam, order), KIND_POISSON, 0.6, L=band)
+    signal = random_bandlimited_field(lp, band, seed=8)
+    f_vals = synthesize_on_grid(signal, grid)
+    rng = np.random.default_rng(20 + order)
+    for _ in range(3):
+        Q = random_rotation(rng)
+        lhs = wavelet_transform(psi, rotated_values(signal, grid, Q), grid, rotated_sector_frame(mats, grid))
+        rhs = wavelet_transform(psi, f_vals, grid, rotated_sector_frame(np.einsum("ji,mjk->mik", Q, mats), grid))
+        assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-13 * np.max(np.abs(rhs)))
+
+
+def test_round_trip_evaluates_the_basis_once(monkeypatch):
+    import sphwave.transform as transform
+
+    calls = []
+    original = transform.sector_basis_frame
+
+    def counting(*args):
+        calls.append(args[:3])
+        return original(*args)
+
+    monkeypatch.setattr(transform, "sector_basis_frame", counting)
+    lp = LambdaParam(2)
+    signal = random_bandlimited_field(lp, 3, seed=1)
+    counts = []
+    for steps in (10, 40):
+        calls.clear()
+        round_trip(lp, signal, 1, rho_steps=steps)
+        counts.append(len(calls))
+    assert counts == [1, 1]
