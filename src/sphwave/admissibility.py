@@ -294,16 +294,19 @@ def admissibility_constant(lp: LambdaParam, dfrak: int) -> float:
     return lp.sigma**2 / ((lp.n - 1) ** dfrak * math.exp(gammaln(dfrak)))
 
 
-def _kernel_a0_single(lp: LambdaParam, kind: str, rho: float, l: int) -> float:
+def _kernel_a0_single(lp: LambdaParam, kind: str, rho: float, l: int, norm_a0: float) -> float:
     w = math.exp(-rho * l) if kind == "poisson" else math.exp(-rho * l * l / (2.0 * lp.lam))
-    return (lp.lam + l) / lp.lam * w / norm_const_a(lp, l, 0) / lp.sigma
+    return (lp.lam + l) / lp.lam * w / norm_a0 / lp.sigma
 
 
-def _single_degree_ladder(lp: LambdaParam, kind: str, rho: float, l: int, dmax: int) -> np.ndarray:
-    """Order-by-order sector coefficients of the kernel's derivatives at one degree."""
+def _single_degree_ladder(lp: LambdaParam, kind: str, rho: float, l: int, dmax: int, norm_a0: float) -> np.ndarray:
+    """Order-by-order sector coefficients of the kernel's derivatives at one degree.
+
+    ``norm_a0`` is the rho-free constant A_l^0, computed once by the caller.
+    """
     lam = lp.lam
     out = np.zeros((dmax + 1, dmax + 1))
-    out[0, 0] = _kernel_a0_single(lp, kind, rho, l)
+    out[0, 0] = _kernel_a0_single(lp, kind, rho, l, norm_a0)
     for d in range(dmax):
         for k in range(d + 2):
             v = 0.0
@@ -320,8 +323,9 @@ def _single_degree_ladder(lp: LambdaParam, kind: str, rho: float, l: int, dmax: 
 def pair_coefficient_sum(lp: LambdaParam, gamma: GammaVector, rho: float, l: int) -> float:
     """sum_k w_k a_l^k(G_rho) a_l^k(H_rho) at one degree (Poisson/heat pair)."""
     dfrak = gamma.order
-    gp = _single_degree_ladder(lp, "poisson", rho, l, dfrak)
-    gh = _single_degree_ladder(lp, "heat", rho, l, dfrak)
+    norm_a0 = norm_const_a(lp, l, 0)
+    gp = _single_degree_ladder(lp, "poisson", rho, l, dfrak, norm_a0)
+    gh = _single_degree_ladder(lp, "heat", rho, l, dfrak, norm_a0)
     g = np.asarray(gamma.gammas)
     cg = rho**dfrak * (g @ gp)
     ch = g @ gh

@@ -58,15 +58,10 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
 
-def _fmt(x) -> str:
-    """Shortest exact round-trip decimal form of a float."""
-    return repr(float(x))
-
-
 def _write_csv(path: str, header: list, rows: list) -> None:
+    """Rows of Python ints and floats (e.g. ``ndarray.tolist()``); floats in shortest round-trip form."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    lines += [",".join(map(repr, row)) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -111,13 +106,8 @@ def cmd_eval(args) -> int:
             2: lambda: g2_closed(spec, t1g, t2g),
         }[args.order]()
     header = ["theta1", "theta2", "value_series"] + (["value_closed"] if closed is not None else [])
-    rows = []
-    for i in range(t1g.shape[0]):
-        for j in range(t1g.shape[1]):
-            row = [float(t1g[i, j]), float(t2g[i, j]), float(series[i, j])]
-            if closed is not None:
-                row.append(float(closed[i, j]))
-            rows.append(row)
+    columns = [t1g, t2g, series] + ([closed] if closed is not None else [])
+    rows = np.stack([c.ravel() for c in columns], axis=1).tolist()
     _write_csv(args.out, header, rows)
     meta = {
         "subcommand": "eval",
@@ -364,6 +354,17 @@ def cmd_limit(args) -> int:
     return EXIT_OK if decreasing or args.report_only else EXIT_VERIFY
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes (band, grid, scale steps): an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sphwave", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -374,16 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
         if rho:
             p.add_argument("--rho", type=float, default=0.5, help="scale (default 0.5)")
         if band is not None:
-            p.add_argument("--band", type=int, default=band, help=f"degree band (default {band})")
+            p.add_argument("--band", type=_positive_int, default=band, help=f"degree band (default {band})")
         p.add_argument("--tol", type=float, default=1e-6, help="acceptance tolerance")
         p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default=None, help="output format (fixed per subcommand)")
         p.add_argument("--report-only", action="store_true", help="exit 0 even when checks fail")
 
     p = sub.add_parser("eval", help="wavelet values on a (theta1, theta2) grid")
     common(p, rho=True)
     p.add_argument("--kind", choices=(KIND_POISSON, KIND_HEAT), default=KIND_POISSON)
-    p.add_argument("--grid", type=int, default=15, help="grid resolution per angle (default 15)")
+    p.add_argument("--grid", type=_positive_int, default=15, help="grid resolution per angle (default 15)")
     p.add_argument("--tol-series", type=float, default=1e-10, help="series truncation tolerance")
     p.set_defaults(fn=cmd_eval, tol=1e-8)
 
@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, band=8)
     p.add_argument("--rho-min", type=float, default=DEFAULT_RHO_MIN)
     p.add_argument("--rho-max", type=float, default=DEFAULT_RHO_MAX)
-    p.add_argument("--rho-steps", type=int, default=DEFAULT_RHO_STEPS)
+    p.add_argument("--rho-steps", type=_positive_int, default=DEFAULT_RHO_STEPS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_transform, tol=1e-3)
 
@@ -413,29 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-radius", type=float, default=1.0)
     p.add_argument("--xi-angle", type=float, default=0.7)
     p.add_argument("--rho-max", type=float, default=0.08)
-    p.add_argument("--rho-steps", type=int, default=4)
+    p.add_argument("--rho-steps", type=_positive_int, default=4)
     p.set_defaults(fn=cmd_limit)
 
     return parser
 
 
-_NATIVE_FORMAT = {
-    "eval": "csv",
-    "coeffs": "csv",
-    "gamma": "json",
-    "verify": "json",
-    "transform": "json",
-    "limit": "json",
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    native = _NATIVE_FORMAT[args.subcommand]
-    if args.format is not None and args.format != native:
-        print(f"error: subcommand {args.subcommand!r} emits {native} only", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.fn(args)
     except (ValueError, TruncationError) as exc:

@@ -125,13 +125,13 @@ def wavelet_at_scaled_point(lp: LambdaParam, d: int, xi: EuclideanPoint, rho: fl
     Closed forms serve d <= 2; higher orders synthesize the coefficient field,
     subject to the truncation cap (scales below ~1e-3 are rejected there).
     """
+    spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=d, rho=rho)
     scaled = EuclideanPoint(tuple(rho * c for c in xi.coords))
     point = inverse_stereographic(scaled, lp.n)
     theta1 = point.thetas[0]
     R = xi.radius
     # theta2 of the direction: cos(theta2) = xi_2 / |xi|
     theta2 = 0.0 if R == 0.0 else math.acos(max(-1.0, min(1.0, xi.xi2 / R)))
-    spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=d, rho=rho)
     if d == 0:
         val = float(poisson_kernel_closed(lp, rho, theta1))
     elif d == 1:

@@ -29,9 +29,7 @@ __all__ = [
     "to_cartesian",
     "from_cartesian",
     "rotate_in_plane",
-    "plane_rotation_matrix",
     "eval_sector_harmonic",
-    "sector_harmonic_grid",
     "GaussJacobiRule",
     "gauss_jacobi_rule",
     "gegenbauer_coefficient",
@@ -48,12 +46,6 @@ class SphericalPoint:
     @property
     def n(self) -> int:
         return len(self.thetas) + 1
-
-    def sector_angles(self) -> tuple:
-        """(theta_1, theta_2) pair seen by sector harmonics; theta_2 is phi on S^2."""
-        if self.n == 2:
-            return self.thetas[0], self.phi
-        return self.thetas[0], self.thetas[1]
 
 
 @dataclass(frozen=True)
@@ -102,17 +94,6 @@ def from_cartesian(v) -> SphericalPoint:
     return SphericalPoint(thetas=tuple(thetas), phi=phi)
 
 
-def plane_rotation_matrix(n: int, theta: float) -> np.ndarray:
-    """Rotation of R^{n+1} by angle theta in the (x1, x2) coordinate plane."""
-    m = np.eye(n + 1)
-    c, s = math.cos(theta), math.sin(theta)
-    m[0, 0] = c
-    m[0, 1] = -s
-    m[1, 0] = s
-    m[1, 1] = c
-    return m
-
-
 def rotate_in_plane(p: SphericalPoint, theta: float) -> SphericalPoint:
     """Apply the (x1, x2)-plane rotation and return spherical coordinates."""
     x = to_cartesian(p)
@@ -147,12 +128,6 @@ def eval_sector_harmonic(lp: LambdaParam, l: int, k1: int, theta1, theta2):
         angular = gegenbauer_value(lam - 0.5, k1, np.cos(theta2))
     out = radial * angular
     return out if out.shape else float(out)
-
-
-def sector_harmonic_grid(lp: LambdaParam, l: int, k1: int, point: SphericalPoint) -> float:
-    """Sector harmonic evaluated at a SphericalPoint."""
-    t1, t2 = point.sector_angles()
-    return float(eval_sector_harmonic(lp, l, k1, t1, t2))
 
 
 @dataclass(frozen=True)

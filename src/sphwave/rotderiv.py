@@ -40,6 +40,13 @@ __all__ = [
 ]
 
 
+def _beta_sq(lam: float, l, k1: int):
+    """Generic closed form of beta_{l,k1}^2, 0 <= k1 < l; 0/0 at lam = 1/2, k1 = 0."""
+    return (k1 + 1) * (2 * lam + k1 - 1) * (l - k1) * (2 * lam + l + k1) / (
+        (2 * lam + 2 * k1 - 1) * (2 * lam + 2 * k1 + 1)
+    )
+
+
 def beta(lam: float, l: int, k1: int) -> float:
     """Ladder coefficient beta_{l,k1} coupling sector orders k1 <-> k1+1.
 
@@ -54,14 +61,22 @@ def beta(lam: float, l: int, k1: int) -> float:
         return 0.0
     if lam == 0.5 and k1 == 0:
         return np.sqrt(l * (l + 1)) / 2.0
-    num = (k1 + 1) * (2 * lam + k1 - 1) * (l - k1) * (2 * lam + l + k1)
-    den = (2 * lam + 2 * k1 - 1) * (2 * lam + 2 * k1 + 1)
-    return float(np.sqrt(num / den))
+    return float(np.sqrt(_beta_sq(lam, l, k1)))
 
 
 def beta_ladder(lam: float, L: int, k1: int) -> np.ndarray:
-    """Vector of beta_{l,k1} over l = 0..L."""
-    return np.array([beta(lam, l, k1) for l in range(L + 1)])
+    """Vector of beta_{l,k1} over l = 0..L, equal to :func:`beta` element by element."""
+    if k1 < -1:
+        raise ValueError("k1 must be >= -1")
+    out = np.zeros(L + 1)
+    if k1 == -1:
+        return out
+    ls = np.arange(k1 + 1, L + 1, dtype=float)
+    if lam == 0.5 and k1 == 0:
+        out[1:] = np.sqrt(ls * (ls + 1)) / 2.0
+    else:
+        out[k1 + 1 :] = np.sqrt(_beta_sq(lam, ls, k1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -198,7 +213,7 @@ def sector_basis_frame(lp: LambdaParam, L: int, K: int, cos_theta1, sin_theta1, 
 
 def _norm_column(lp: LambdaParam, L: int, k: int) -> np.ndarray:
     """Normalization constants A_l^k for l = k..L."""
-    return np.array([norm_const_a(lp, l, k) for l in range(k, L + 1)])
+    return norm_const_a(lp, np.arange(k, L + 1), k)
 
 
 def _angular(lp: LambdaParam, k: int, theta2):

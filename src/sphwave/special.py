@@ -148,44 +148,54 @@ def gegenbauer_derivative(l: int, order: "float | LambdaParam", t):
     return 2.0 * lam * gegenbauer_batch(lam + 1.0, l - 1, t)[l - 1]
 
 
-def norm_const_a(lp: LambdaParam, l: int, k1: int) -> float:
+def norm_const_a(lp: LambdaParam, l, k1: int):
     """Normalization constant of the sector harmonic of degree l, order k1.
 
     Uses the closed doubling-formula reduction for n >= 3 and the dedicated
     two-dimensional formula for n = 2; both are evaluated in log space so
-    degrees beyond 200 stay finite.
+    degrees beyond 200 stay finite.  ``l`` may be an integer array (a whole
+    order-k1 column at once); the result then has its shape, and a scalar
+    ``l`` gives a float.
     """
-    if k1 < 0 or k1 > l:
+    scalar = isinstance(l, (int, np.integer))
+    ls = l if scalar else np.asarray(l)
+    if k1 < 0 or (ls < k1 if scalar else np.any(ls < k1)):
         raise ValueError(f"order k1 must satisfy 0 <= k1 <= l, got k1={k1}, l={l}")
+    # the scalar path keeps math's log/exp: the quadrature integrands call it per point
+    log, exp = (math.log, math.exp) if scalar else (np.log, np.exp)
     n = lp.n
     if n == 2:
         lg = (
             k1 * math.log(2.0)
             + gammaln(k1 + 0.5)
-            + 0.5 * (math.log(2 * l + 1) + gammaln(l - k1 + 1) - math.log(math.pi) - gammaln(l + k1 + 1))
+            + 0.5 * (log(2 * ls + 1) + gammaln(ls - k1 + 1) - math.log(math.pi) - gammaln(ls + k1 + 1))
         )
-        return math.exp(lg)
-    lg = 0.5 * (
-        (2 * n + 2 * k1 - 6) * math.log(2.0)
-        + gammaln(l - k1 + 1)
-        + gammaln(k1 + 1)
-        + math.log(n + 2 * l - 1)
-        + math.log(n + 2 * k1 - 2)
-        + 2.0 * gammaln(lp.lam + k1)
-        + 2.0 * gammaln((n - 2) / 2)
-        - math.log(n - 1)
-        - math.log(math.pi)
-        - gammaln(n + l + k1 - 1)
-        - gammaln(n + k1 - 2)
-    )
-    return math.exp(lg)
+    else:
+        lg = 0.5 * (
+            (2 * n + 2 * k1 - 6) * math.log(2.0)
+            + gammaln(ls - k1 + 1)
+            + gammaln(k1 + 1)
+            + log(n + 2 * ls - 1)
+            + math.log(n + 2 * k1 - 2)
+            + 2.0 * gammaln(lp.lam + k1)
+            + 2.0 * gammaln((n - 2) / 2)
+            - math.log(n - 1)
+            - math.log(math.pi)
+            - gammaln(n + ls + k1 - 1)
+            - gammaln(n + k1 - 2)
+        )
+    return exp(lg)
 
 
 def dim_harmonic(n: int, l: int) -> int:
-    """Number of linearly independent degree-l harmonics on the n-sphere (exact)."""
+    """Number of linearly independent degree-l harmonics on the n-sphere (exact).
+
+    N(n, l) = (n+2l-1) (n+l-2)! / ((n-1)! l!) = (n+2l-1) C(n+l-2, n-2) / (n-1);
+    the binomial form never builds the thousands-digit factorials of high degrees.
+    """
     if n < 2 or l < 0:
         raise ValueError(f"need n >= 2 and l >= 0, got n={n}, l={l}")
-    return (n + 2 * l - 1) * math.factorial(n + l - 2) // (math.factorial(n - 1) * math.factorial(l))
+    return (n + 2 * l - 1) * math.comb(n + l - 2, n - 2) // (n - 1)
 
 
 def reproducing_kernel(lp: LambdaParam, l: int, t):

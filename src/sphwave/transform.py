@@ -157,8 +157,8 @@ def build_rotation_grid(band: int, order: int | None = None) -> RotationGrid:
 
 def log_rho_grid(rho_min: float = DEFAULT_RHO_MIN, rho_max: float = DEFAULT_RHO_MAX, steps: int = DEFAULT_RHO_STEPS):
     """Log-uniform scale nodes and trapezoid weights for the d(rho)/rho measure."""
-    if not (0 < rho_min < rho_max) or steps < 2:
-        raise ValueError("need 0 < rho_min < rho_max and at least two steps")
+    if not (0 < rho_min < rho_max < math.inf) or steps < 2:
+        raise ValueError("need 0 < rho_min < rho_max < inf and at least two steps")
     x = np.linspace(math.log(rho_min), math.log(rho_max), steps)
     w = np.full(steps, x[1] - x[0])
     w[0] *= 0.5
@@ -332,6 +332,8 @@ def round_trip(
     band = signal.degree_max
     if np.any(signal.coeffs[0]):
         raise ValueError("signal must be mean-free: the pair does not reconstruct degree 0")
+    if not np.any(signal.coeffs):
+        raise ValueError("signal is zero: its relative reconstruction error is undefined")
     if gamma is None:
         gamma = solve_gamma(lp.lam, dfrak)
     grid = build_sphere_grid(2, 2 * band)

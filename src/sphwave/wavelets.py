@@ -66,8 +66,8 @@ class WaveletSpec:
             raise ValueError(f"kind must be {KIND_POISSON!r} or {KIND_HEAT!r}")
         if self.order < 0:
             raise ValueError("derivative order must be >= 0")
-        if not self.rho > 0.0:
-            raise ValueError("scale rho must be strictly positive")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(f"scale rho must be positive and finite, got {self.rho!r}")
 
     @property
     def r(self) -> float:
@@ -92,9 +92,8 @@ def _zonal_seed(lp: LambdaParam, L: int) -> np.ndarray:
     """Kernel zonal coefficients without the degree weight: (1/sigma) (lam+l)/lam / A_l^0."""
     if L < 0:
         raise ValueError("L must be >= 0")
-    a0 = np.array([norm_const_a(lp, l, 0) for l in range(L + 1)])
-    ls = np.arange(L + 1, dtype=float)
-    return (lp.lam + ls) / lp.lam / a0 / lp.sigma
+    ls = np.arange(L + 1)
+    return (lp.lam + ls) / lp.lam / norm_const_a(lp, ls, 0) / lp.sigma
 
 
 def kernel_zonal_coeffs(spec: WaveletSpec, L: int) -> np.ndarray:
@@ -228,17 +227,22 @@ def truncation_degree(spec: WaveletSpec, eps: float) -> int:
 
     The bound sums sup-norm estimates C l^(2 lam + d) * decay(l) for l > L via
     a geometric-ratio closed form (the term ratio is decreasing, so it
-    majorizes the tail).  Hard cap at 5000; scales below the cap's reach raise
-    :class:`TruncationError` rather than returning an unreliable degree.
+    majorizes the tail).  Hard cap at 5000; scales below the cap's reach, and
+    orders whose bound overflows a float, raise :class:`TruncationError`
+    rather than returning an unreliable degree.
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    for L in range(spec.order, TRUNCATION_CAP + 1):
-        head = _term_bound(spec, L + 1)
-        nxt = _term_bound(spec, L + 2)
-        q = nxt / head if head > 0 else 0.0
-        if q < 1.0 and head / (1.0 - q) < eps:
-            return L
+    try:
+        head = _term_bound(spec, spec.order + 1)
+        for L in range(spec.order, TRUNCATION_CAP + 1):
+            nxt = _term_bound(spec, L + 2)
+            q = nxt / head if head > 0 else 0.0
+            if q < 1.0 and head / (1.0 - q) < eps:
+                return L
+            head = nxt
+    except OverflowError:
+        raise TruncationError(f"degree bound overflows a float at order {spec.order}") from None
     raise TruncationError(
         f"tolerance {eps:g} unreachable below degree cap {TRUNCATION_CAP} at rho={spec.rho:g}"
     )

@@ -1,13 +1,18 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sphwave.cli import main
+from sphwave.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _write_csv, main
 
 
 def run(args):
@@ -178,3 +183,88 @@ def test_verify_tail_row_states_its_criterion(tmp_path):
         assert row["tol"] == 0.2 and row["expected"] == 1.0
         assert row["pass"] is (abs(row["value"] - row["expected"]) < row["tol"])
         assert "non-increasing" in row["identity"]
+
+
+def _write_csv_per_cell(path, header, rows):
+    """The per-cell writer the table writer replaced: repr(float(v)) for floats, str otherwise."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_write_csv_bytes_match_per_cell_format(tmp_path):
+    values = np.array(
+        [0.1, -0.0, 1 / 3, 5e-324, -1e-300, 1e22, 123456789.0, math.pi, -2.5e-7, 1.0, 0.0, 7e15]
+    ).reshape(4, 3)
+    table = np.random.default_rng(3).standard_normal((50, 4)) * np.logspace(-12, 12, 4)
+    for header, array in ((["a", "b", "c"], values), (["w", "x", "y", "z"], table)):
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        _write_csv_per_cell(old, header, [[float(v) for v in row] for row in array])
+        _write_csv(new, header, array.tolist())
+        assert new.read_bytes() == old.read_bytes()
+    int_rows = [[3, 1, -0.25], [40, 0, 1e-30]]  # the coeffs table mixes ints and floats
+    _write_csv_per_cell(old, ["l", "k1", "coeff"], int_rows)
+    _write_csv(new, ["l", "k1", "coeff"], int_rows)
+    assert new.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--grid", "0"],
+        ["eval", "--grid", "-3"],
+        ["coeffs", "--band", "0"],
+        ["verify", "--band", "0"],
+        ["transform", "--band", "0"],
+        ["transform", "--rho-steps", "0"],
+        ["limit", "--rho-steps", "-1"],
+        ["transform", "--band", "2.5"],
+    ],
+)
+def test_size_arguments_must_be_positive_integers(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == EXIT_USAGE
+    assert "expected a positive integer" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+_SCALES = st.one_of(
+    st.sampled_from([0.0, -0.0, -0.5, math.inf, -math.inf, math.nan]),
+    st.floats(min_value=0.05, max_value=2.0),
+)
+_SIZES = st.integers(min_value=-2, max_value=6)
+
+
+@st.composite
+def _cheap_argv(draw):
+    sub = draw(st.sampled_from(["eval", "coeffs", "verify", "transform", "limit"]))
+    if sub == "eval":
+        order = draw(st.sampled_from([0, 1, 2, 7, 200]))
+        return ["eval", "--order", str(order), "--rho", repr(draw(_SCALES)), "--grid", str(draw(_SIZES))]
+    if sub == "coeffs":
+        return ["coeffs", "--rho", repr(draw(_SCALES)), "--band", str(draw(_SIZES))]
+    if sub == "verify":
+        return ["verify", "--n", "3", "--band", str(draw(_SIZES))]
+    if sub == "transform":
+        return [
+            "transform", "--band", str(draw(_SIZES)), "--rho-min", repr(draw(_SCALES)),
+            "--rho-max", repr(draw(_SCALES)), "--rho-steps", str(draw(_SIZES)),
+        ]
+    return ["limit", "--rho-max", repr(draw(_SCALES)), "--rho-steps", str(draw(_SIZES))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_cheap_argv())
+def test_fuzzed_arguments_exit_cleanly(argv, tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("fuzz") / "out")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv + ["--out", out])
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()

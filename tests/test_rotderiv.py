@@ -6,6 +6,7 @@ import pytest
 from sphwave.rotderiv import (
     CoefficientField,
     beta,
+    beta_ladder,
     derivative_order,
     derivative_step,
     sector_pair_sum,
@@ -53,6 +54,19 @@ def test_beta_zonal_generic_lambda():
             assert beta(lam, l, 0) == pytest.approx(
                 np.sqrt(l * (2 * lam + l) / (2 * lam + 1)), rel=1e-14
             )
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.0, 2.5])
+def test_beta_ladder_equals_scalar_beta(lam):
+    for L in (0, 1, 5, 60):
+        for k in range(-1, 8):
+            ladder = beta_ladder(lam, L, k)
+            assert ladder.shape == (L + 1,)
+            assert np.array_equal(ladder, [beta(lam, l, k) for l in range(L + 1)])
+            assert not np.any(ladder[: k + 1])  # beta_{l,k} = 0 for k >= l
+    assert np.array_equal(beta_ladder(0.5, 4, 0)[1:], np.sqrt([2.0, 6.0, 12.0, 20.0]) / 2.0)
+    with pytest.raises(ValueError):
+        beta_ladder(lam, 5, -2)
 
 
 def test_field_validation_rejects_upper_triangle():

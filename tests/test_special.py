@@ -213,11 +213,24 @@ def test_norm_const_large_degree_finite():
     assert np.isfinite(val) and val > 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_norm_const_array_matches_scalar(n):
+    lp = LambdaParam(n)
+    for k1 in range(7):
+        ls = np.concatenate([np.arange(k1, k1 + 40), np.arange(k1 + 40, 5001, 61), [5000]])
+        column = norm_const_a(lp, ls, k1)
+        assert column.shape == ls.shape
+        scalar = np.array([norm_const_a(lp, int(l), k1) for l in ls])
+        assert np.max(np.abs(column / scalar - 1.0)) <= 1e-15
+
+
 def test_norm_const_errors():
     with pytest.raises(ValueError):
         norm_const_a(LambdaParam(3), 2, 3)
     with pytest.raises(ValueError):
         norm_const_a(LambdaParam(3), 2, -1)
+    with pytest.raises(ValueError):
+        norm_const_a(LambdaParam(3), np.arange(0, 5), 1)
 
 
 # -- harmonic dimension and reproducing kernel --------------------------------
@@ -233,6 +246,15 @@ def test_dim_harmonic():
     assert dim_harmonic(3, 2) == 9
     with pytest.raises(ValueError):
         dim_harmonic(1, 2)
+
+
+def test_dim_harmonic_matches_factorial_formula():
+    for n in range(2, 13):
+        for l in list(range(0, 50)) + list(range(50, 5001, 113)) + [4999, 5000]:
+            factorial_form = (n + 2 * l - 1) * math.factorial(n + l - 2) // (
+                math.factorial(n - 1) * math.factorial(l)
+            )
+            assert dim_harmonic(n, l) == factorial_form
 
 
 def test_reproducing_kernel_values():

@@ -233,6 +233,20 @@ def test_round_trip_rejects_signal_with_mean():
         round_trip(lp, CoefficientField(lp, a), 1)
 
 
+def test_round_trip_rejects_zero_signal():
+    lp = LambdaParam(2)
+    for sig in (CoefficientField(lp, np.zeros((4, 2))), random_bandlimited_field(lp, 0, seed=0)):
+        with pytest.raises(ValueError, match="zero"):
+            round_trip(lp, sig, 1)
+
+
+def test_log_rho_grid_rejects_bad_scales():
+    bad = ((0.1, math.inf, 10), (math.nan, 1.0, 10), (0.0, 1.0, 10), (1.0, 0.1, 10), (0.1, 1.0, 1))
+    for rho_min, rho_max, steps in bad:
+        with pytest.raises(ValueError):
+            log_rho_grid(rho_min, rho_max, steps)
+
+
 def test_round_trip_rejects_non_rotation():
     lp = LambdaParam(2)
     sig = random_bandlimited_field(lp, 2, seed=1)

@@ -35,6 +35,9 @@ def test_spec_validation():
         WaveletSpec(lp=lp, kind=KIND_POISSON, order=1, rho=0.0)
     with pytest.raises(ValueError):
         WaveletSpec(lp=lp, kind=KIND_POISSON, order=-1, rho=0.5)
+    for rho in (math.inf, math.nan, -0.5):
+        with pytest.raises(ValueError):
+            WaveletSpec(lp=lp, kind=KIND_POISSON, order=1, rho=rho)
 
 
 def test_kernel_coeff_degree_zero():
@@ -189,11 +192,42 @@ def test_truncation_bound_validated_by_direct_tail(n, order, rho):
     assert np.max(np.abs(extended - short)) < eps
 
 
+# (n, order, kind, rho, eps) -> L, recorded from the two-evaluations-per-degree
+# scan with factorial harmonic dimensions; eval reports write L, so it must not move.
+TRUNCATION_TABLE = [
+    (2, 1, KIND_POISSON, 0.01, 1e-10, 3917),
+    (2, 0, KIND_POISSON, 0.5, 1e-10, 52),
+    (2, 2, KIND_POISSON, 0.05, 1e-8, 718),
+    (3, 1, KIND_POISSON, 0.1, 1e-10, 394),
+    (3, 2, KIND_POISSON, 0.03, 1e-10, 1623),
+    (4, 3, KIND_POISSON, 0.2, 1e-6, 210),
+    (6, 1, KIND_POISSON, 0.5, 1e-12, 98),
+    (2, 3, KIND_POISSON, 1.0, 1e-3, 21),
+    (2, 1, KIND_HEAT, 0.01, 1e-10, 55),
+    (3, 2, KIND_HEAT, 0.1, 1e-8, 24),
+    (5, 4, KIND_HEAT, 0.05, 1e-10, 66),
+    (6, 0, KIND_HEAT, 1.0, 1e-6, 9),
+]
+
+
+@pytest.mark.parametrize("n,order,kind,rho,eps,expected", TRUNCATION_TABLE)
+def test_truncation_degree_recorded_values(n, order, kind, rho, eps, expected):
+    spec = WaveletSpec(lp=LambdaParam(n), kind=kind, order=order, rho=rho)
+    assert truncation_degree(spec, eps) == expected
+
+
 def test_truncation_cap_rejects_tiny_scales():
     lp = LambdaParam(2)
     spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=1, rho=1e-4)
     with pytest.raises(TruncationError):
         truncation_degree(spec, 1e-12)
+
+
+def test_truncation_rejects_orders_whose_bound_overflows():
+    lp = LambdaParam(2)
+    for order in (200, 6000):  # (l + lam)^order overflows; 6000 is also above the cap
+        with pytest.raises(TruncationError):
+            truncation_degree(WaveletSpec(lp=lp, kind=KIND_POISSON, order=order, rho=0.5), 1e-10)
 
 
 def test_l2_norm_stable_under_refinement():
