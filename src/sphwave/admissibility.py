@@ -27,8 +27,9 @@ from scipy.integrate import quad
 from scipy.special import gammaincc, gammaln
 
 from .harmonics import gauss_jacobi_rule
-from .rotderiv import CoefficientField, beta, sector_pair_sum, sector_weights
-from .special import LambdaParam, dim_harmonic, gegenbauer_weighted_sum, norm_const_a
+from .rotderiv import CoefficientField, sector_pair_sum, sector_weights
+from .special import LambdaParam, dim_harmonic, gegenbauer_weighted_sum
+from .wavelets import KIND_HEAT, KIND_POISSON, modified_wavelet_table, scale_weights
 
 __all__ = [
     "GammaVector",
@@ -118,6 +119,17 @@ def _ladder_polys(lam: Fraction, dmax: int) -> dict:
     return P
 
 
+def _q_sum(lam: Fraction, P: dict, d: int, dp: int) -> list:
+    """q_{d,d'} = sum_j (prod_{i<j} beta_{l,i}^2) P_{d,j} P_{d',j}, coefficients in u."""
+    out = [Fraction(0)]
+    prefix = [Fraction(1)]
+    for j in range(min(d, dp) + 1):
+        if (d, j) in P and (dp, j) in P:
+            out = _padd(out, _pmul(prefix, _pmul(P[(d, j)], P[(dp, j)])))
+        prefix = _pmul(prefix, _beta_sq_poly(lam, j))
+    return out
+
+
 def q_polynomial(lam, d: int, dp: int) -> tuple:
     """Coefficients (in u) of q_{d,d'}; the zero polynomial across parities.
 
@@ -126,30 +138,13 @@ def q_polynomial(lam, d: int, dp: int) -> tuple:
     if (d - dp) % 2:
         return (Fraction(0),)
     lamF = _as_fraction(lam)
-    P = _ladder_polys(lamF, max(d, dp))
-    out = [Fraction(0)]
-    prefix = [Fraction(1)]
-    for j in range(min(d, dp) + 1):
-        if (d, j) in P and (dp, j) in P:
-            out = _padd(out, _pmul(prefix, _pmul(P[(d, j)], P[(dp, j)])))
-        prefix = _pmul(prefix, _beta_sq_poly(lamF, j))
-    return tuple(out)
+    return tuple(_q_sum(lamF, _ladder_polys(lamF, max(d, dp)), d, dp))
 
 
 def _q_table(lam: Fraction, dfrak: int) -> dict:
+    """Every q_{d,d'} with d <= d' <= dfrak of matching parity, keyed (d, d')."""
     P = _ladder_polys(lam, dfrak)
-    qs = {}
-    for d in range(dfrak + 1):
-        for dp in range(d, dfrak + 1):
-            if (d - dp) % 2 == 0:
-                out = [Fraction(0)]
-                prefix = [Fraction(1)]
-                for j in range(d + 1):
-                    if (d, j) in P and (dp, j) in P:
-                        out = _padd(out, _pmul(prefix, _pmul(P[(d, j)], P[(dp, j)])))
-                    prefix = _pmul(prefix, _beta_sq_poly(lam, j))
-                qs[(d, dp)] = out
-    return qs
+    return {(d, dp): _q_sum(lam, P, d, dp) for d in range(dfrak + 1) for dp in range(d, dfrak + 1, 2)}
 
 
 def _qc(qs: dict, d: int, dp: int, J: int) -> Fraction:
@@ -159,8 +154,7 @@ def _qc(qs: dict, d: int, dp: int, J: int) -> Fraction:
     return q[J]
 
 
-def _solve_exact(lam: Fraction, dfrak: int) -> tuple:
-    qs = _q_table(lam, dfrak)
+def _solve_exact(lam: Fraction, dfrak: int, qs: dict) -> tuple:
     if dfrak == 1:
         g1_sq = 1 / _qc(qs, 1, 1, 1)
         return (0.0, math.sqrt(float(g1_sq)))
@@ -190,8 +184,7 @@ def _solve_exact(lam: Fraction, dfrak: int) -> tuple:
     raise GammaSolveError(f"order 3 infeasible at lam={lam}: gamma_2^2 < 0 on both branches")
 
 
-def _solve_newton(lam: Fraction, dfrak: int, restarts: int, seed: int) -> tuple:
-    qs = _q_table(lam, dfrak)
+def _solve_newton(lam: Fraction, dfrak: int, qs: dict, restarts: int, seed: int) -> tuple:
     g_top = 1.0 / math.sqrt(float(_qc(qs, dfrak, dfrak, dfrak)))
     # residual r_J = gamma^T Q_J gamma for J = 1..dfrak-1; gamma_0 = 0 fixed.
     Qs = []
@@ -261,18 +254,18 @@ def solve_gamma(lam, dfrak: int, *, restarts: int = 120, seed: int = 20240) -> G
         raise ValueError("solver envelope is 0 <= order <= 6")
     if dfrak == 0:
         return GammaVector(order=0, lam=float(lamF), gammas=(1.0,))
+    qs = _q_table(lamF, dfrak)
     if dfrak <= 3:
-        gam = _solve_exact(lamF, dfrak)
+        gam = _solve_exact(lamF, dfrak, qs)
     else:
-        gam = _solve_newton(lamF, dfrak, restarts, seed)
+        gam = _solve_newton(lamF, dfrak, qs, restarts, seed)
     vec = GammaVector(order=dfrak, lam=float(lamF), gammas=tuple(gam))
-    _assert_collapse(vec)
+    _assert_collapse(vec, qs)
     return vec
 
 
-def _assert_collapse(vec: GammaVector, l_max: int = 30, tol: float = 1e-9) -> None:
+def _assert_collapse(vec: GammaVector, qs: dict, l_max: int = 30, tol: float = 1e-9) -> None:
     lam = vec.lam
-    qs = _q_table(_as_fraction(vec.lam), vec.order)
     g = np.asarray(vec.gammas)
     for l in (1, 2, 3, 5, 11, l_max):
         u = l * (2 * lam + l)
@@ -294,43 +287,40 @@ def admissibility_constant(lp: LambdaParam, dfrak: int) -> float:
     return lp.sigma**2 / ((lp.n - 1) ** dfrak * math.exp(gammaln(dfrak)))
 
 
-def _kernel_a0_single(lp: LambdaParam, kind: str, rho: float, l: int, norm_a0: float) -> float:
-    w = math.exp(-rho * l) if kind == "poisson" else math.exp(-rho * l * l / (2.0 * lp.lam))
-    return (lp.lam + l) / lp.lam * w / norm_a0 / lp.sigma
-
-
-def _single_degree_ladder(lp: LambdaParam, kind: str, rho: float, l: int, dmax: int, norm_a0: float) -> np.ndarray:
-    """Order-by-order sector coefficients of the kernel's derivatives at one degree.
-
-    ``norm_a0`` is the rho-free constant A_l^0, computed once by the caller.
-    """
-    lam = lp.lam
-    out = np.zeros((dmax + 1, dmax + 1))
-    out[0, 0] = _kernel_a0_single(lp, kind, rho, l, norm_a0)
-    for d in range(dmax):
-        for k in range(d + 2):
-            v = 0.0
-            if k + 1 <= dmax:
-                v += beta(lam, l, k) * out[d, k + 1]
-            if k >= 1:
-                v -= beta(lam, l, k - 1) * out[d, k - 1]
-            if k == 0 and lp.n == 2:
-                v = 2.0 * beta(lam, l, 0) * out[d, 1] if dmax >= 1 else 0.0
-            out[d + 1, k] = v
-    return out
+def _pair_energy(lp: LambdaParam, gamma: GammaVector, L: int) -> np.ndarray:
+    """E_l = sum_k w_k B_{l,k}^2, l = 0..L: the rho-free factor of every pair sum."""
+    return modified_wavelet_table(lp, gamma, L) ** 2 @ sector_weights(lp.n, gamma.order)
 
 
 def pair_coefficient_sum(lp: LambdaParam, gamma: GammaVector, rho: float, l: int) -> float:
-    """sum_k w_k a_l^k(G_rho) a_l^k(H_rho) at one degree (Poisson/heat pair)."""
-    dfrak = gamma.order
-    norm_a0 = norm_const_a(lp, l, 0)
-    gp = _single_degree_ladder(lp, "poisson", rho, l, dfrak, norm_a0)
-    gh = _single_degree_ladder(lp, "heat", rho, l, dfrak, norm_a0)
-    g = np.asarray(gamma.gammas)
-    cg = rho**dfrak * (g @ gp)
-    ch = g @ gh
-    w = sector_weights(lp.n, dfrak)
-    return float(np.sum(w * cg * ch))
+    """sum_k w_k a_l^k(G_rho) a_l^k(H_rho) at one degree (Poisson/heat pair).
+
+    Both wavelets carry the table B of :func:`modified_wavelet_table`, so the
+    sum is s^P_l(rho) s^H_l(rho) E_l.
+    """
+    s = scale_weights(lp, KIND_POISSON, gamma.order, [rho], l) * scale_weights(lp, KIND_HEAT, gamma.order, [rho], l)
+    return float(s[0, l] * _pair_energy(lp, gamma, l)[l])
+
+
+def _scale_integrals(lp: LambdaParam, gamma: GammaVector, degrees) -> list:
+    """Per degree l >= 1, the integral over rho > 0 of s^P_l s^H_l E_l = rho^order exp(-rho u / 2 lam) E_l.
+
+    Adaptive quadrature in x = log rho around the peak; one table gives every E_l.
+    """
+    dfrak, lam = gamma.order, lp.lam
+    energy = _pair_energy(lp, gamma, max(degrees, default=0))
+
+    def integrand(x, u, e_l):
+        rho = math.exp(x)
+        return rho**dfrak * math.exp(-rho * u / (2.0 * lam)) * e_l
+
+    out = []
+    for l in degrees:
+        u = l * (2.0 * lam + l)
+        x_peak = math.log(2.0 * lam * max(dfrak, 1) / u)
+        args = (u, float(energy[l]))
+        out.append(quad(integrand, x_peak - 55.0, x_peak + 18.0, args=args, limit=300, epsabs=0.0, epsrel=1e-11)[0])
+    return out
 
 
 def verify_pair_condition1(
@@ -346,29 +336,21 @@ def verify_pair_condition1(
 
     For each degree l <= l_max the scale integral of the coefficient product is
     evaluated (a) in closed form, Gamma(dfrak) (2 lam / u)^dfrak times the
-    degree constants, and (b) by adaptive quadrature of the actual ladder
-    coefficient products; after scaling by C both must equal the harmonic
-    dimension N(n, l).  Returns one report dict per degree; failures are
-    recorded, not raised.
+    degree constants, and (b) by adaptive quadrature of the coefficient
+    products s^P_l s^H_l E_l, whose energies E_l come from the ladder-built
+    table of :func:`modified_wavelet_table`; after scaling by C both must
+    equal the harmonic dimension N(n, l).  Returns one report dict per
+    degree; failures are recorded, not raised.
     """
     if gamma is None:
         gamma = solve_gamma(Fraction(lp.n - 1, 2), dfrak)
     lam = lp.lam
     C = admissibility_constant(lp, dfrak)
     rows = []
-    for l in range(1, l_max + 1):
+    for l, val in enumerate(_scale_integrals(lp, gamma, range(1, l_max + 1)), start=1):
         u = l * (2.0 * lam + l)
         nl = dim_harmonic(lp.n, l)
         closed = nl / lp.sigma**2 * u**dfrak * math.exp(gammaln(dfrak)) * (2.0 * lam / u) ** dfrak
-        x_peak = math.log(2.0 * lam * max(dfrak, 1) / u)
-        val, _ = quad(
-            lambda x: pair_coefficient_sum(lp, gamma, math.exp(x), l),
-            x_peak - 55.0,
-            x_peak + 18.0,
-            limit=300,
-            epsabs=0.0,
-            epsrel=1e-11,
-        )
         paths = abs(val / closed - 1.0)
         ratio = C * val / nl
         rows.append(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -67,9 +68,10 @@ def _write_csv(path: str, header: list, rows: list) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    # serialize first: a NaN or infinity raises before the file is opened
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _report_row(check: str, identity: str, value, expected, tol: float | None, ok: bool, operation: str) -> dict:
@@ -108,7 +110,6 @@ def cmd_eval(args) -> int:
     header = ["theta1", "theta2", "value_series"] + (["value_closed"] if closed is not None else [])
     columns = [t1g, t2g, series] + ([closed] if closed is not None else [])
     rows = np.stack([c.ravel() for c in columns], axis=1).tolist()
-    _write_csv(args.out, header, rows)
     meta = {
         "subcommand": "eval",
         "n": args.n,
@@ -129,7 +130,8 @@ def cmd_eval(args) -> int:
         meta["max_rel_diff"] = max_abs_diff / scale if scale else 0.0
         ok = meta["max_rel_diff"] < args.tol
         meta["pass"] = bool(ok)
-    _write_json(args.out + ".json", meta)
+    _write_json(args.out + ".json", meta)  # first: a report that cannot be written leaves no table
+    _write_csv(args.out, header, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK if ok or args.report_only else EXIT_VERIFY
 
@@ -207,7 +209,7 @@ def cmd_verify(args) -> int:
                     operation="admissibility.verify_pair_condition1",
                 )
             )
-        for l in (1, args.band // 2 or 1, args.band):
+        for l in sorted({1, args.band // 2 or 1, args.band}):
             m = per_degree_reconstruction_check(lp, args.order, l, gamma)
             checks.append(
                 _report_row(
@@ -365,6 +367,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for coordinates: a finite float."""
+    value = float(text)  # argparse reports a ValueError as a usage error
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for tolerances: a finite float > 0."""
+    value = _finite_float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sphwave", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -376,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rho", type=float, default=0.5, help="scale (default 0.5)")
         if band is not None:
             p.add_argument("--band", type=_positive_int, default=band, help=f"degree band (default {band})")
-        p.add_argument("--tol", type=float, default=1e-6, help="acceptance tolerance")
+        p.add_argument("--tol", type=_positive_float, default=1e-6, help="acceptance tolerance")
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--report-only", action="store_true", help="exit 0 even when checks fail")
 
@@ -384,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, rho=True)
     p.add_argument("--kind", choices=(KIND_POISSON, KIND_HEAT), default=KIND_POISSON)
     p.add_argument("--grid", type=_positive_int, default=15, help="grid resolution per angle (default 15)")
-    p.add_argument("--tol-series", type=float, default=1e-10, help="series truncation tolerance")
+    p.add_argument("--tol-series", type=_positive_float, default=1e-10, help="series truncation tolerance")
     p.set_defaults(fn=cmd_eval, tol=1e-8)
 
     p = sub.add_parser("coeffs", help="sector coefficient table")
@@ -410,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit", help="flat-space limit convergence probe")
     common(p, order_default=2)
-    p.add_argument("--xi-radius", type=float, default=1.0)
-    p.add_argument("--xi-angle", type=float, default=0.7)
+    p.add_argument("--xi-radius", type=_finite_float, default=1.0)
+    p.add_argument("--xi-angle", type=_finite_float, default=0.7)
     p.add_argument("--rho-max", type=float, default=0.08)
     p.add_argument("--rho-steps", type=_positive_int, default=4)
     p.set_defaults(fn=cmd_limit)

@@ -55,13 +55,7 @@ def beta(lam: float, l: int, k1: int) -> float:
     value there is sqrt(l(l+1))/2, used together with the factor-2 zonal
     coupling of :func:`derivative_step`.
     """
-    if k1 < -1:
-        raise ValueError("k1 must be >= -1")
-    if k1 == -1 or k1 >= l:
-        return 0.0
-    if lam == 0.5 and k1 == 0:
-        return np.sqrt(l * (l + 1)) / 2.0
-    return float(np.sqrt(_beta_sq(lam, l, k1)))
+    return float(beta_ladder(lam, l, k1)[l])
 
 
 def beta_ladder(lam: float, L: int, k1: int) -> np.ndarray:

@@ -157,25 +157,22 @@ def norm_const_a(lp: LambdaParam, l, k1: int):
     order-k1 column at once); the result then has its shape, and a scalar
     ``l`` gives a float.
     """
-    scalar = isinstance(l, (int, np.integer))
-    ls = l if scalar else np.asarray(l)
-    if k1 < 0 or (ls < k1 if scalar else np.any(ls < k1)):
+    ls = np.asarray(l)
+    if k1 < 0 or np.any(ls < k1):
         raise ValueError(f"order k1 must satisfy 0 <= k1 <= l, got k1={k1}, l={l}")
-    # the scalar path keeps math's log/exp: the quadrature integrands call it per point
-    log, exp = (math.log, math.exp) if scalar else (np.log, np.exp)
     n = lp.n
     if n == 2:
         lg = (
             k1 * math.log(2.0)
             + gammaln(k1 + 0.5)
-            + 0.5 * (log(2 * ls + 1) + gammaln(ls - k1 + 1) - math.log(math.pi) - gammaln(ls + k1 + 1))
+            + 0.5 * (np.log(2 * ls + 1) + gammaln(ls - k1 + 1) - math.log(math.pi) - gammaln(ls + k1 + 1))
         )
     else:
         lg = 0.5 * (
             (2 * n + 2 * k1 - 6) * math.log(2.0)
             + gammaln(ls - k1 + 1)
             + gammaln(k1 + 1)
-            + log(n + 2 * ls - 1)
+            + np.log(n + 2 * ls - 1)
             + math.log(n + 2 * k1 - 2)
             + 2.0 * gammaln(lp.lam + k1)
             + 2.0 * gammaln((n - 2) / 2)
@@ -184,7 +181,8 @@ def norm_const_a(lp: LambdaParam, l, k1: int):
             - gammaln(n + ls + k1 - 1)
             - gammaln(n + k1 - 2)
         )
-    return exp(lg)
+    out = np.exp(lg)
+    return out if out.ndim else float(out)
 
 
 def dim_harmonic(n: int, l: int) -> int:

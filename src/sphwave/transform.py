@@ -47,10 +47,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
-from .admissibility import GammaVector, admissibility_constant, pair_coefficient_sum, solve_gamma
+from .admissibility import GammaVector, _scale_integrals, admissibility_constant, solve_gamma
 from .rotderiv import CoefficientField, sector_basis_frame, sector_weights, synthesize, synthesize_frame
 from .special import LambdaParam, dim_harmonic
 from .wavelets import KIND_HEAT, KIND_POISSON, modified_wavelet_table, scale_weights
@@ -382,22 +381,14 @@ def per_degree_reconstruction_check(
 ) -> float:
     """Fourier-side reconstruction multiplier for one degree; 1 after C-scaling.
 
-    The general-n stand-in for full inversion: integrates the actual ladder
-    coefficient products over all scales and scales by C/N(n, l).  Degree 0 is
+    The general-n stand-in for full inversion: integrates the pair's
+    coefficient products over all scales, through the same helper as
+    :func:`verify_pair_condition1`, and scales by C/N(n, l).  Degree 0 is
     annihilated (returns 0) for dfrak >= 1.
     """
     if l == 0:
         return 0.0
     if gamma is None:
         gamma = solve_gamma(lp.lam, dfrak)
-    u = l * (2.0 * lp.lam + l)
-    x_peak = math.log(2.0 * lp.lam * max(dfrak, 1) / u)
-    val, _ = quad(
-        lambda x: pair_coefficient_sum(lp, gamma, math.exp(x), l),
-        x_peak - 55.0,
-        x_peak + 18.0,
-        limit=300,
-        epsabs=0.0,
-        epsrel=1e-11,
-    )
+    (val,) = _scale_integrals(lp, gamma, [l])
     return admissibility_constant(lp, dfrak) * val / dim_harmonic(lp.n, l)

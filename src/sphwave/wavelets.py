@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .admissibility import GammaVector
 from .rotderiv import CoefficientField, derivative_order, derivative_step, zonal_field
 from .special import LambdaParam, dim_harmonic, norm_const_a
+
+if TYPE_CHECKING:  # admissibility builds its pair sums from this module's table
+    from .admissibility import GammaVector
 
 __all__ = [
     "KIND_POISSON",

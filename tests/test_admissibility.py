@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 from sphwave.admissibility import (
     GammaSolveError,
     GammaVector,
+    _q_table,
     admissibility_constant,
     pair_coefficient_sum,
     q_polynomial,
@@ -65,6 +66,15 @@ def test_q_structural_identity_q13_is_minus_q22():
         q13 = q_polynomial(lam, 1, 3)
         q22 = q_polynomial(lam, 2, 2)
         assert q13 == tuple(-c for c in q22)
+
+
+def test_q_table_matches_q_polynomial():
+    # the solver's table and the public builder share one prefix-product sum
+    for lam in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
+        qs = _q_table(lam, 6)
+        assert sorted(qs) == [(d, dp) for d in range(7) for dp in range(d, 7, 2)]
+        for (d, dp), q in qs.items():
+            assert tuple(q) == q_polynomial(lam, d, dp)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -156,6 +166,45 @@ def test_pair_condition_small_sweep(n, dfrak):
         assert row["pass"], row
         assert row["paths_rel_diff"] < 1e-8
         assert abs(row["ratio"] - 1.0) < 1e-6
+
+
+# quadrature_scaled of verify_pair_condition1(LambdaParam(3), 2, 20), l = 1..20, as
+# computed with a per-node sector ladder in the integrand
+PINNED_N3_ORDER2 = [
+    4.000000000000001, 9.000000000000002, 16.000000000000014, 24.99999999999999, 35.99999999999996,
+    49.000000000000085, 64.0, 81.00000000000003, 100.00000000000021, 120.99999999999956,
+    143.9999999999995, 168.99999999999937, 196.00000000000074, 225.0000000000001, 256.0,
+    288.99999999999994, 324.0, 361.0000000000026, 400.0000000000001, 441.0,
+]
+
+
+def test_pair_condition_rows_pinned():
+    rows = verify_pair_condition1(LambdaParam(3), 2, 20)
+    assert [row["l"] for row in rows] == list(range(1, 21))
+    assert all(row["pass"] for row in rows)
+    assert [row["quadrature_scaled"] for row in rows] == pytest.approx(PINNED_N3_ORDER2, rel=1e-14, abs=0.0)
+
+
+# cells with n <= 6 and order <= 6 where solve_gamma finds no real vector
+NO_GAMMA = {(2, 3), (2, 5), (4, 4), (5, 4), (6, 4), (4, 6), (5, 6)}
+
+
+def test_pair_sum_matches_closed_form():
+    # N_l rho^order exp(-rho u / 2 lam) u^order / sigma^2, a ladder-free oracle;
+    # the Newton-solved gammas of orders 4-6 set the worst case, about 8e-12
+    for n in range(2, 7):
+        lp = LambdaParam(n)
+        for order in range(7):
+            if (n, order) in NO_GAMMA:
+                continue
+            gam = solve_gamma(lp.lam, order)
+            for rho in (1e-3, 0.05, 0.7, 3.0):
+                for l in (1, 2, 5, 13, 40):
+                    u = l * (2 * lp.lam + l)
+                    expect = dim_harmonic(n, l) * rho**order * math.exp(-rho * u / (2 * lp.lam)) * u**order
+                    assert pair_coefficient_sum(lp, gam, rho, l) == pytest.approx(
+                        expect / lp.sigma**2, rel=1e-10, abs=0.0
+                    ), (n, order, rho, l)
 
 
 def test_pair_sum_degree_zero_annihilated():

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphwave.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _write_csv, main
@@ -236,6 +236,8 @@ _SCALES = st.one_of(
     st.floats(min_value=0.05, max_value=2.0),
 )
 _SIZES = st.integers(min_value=-2, max_value=6)
+_TOLS = st.sampled_from([0.0, -1e-3, math.inf, -math.inf, math.nan, 1e-12, 1e-6, 0.5])
+_COORDS = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan]), st.floats(min_value=-2.0, max_value=2.0))
 
 
 @st.composite
@@ -243,7 +245,10 @@ def _cheap_argv(draw):
     sub = draw(st.sampled_from(["eval", "coeffs", "verify", "transform", "limit"]))
     if sub == "eval":
         order = draw(st.sampled_from([0, 1, 2, 7, 200]))
-        return ["eval", "--order", str(order), "--rho", repr(draw(_SCALES)), "--grid", str(draw(_SIZES))]
+        return [
+            "eval", "--order", str(order), "--rho", repr(draw(_SCALES)), "--grid", str(draw(_SIZES)),
+            "--tol", repr(draw(_TOLS)), "--tol-series", repr(draw(_TOLS)),
+        ]
     if sub == "coeffs":
         return ["coeffs", "--rho", repr(draw(_SCALES)), "--band", str(draw(_SIZES))]
     if sub == "verify":
@@ -253,13 +258,22 @@ def _cheap_argv(draw):
             "transform", "--band", str(draw(_SIZES)), "--rho-min", repr(draw(_SCALES)),
             "--rho-max", repr(draw(_SCALES)), "--rho-steps", str(draw(_SIZES)),
         ]
-    return ["limit", "--rho-max", repr(draw(_SCALES)), "--rho-steps", str(draw(_SIZES))]
+    return [
+        "limit", "--rho-max", repr(draw(_SCALES)), "--rho-steps", str(draw(_SIZES)),
+        "--xi-radius", repr(draw(_COORDS)), "--xi-angle", repr(draw(_COORDS)),
+    ]
 
 
 @settings(max_examples=60, deadline=None)
 @given(argv=_cheap_argv())
+@example(argv=["limit", "--xi-radius", "nan"])
+@example(argv=["limit", "--xi-radius", "inf"])
+@example(argv=["limit", "--xi-angle", "nan"])
+@example(argv=["eval", "--tol", "nan"])
+@example(argv=["eval", "--tol-series", "inf"])
 def test_fuzzed_arguments_exit_cleanly(argv, tmp_path_factory):
-    out = str(tmp_path_factory.mktemp("fuzz") / "out")
+    out_dir = tmp_path_factory.mktemp("fuzz")
+    out = str(out_dir / "out")
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         try:
@@ -268,3 +282,18 @@ def test_fuzzed_arguments_exit_cleanly(argv, tmp_path_factory):
             code = exc.code
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY), (argv, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
+    written = sorted(out_dir.iterdir())
+    if code == EXIT_USAGE:
+        assert not written, (argv, written)
+    for path in written:
+        if path.suffix == ".json" or argv[0] not in ("eval", "coeffs"):  # eval and coeffs write a CSV table at out
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def test_verify_check_names_are_unique(tmp_path):
+    # bands 1-3 map the reconstruction degrees 1, band // 2 or 1, band onto repeats
+    out = tmp_path / "verify.json"
+    for band in (1, 2, 3):
+        assert run(["verify", "--n", "3", "--order", "1", "--band", str(band), "--out", str(out)]) == 0
+        names = [c["check"] for c in json.loads(out.read_text())["checks"]]
+        assert len(names) == len(set(names)), names

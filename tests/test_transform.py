@@ -335,6 +335,10 @@ def test_round_trip_matches_prediction(order):
     for l in range(1, band + 1):
         s = sum(wj * pair_coefficient_sum(lp, gam, r, l) for r, wj in zip(rhos, w))
         assert rep["multipliers"][l] == pytest.approx(C * s / dim_harmonic(2, l), rel=1e-12)
+        # and the exact multipliers C u^order / sigma^2 sum_r w_r rho_r^order exp(-rho_r u / 2 lam)
+        u = l * (2 * lp.lam + l)
+        exact = C * u**order / lp.sigma**2 * np.sum(w * rhos**order * np.exp(-rhos * u / (2 * lp.lam)))
+        assert rep["multipliers"][l] == pytest.approx(exact, rel=1e-13)
 
 
 @pytest.mark.parametrize("order", [1, 2])
