@@ -7,13 +7,13 @@ sum_{d,d'} gamma_d gamma_{d'} q_{d,d'}(u) collapse to u^dfrak; the resulting
 wavelet/reconstruction pair then satisfies the per-degree admissibility
 integral exactly, with constant C = sigma^2 / ((n-1)^dfrak Gamma(dfrak)).
 
-Existence of real gamma vectors is an open question and genuinely fails for
-some (lam, dfrak): order 3 on the 2-sphere, for instance, is infeasible (the
-exact elimination forces a negative square).  The solver therefore reports
-failure as a first-class, certificated outcome.
+Real gamma vectors exist for some (lam, dfrak) and not for others: order 3 on
+the 2-sphere, for instance, is infeasible.  The solver decides every case in
+exact rational arithmetic (a Sturm count) and reports failure as a
+first-class, certificated outcome.
 
-The solver is single-threaded and deterministic (fixed seeds); verification
-sweeps are pure functions safe to parallelize over degrees.
+The solver is single-threaded and deterministic; verification sweeps are pure
+functions safe to parallelize over degrees.
 """
 
 from __future__ import annotations
@@ -53,8 +53,10 @@ class GammaSolveError(Exception):
 class GammaVector:
     """Mixing coefficients gamma_0..gamma_dfrak solved for one lam.
 
-    Sign convention: gamma_dfrak > 0; gamma_0 = 0 is forced for dfrak >= 1 by
-    the constant-coefficient equation.
+    Sign rule: sum_d gamma_d t^d has all its nonzero roots in the open left
+    half-plane (see :func:`solve_gamma`), so every gamma_d >= 0 and
+    gamma_dfrak > 0; gamma_0 = 0 is forced for dfrak >= 1 by the
+    constant-coefficient equation.
     """
 
     order: int
@@ -147,107 +149,69 @@ def _q_table(lam: Fraction, dfrak: int) -> dict:
     return {(d, dp): _q_sum(lam, P, d, dp) for d in range(dfrak + 1) for dp in range(d, dfrak + 1, 2)}
 
 
-def _qc(qs: dict, d: int, dp: int, J: int) -> Fraction:
-    q = qs.get((min(d, dp), max(d, dp)))
-    if q is None or J >= len(q):
-        return Fraction(0)
-    return q[J]
+def _spectral_coeffs(dfrak: int, qs: dict) -> list:
+    """c_0..c_dfrak with sum_s c_s q_{s,s}(u) = u^dfrak, by back-substitution.
+
+    q_{s,s} has degree exactly s, so the coefficient of u^J fixes c_J once
+    c_{J+1}..c_dfrak are known.
+    """
+    c = [Fraction(0)] * (dfrak + 1)
+    for J in range(dfrak, -1, -1):
+        rest = sum(c[s] * qs[(s, s)][J] for s in range(J + 1, dfrak + 1))
+        c[J] = (int(J == dfrak) - rest) / qs[(J, J)][J]
+    return c
 
 
-def _solve_exact(lam: Fraction, dfrak: int, qs: dict) -> tuple:
-    if dfrak == 1:
-        g1_sq = 1 / _qc(qs, 1, 1, 1)
-        return (0.0, math.sqrt(float(g1_sq)))
-    if dfrak == 2:
-        g2_sq = 1 / _qc(qs, 2, 2, 2)
-        g1_sq = -g2_sq * _qc(qs, 2, 2, 1) / _qc(qs, 1, 1, 1)
-        if g1_sq < 0:
-            raise GammaSolveError(f"order 2 infeasible at lam={lam}: gamma_1^2 = {g1_sq}")
-        return (0.0, math.sqrt(float(g1_sq)), math.sqrt(float(g2_sq)))
-    # dfrak == 3.  The cross polynomial q_{1,3} equals -q_{2,2} identically, so
-    # the gamma_1*gamma_3 terms cancel after eliminating gamma_2^2 and the
-    # remaining equation is linear in gamma_1^2.
-    g3_sq = 1 / _qc(qs, 3, 3, 3)
-    c2_22, c2_33, c2_13 = _qc(qs, 2, 2, 2), _qc(qs, 3, 3, 2), _qc(qs, 1, 3, 2)
-    c1_11, c1_22, c1_33 = _qc(qs, 1, 1, 1), _qc(qs, 2, 2, 1), _qc(qs, 3, 3, 1)
-    g1_sq = -g3_sq * (c1_33 - c1_22 * c2_33 / c2_22) / c1_11
-    if g1_sq < 0:
+def _poly_rem(a: list, b: list) -> list:
+    """Remainder of a divided by b (ascending coefficients); [] is the zero polynomial."""
+    a = list(a)
+    while len(a) >= len(b):
+        f = a[-1] / b[-1]
+        for i, x in enumerate(b):
+            a[len(a) - len(b) + i] -= f * x
+        a.pop()
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _positive_root_count(p: list) -> int:
+    """Distinct roots of p in (0, inf) by Sturm's theorem; needs p(0) != 0.
+
+    The last Sturm remainder is gcd(p, p'); a non-constant one (a repeated
+    root) raises rather than leaving the sign question undecided.
+    """
+    seq = [p, [k * x for k, x in enumerate(p)][1:]]
+    while len(seq[-1]) > 1:
+        seq.append([-x for x in _poly_rem(seq[-2], seq[-1])])
+    if not seq[-1]:
+        seq.pop()
+    if len(seq[-1]) > 1:
         raise GammaSolveError(
-            f"order 3 infeasible at lam={lam}: elimination forces gamma_1^2 = {g1_sq} < 0"
+            f"A(y)/y^k with coefficients ({', '.join(map(str, p))}) has a repeated root; feasibility undecided"
         )
-    g3 = math.sqrt(float(g3_sq))
-    for sign in (1.0, -1.0):
-        g1 = sign * math.sqrt(float(g1_sq))
-        g2_sq = -(float(c2_33) * g3 * g3 + 2.0 * float(c2_13) * g1 * g3) / float(c2_22)
-        if g2_sq >= -1e-15:
-            return (0.0, g1, math.sqrt(max(g2_sq, 0.0)), g3)
-    raise GammaSolveError(f"order 3 infeasible at lam={lam}: gamma_2^2 < 0 on both branches")
+
+    def changes(vals):
+        nz = [v for v in vals if v]
+        return sum(x * y < 0 for x, y in zip(nz, nz[1:]))
+
+    return changes([q[0] for q in seq]) - changes([q[-1] for q in seq])
 
 
-def _solve_newton(lam: Fraction, dfrak: int, qs: dict, restarts: int, seed: int) -> tuple:
-    g_top = 1.0 / math.sqrt(float(_qc(qs, dfrak, dfrak, dfrak)))
-    # residual r_J = gamma^T Q_J gamma for J = 1..dfrak-1; gamma_0 = 0 fixed.
-    Qs = []
-    for J in range(1, dfrak):
-        Q = np.zeros((dfrak + 1, dfrak + 1))
-        for d in range(dfrak + 1):
-            for dp in range(dfrak + 1):
-                Q[d, dp] = float(_qc(qs, d, dp, J))
-        Qs.append(Q)
+def solve_gamma(lam, dfrak: int) -> GammaVector:
+    """Solve the order-dfrak coefficient system at the given lam, exactly.
 
-    def assemble(x):
-        g = np.zeros(dfrak + 1)
-        g[1:dfrak] = x
-        g[dfrak] = g_top
-        return g
-
-    def resid(x):
-        g = assemble(x)
-        return np.array([g @ Q @ g for Q in Qs])
-
-    def jac(x):
-        g = assemble(x)
-        return np.array([2.0 * (Q @ g)[1:dfrak] for Q in Qs])
-
-    scale = max(1.0, max(float(abs(_qc(qs, dfrak, dfrak, J))) * g_top**2 for J in range(1, dfrak)))
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    for trial in range(restarts):
-        x = rng.normal(scale=1.0 + 3.0 * (trial % 4), size=dfrak - 1)
-        for _ in range(200):
-            r = resid(x)
-            rn = float(np.max(np.abs(r)))
-            if rn < 1e-13 * scale:
-                break
-            try:
-                dx = np.linalg.solve(jac(x), -r)
-            except np.linalg.LinAlgError:
-                break
-            step, r0 = 1.0, float(np.linalg.norm(r))
-            while step > 1e-12 and float(np.linalg.norm(resid(x + step * dx))) >= r0:
-                step *= 0.5
-            if step <= 1e-12:
-                break
-            x = x + step * dx
-        r = resid(x)
-        rn = float(np.max(np.abs(r)))
-        best = min(best, rn)
-        if rn < 1e-12 * scale:
-            return tuple([0.0] + list(x) + [g_top])
-    raise GammaSolveError(
-        f"no real gamma vector found for order {dfrak} at lam={lam} "
-        f"({restarts} restarts, best residual {best:.3e})"
-    )
-
-
-def solve_gamma(lam, dfrak: int, *, restarts: int = 120, seed: int = 20240) -> GammaVector:
-    """Solve the order-dfrak coefficient system at the given lam.
-
-    Exact rational elimination for dfrak <= 3, damped Newton with deterministic
-    restarts for dfrak in {4, 5, 6}.  Raises :class:`GammaSolveError` when no
-    real solution exists (a genuine outcome for several (lam, dfrak) pairs).
-    The returned vector always satisfies the collapse identity; callers should
-    not rely on uniqueness for dfrak >= 4.
+    The skew-adjoint rotation generator gives q_{a,b} = (-1)^((a-b)/2) q_{s,s}
+    with s = (a+b)/2, so sum_{a,b} gamma_a gamma_b q_{a,b} = sum_s c_s q_{s,s}
+    where A(y) = sum_s c_s y^s equals |sum_d gamma_d (ix)^d|^2 at y = x^2.
+    The collapse to u^dfrak fixes c in exact rationals.  Real gammas exist
+    exactly when A has no sign change on y > 0; a Sturm count on A(y)/y^k,
+    y^k the largest power of y dividing A, decides this.  When it is zero,
+    gamma is the coefficient list of the spectral factor
+    h(t) = sqrt(c_dfrak) t^k prod_j (t + sqrt(-y_j)) over the nonzero roots
+    y_j of A, whose zeros all lie in the open left half-plane, so every
+    gamma_d >= 0.  Raises :class:`GammaSolveError`, with the exact c and the
+    root count, when no real vector exists.
     """
     lamF = _as_fraction(lam)
     if dfrak < 0 or dfrak > 6:
@@ -255,11 +219,19 @@ def solve_gamma(lam, dfrak: int, *, restarts: int = 120, seed: int = 20240) -> G
     if dfrak == 0:
         return GammaVector(order=0, lam=float(lamF), gammas=(1.0,))
     qs = _q_table(lamF, dfrak)
-    if dfrak <= 3:
-        gam = _solve_exact(lamF, dfrak, qs)
-    else:
-        gam = _solve_newton(lamF, dfrak, qs, restarts, seed)
-    vec = GammaVector(order=dfrak, lam=float(lamF), gammas=tuple(gam))
+    c = _spectral_coeffs(dfrak, qs)
+    k = next(s for s, x in enumerate(c) if x)
+    # c_dfrak = 1/lead(q_{dfrak,dfrak}) > 0 because q_{s,s}(u) is a sum of
+    # squares, so A >= 0 on y > 0 exactly when A/y^k has no root there
+    sign_changes = _positive_root_count(c[k:])
+    if sign_changes:
+        raise GammaSolveError(
+            f"order {dfrak} infeasible at lam={lamF}: A(y) = sum_s c_s y^s with c = ({', '.join(map(str, c))}) "
+            f"must be >= 0 for y > 0 but has {sign_changes} simple root(s) there (Sturm count)"
+        )
+    roots = np.roots([float(x) for x in reversed(c[k:])])
+    h = math.sqrt(float(c[-1])) * np.polynomial.polynomial.polyfromroots(-np.sqrt(-roots.astype(complex))).real
+    vec = GammaVector(order=dfrak, lam=float(lamF), gammas=(0.0,) * k + tuple(float(x) for x in h))
     _assert_collapse(vec, qs)
     return vec
 

@@ -245,7 +245,7 @@ def cmd_verify(args) -> int:
         checks.append(
             _report_row(
                 check="gamma_solve",
-                identity="existence of real mixing coefficients (open in general)",
+                identity="existence of real mixing coefficients, decided exactly by a Sturm count",
                 value=str(exc),
                 expected="real solution",
                 tol=0.0,

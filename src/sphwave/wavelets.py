@@ -108,12 +108,23 @@ def kernel_zonal_coeffs(spec: WaveletSpec, L: int) -> np.ndarray:
     return scale_weights(spec.lp, spec.kind, 0, [spec.rho], L)[0] * _zonal_seed(spec.lp, L)
 
 
+def _poisson_parts(rho: float, theta1):
+    """(1 - r^2, D) with D = 1 - 2 r cos(theta1) + r^2 and r = exp(-rho).
+
+    D is formed as (1 - r)^2 + 4 r sin^2(theta1 / 2) with 1 - r = -expm1(-rho):
+    the direct form cancels to nothing as rho -> 0 near theta1 = 0, where the
+    flat-space limit probes it.
+    """
+    theta1 = np.asarray(theta1, dtype=float)
+    one_minus_r = -math.expm1(-rho)
+    den = one_minus_r**2 + 4.0 * math.exp(-rho) * np.sin(0.5 * theta1) ** 2
+    return -math.expm1(-2.0 * rho), den
+
+
 def poisson_kernel_closed(lp: LambdaParam, rho: float, theta1):
     """Poisson kernel value (1/sigma)(1-r^2)/(1-2r cos(theta1)+r^2)^(lam+1)."""
-    r = math.exp(-rho)
-    theta1 = np.asarray(theta1, dtype=float)
-    den = 1.0 - 2.0 * r * np.cos(theta1) + r * r
-    return (1.0 - r * r) / (lp.sigma * den ** (lp.lam + 1.0))
+    one_minus_r2, den = _poisson_parts(rho, theta1)
+    return one_minus_r2 / (lp.sigma * den ** (lp.lam + 1.0))
 
 
 def directional_wavelet_field(
@@ -184,11 +195,9 @@ def g1_closed(spec: WaveletSpec, theta1, theta2):
     if spec.kind != KIND_POISSON:
         raise ValueError("closed forms exist for the Poisson kind")
     lp, rho, r = spec.lp, spec.rho, spec.r
-    theta1 = np.asarray(theta1, dtype=float)
-    theta2 = np.asarray(theta2, dtype=float)
-    den = 1.0 - 2.0 * r * np.cos(theta1) + r * r
+    one_minus_r2, den = _poisson_parts(rho, theta1)
     return (
-        -2.0 * rho * (lp.lam + 1.0) * r * (1.0 - r * r) * np.sin(theta1) * np.cos(theta2)
+        -2.0 * rho * (lp.lam + 1.0) * r * one_minus_r2 * np.sin(theta1) * np.cos(theta2)
         / (lp.sigma * den ** (lp.lam + 2.0))
     )
 
@@ -199,12 +208,10 @@ def g2_closed(spec: WaveletSpec, theta1, theta2):
         raise ValueError("closed forms exist for the Poisson kind")
     lp, rho, r = spec.lp, spec.rho, spec.r
     lam = lp.lam
-    theta1 = np.asarray(theta1, dtype=float)
-    theta2 = np.asarray(theta2, dtype=float)
-    den = 1.0 - 2.0 * r * np.cos(theta1) + r * r
-    term1 = -2.0 * (lam + 1.0) * r * (1.0 - r * r) * np.cos(theta1) / (lp.sigma * den ** (lam + 2.0))
+    one_minus_r2, den = _poisson_parts(rho, theta1)
+    term1 = -2.0 * (lam + 1.0) * r * one_minus_r2 * np.cos(theta1) / (lp.sigma * den ** (lam + 2.0))
     term2 = (
-        4.0 * (lam + 1.0) * (lam + 2.0) * r * r * (1.0 - r * r)
+        4.0 * (lam + 1.0) * (lam + 2.0) * r * r * one_minus_r2
         * np.sin(theta1) ** 2 * np.cos(theta2) ** 2 / (lp.sigma * den ** (lam + 3.0))
     )
     return rho**2 * (term1 + term2)

@@ -11,7 +11,9 @@ from scipy.optimize import brentq
 from sphwave.admissibility import (
     GammaSolveError,
     GammaVector,
+    _positive_root_count,
     _q_table,
+    _spectral_coeffs,
     admissibility_constant,
     pair_coefficient_sum,
     q_polynomial,
@@ -138,7 +140,60 @@ def test_gamma_higher_orders_solvable(lam, dfrak):
 @pytest.mark.parametrize("lam,dfrak", [(1.5, 4), (2.0, 4)])
 def test_gamma_higher_orders_unsolvable_cases(lam, dfrak):
     with pytest.raises(GammaSolveError):
-        solve_gamma(lam, dfrak, restarts=40)
+        solve_gamma(lam, dfrak)
+
+
+# cells with n <= 12 and order <= 6 where no real gamma vector exists: order 3
+# fails only on the 2-sphere, order 4 holds only for n = 2, 3, order 5 only for
+# n = 3..8, and order 6 fails only for n = 4, 5
+NO_GAMMA = (
+    {(2, 3), (2, 5), (4, 6), (5, 6)} | {(n, 4) for n in range(4, 13)} | {(n, 5) for n in range(9, 13)}
+)
+
+
+def test_gamma_feasibility_table():
+    for n in range(2, 13):
+        for order in range(1, 7):
+            try:
+                gammas = solve_gamma(Fraction(n - 1, 2), order).gammas
+            except GammaSolveError as exc:
+                assert (n, order) in NO_GAMMA, (n, order, str(exc))
+                assert "Sturm count" in str(exc)
+            else:
+                assert (n, order) not in NO_GAMMA, (n, order, gammas)
+                assert min(gammas) >= 0.0, (n, order, gammas)
+
+
+def test_gamma_exact_zeros_on_three_sphere():
+    # at lam = 1 the spectral polynomial A(y) carries y^2 (order 4) and y^3
+    # (orders 5, 6), so the leading gammas vanish exactly
+    for order, zeros in ((4, 2), (5, 3), (6, 3)):
+        gammas = solve_gamma(1.0, order).gammas
+        assert gammas[:zeros] == (0.0,) * zeros
+        assert min(gammas[zeros:]) > 0.0
+
+
+def test_q_skew_adjoint_identity():
+    # q_{a,b} = (-1)^((a-b)/2) q_{s,s} with s = (a+b)/2, which lets the solver
+    # work with the diagonal polynomials alone
+    for n in range(2, 13):
+        lam = Fraction(n - 1, 2)
+        qs = _q_table(lam, 6)
+        for (a, b), q in qs.items():
+            s = (a + b) // 2
+            assert q == [(-1) ** ((b - a) // 2) * c for c in qs[(s, s)]], (n, a, b)
+
+
+def test_sturm_counts_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    y = sympy.Symbol("y")
+    for n in range(2, 13):
+        lam = Fraction(n - 1, 2)
+        for order in range(1, 7):
+            c = _spectral_coeffs(order, _q_table(lam, order))
+            k = next(s for s, x in enumerate(c) if x)
+            poly = sympy.Poly([sympy.Rational(x.numerator, x.denominator) for x in reversed(c[k:])], y)
+            assert _positive_root_count(c[k:]) == poly.count_roots(0, None), (n, order)  # c_k != 0: 0 is no root
 
 
 @pytest.mark.parametrize("n,dfrak", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (5, 3)])
@@ -185,13 +240,9 @@ def test_pair_condition_rows_pinned():
     assert [row["quadrature_scaled"] for row in rows] == pytest.approx(PINNED_N3_ORDER2, rel=1e-14, abs=0.0)
 
 
-# cells with n <= 6 and order <= 6 where solve_gamma finds no real vector
-NO_GAMMA = {(2, 3), (2, 5), (4, 4), (5, 4), (6, 4), (4, 6), (5, 6)}
-
-
 def test_pair_sum_matches_closed_form():
     # N_l rho^order exp(-rho u / 2 lam) u^order / sigma^2, a ladder-free oracle;
-    # the Newton-solved gammas of orders 4-6 set the worst case, about 8e-12
+    # the worst case is about 3e-14 (n = 5, order 0, l = 40)
     for n in range(2, 7):
         lp = LambdaParam(n)
         for order in range(7):
@@ -203,7 +254,7 @@ def test_pair_sum_matches_closed_form():
                     u = l * (2 * lp.lam + l)
                     expect = dim_harmonic(n, l) * rho**order * math.exp(-rho * u / (2 * lp.lam)) * u**order
                     assert pair_coefficient_sum(lp, gam, rho, l) == pytest.approx(
-                        expect / lp.sigma**2, rel=1e-10, abs=0.0
+                        expect / lp.sigma**2, rel=1e-12, abs=0.0
                     ), (n, order, rho, l)
 
 

@@ -128,6 +128,18 @@ def test_probe_order_two_ratio_window(n):
     assert rep["empirical_order"] == pytest.approx(1.0, abs=0.15)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_probe_closed_forms_keep_converging_at_tiny_scales(n, d):
+    # the Poisson denominator 1 - 2 r cos(theta1) + r^2 cancels as rho -> 0;
+    # formed without cancellation, the error keeps falling 10x per decade
+    lp = LambdaParam(n)
+    rep = limit_convergence_probe(lp, d, xi_polar(n, 1.0, 0.7), [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+    for ratio in rep["ratios"]:
+        assert 9.9 <= ratio <= 10.1
+    assert rep["errors"][-1] < 1e-6 * abs(rep["target"])
+
+
 def test_probe_order_three_series_path():
     lp = LambdaParam(2)
     xi = xi_polar(2, 0.9, 0.5)
