@@ -210,8 +210,10 @@ def solve_gamma(lam, dfrak: int) -> GammaVector:
     gamma is the coefficient list of the spectral factor
     h(t) = sqrt(c_dfrak) t^k prod_j (t + sqrt(-y_j)) over the nonzero roots
     y_j of A, whose zeros all lie in the open left half-plane, so every
-    gamma_d >= 0.  Raises :class:`GammaSolveError`, with the exact c and the
-    root count, when no real vector exists.
+    gamma_d >= 0.  Its end coefficients gamma_k = sqrt(c_k) and
+    gamma_dfrak = sqrt(c_dfrak) are taken from the exact c.  Raises
+    :class:`GammaSolveError`, with the exact c and the root count, when no
+    real vector exists.
     """
     lamF = _as_fraction(lam)
     if dfrak < 0 or dfrak > 6:
@@ -231,6 +233,8 @@ def solve_gamma(lam, dfrak: int) -> GammaVector:
         )
     roots = np.roots([float(x) for x in reversed(c[k:])])
     h = math.sqrt(float(c[-1])) * np.polynomial.polynomial.polyfromroots(-np.sqrt(-roots.astype(complex))).real
+    # the end coefficients are known exactly: h(0)^2 = c_k and lead(h)^2 = c_dfrak
+    h[0], h[-1] = math.sqrt(float(c[k])), math.sqrt(float(c[-1]))
     vec = GammaVector(order=dfrak, lam=float(lamF), gammas=(0.0,) * k + tuple(float(x) for x in h))
     _assert_collapse(vec, qs)
     return vec

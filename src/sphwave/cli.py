@@ -19,6 +19,7 @@ metadata.  Exit codes: 0 ok, 2 usage error, 3 verification/tolerance failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -59,10 +60,15 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
-    """Rows of Python ints and floats (e.g. ``ndarray.tolist()``); floats in shortest round-trip form."""
+def _cells(values) -> list:
+    """CSV cells of Python ints and floats (e.g. ``ndarray.tolist()``); floats in shortest round-trip form."""
+    return list(map(repr, values))
+
+
+def _write_csv(path: str, header: list, columns: list) -> None:
+    """One line per row of the equal-length cell columns (see :func:`_cells`)."""
     lines = [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in rows]
+    lines += map(",".join, zip(*columns))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -98,8 +104,10 @@ def cmd_eval(args) -> int:
     m = args.grid
     theta1 = np.linspace(0.0, np.pi, m + 2)[1:-1]
     theta2 = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+    # the sector series separates into radial(theta1) x angular(theta2), so
+    # broadcasting a column against a row runs the recurrence on m points
+    series = synthesize(field, theta1[:, None], theta2[None, :])
     t1g, t2g = np.meshgrid(theta1, theta2, indexing="ij")
-    series = synthesize(field, t1g, t2g)
     closed = None
     if spec.kind == KIND_POISSON and args.order <= 2:
         closed = {
@@ -108,8 +116,12 @@ def cmd_eval(args) -> int:
             2: lambda: g2_closed(spec, t1g, t2g),
         }[args.order]()
     header = ["theta1", "theta2", "value_series"] + (["value_closed"] if closed is not None else [])
-    columns = [t1g, t2g, series] + ([closed] if closed is not None else [])
-    rows = np.stack([c.ravel() for c in columns], axis=1).tolist()
+    values = [series] + ([closed] if closed is not None else [])
+    # row-major grid: each theta1 repeats m times while theta2 cycles
+    columns = [
+        [cell for cell in _cells(theta1.tolist()) for _ in range(m)],
+        _cells(theta2.tolist()) * m,
+    ] + [_cells(v.ravel().tolist()) for v in values]
     meta = {
         "subcommand": "eval",
         "n": args.n,
@@ -131,8 +143,8 @@ def cmd_eval(args) -> int:
         ok = meta["max_rel_diff"] < args.tol
         meta["pass"] = bool(ok)
     _write_json(args.out + ".json", meta)  # first: a report that cannot be written leaves no table
-    _write_csv(args.out, header, rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    _write_csv(args.out, header, columns)
+    print(f"wrote {args.out} ({m * m} rows)")
     return EXIT_OK if ok or args.report_only else EXIT_VERIFY
 
 
@@ -140,11 +152,9 @@ def cmd_coeffs(args) -> int:
     lp = LambdaParam(args.n)
     spec = WaveletSpec(lp=lp, kind=args.kind, order=args.order, rho=args.rho)
     field = directional_wavelet_field(spec, L=args.band)
-    rows = []
-    for l in range(field.degree_max + 1):
-        for k1 in range(min(l, field.order_bound) + 1):
-            rows.append([l, k1, float(field.coeffs[l, k1])])
-    _write_csv(args.out, ["l", "k1", "coeff"], rows)
+    ls, k1s = zip(*[(l, k1) for l in range(field.degree_max + 1) for k1 in range(min(l, field.order_bound) + 1)])
+    coeffs = field.coeffs[list(ls), list(k1s)].tolist()
+    _write_csv(args.out, ["l", "k1", "coeff"], [_cells(ls), _cells(k1s), _cells(coeffs)])
     _write_json(
         args.out + ".json",
         {
@@ -157,7 +167,7 @@ def cmd_coeffs(args) -> int:
             "out": args.out,
         },
     )
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    print(f"wrote {args.out} ({len(ls)} rows)")
     return EXIT_OK
 
 
@@ -383,7 +393,9 @@ def _positive_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="sphwave", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

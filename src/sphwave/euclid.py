@@ -123,7 +123,9 @@ def wavelet_at_scaled_point(lp: LambdaParam, d: int, xi: EuclideanPoint, rho: fl
     """rho^n * g^[d]_rho evaluated at the inverse stereographic image of rho*xi.
 
     Closed forms serve d <= 2; higher orders synthesize the coefficient field,
-    subject to the truncation cap (scales below ~1e-3 are rejected there).
+    whose truncation degree grows like 1/rho: below the degree cap's reach
+    (near rho = 1e-2 for d >= 3 at the default eps) :func:`truncation_degree`
+    raises :class:`TruncationError`.
     """
     spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=d, rho=rho)
     scaled = EuclideanPoint(tuple(rho * c for c in xi.coords))
@@ -148,14 +150,13 @@ def limit_convergence_probe(lp: LambdaParam, d: int, xi: EuclideanPoint, rho_seq
     """Errors |rho^n g^[d](S^-1(rho xi)) - G_d(xi)| along a decreasing scale sequence.
 
     Reports per-scale errors, consecutive ratios, and the empirical order from
-    the last ratio (log2 of the ratio when scales halve).  Scales below 1e-3
-    are rejected for d >= 3 (series truncation cap).
+    the last ratio (log2 of the ratio when scales halve).  For d >= 3 a scale
+    beyond the series' reach raises :class:`TruncationError` naming the
+    degree cap (see :func:`wavelet_at_scaled_point`).
     """
     rhos = list(rho_sequence)
     if any(r2 >= r1 for r1, r2 in zip(rhos, rhos[1:])):
         raise ValueError("rho sequence must decrease")
-    if d >= 3 and min(rhos) < 1e-3:
-        raise ValueError("probe scales below 1e-3 unsupported for d >= 3")
     target = euclidean_limit_eval(lp, d, xi)
     errors = [abs(wavelet_at_scaled_point(lp, d, xi, rho) - target) for rho in rhos]
     ratios = [e1 / e2 if e2 > 0.0 else None for e1, e2 in zip(errors, errors[1:])]

@@ -150,7 +150,10 @@ def synthesize(field: CoefficientField, theta1, theta2) -> np.ndarray:
 
     Sector fields depend on the first two angles only; theta2 is phi on S^2.
     Broadcasts over array inputs; summation runs in fixed l-ascending order per
-    order column, so results are bit-reproducible.
+    order column, so results are bit-reproducible.  The radial recurrence runs
+    on theta1's own shape: a theta1 column against a theta2 row evaluates a
+    tensor grid with one recurrence per distinct theta1, and gives the same
+    bits as the full meshgrid.
     """
     theta1 = np.asarray(theta1, dtype=float)
     return synthesize_frame(field, np.cos(theta1), np.sin(theta1), theta2)

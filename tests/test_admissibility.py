@@ -164,6 +164,16 @@ def test_gamma_feasibility_table():
                 assert min(gammas) >= 0.0, (n, order, gammas)
 
 
+def test_gamma_end_coefficients_are_exact_roots():
+    # n = 3, order 6: c_3 = 64, so gamma_3 = 8 exactly, not a product of float roots
+    assert solve_gamma(1.0, 6).gammas[3] == 8.0
+    # order 2: gamma_1^2 = c_1 = 4 lam (2 lam + 1) / 3 and gamma_2^2 = (2 lam + 1)(2 lam + 3) / 3
+    for lam in (Fraction(1, 2), Fraction(3, 2), Fraction(9, 2)):
+        g = solve_gamma(lam, 2).gammas
+        assert g[1] == math.sqrt(float(4 * lam * (2 * lam + 1) / 3))
+        assert g[2] == math.sqrt(float((2 * lam + 1) * (2 * lam + 3) / 3))
+
+
 def test_gamma_exact_zeros_on_three_sphere():
     # at lam = 1 the spectral polynomial A(y) carries y^2 (order 4) and y^3
     # (orders 5, 6), so the leading gammas vanish exactly

@@ -12,7 +12,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sphwave.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _write_csv, main
+from sphwave.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _cells, _write_csv, build_parser, main
+from sphwave.rotderiv import synthesize
+from sphwave.special import LambdaParam
+from sphwave.wavelets import (
+    KIND_HEAT,
+    KIND_POISSON,
+    WaveletSpec,
+    directional_wavelet_field,
+    g1_closed,
+    g2_closed,
+    poisson_kernel_closed,
+    truncation_degree,
+)
 
 
 def run(args):
@@ -202,12 +214,91 @@ def test_write_csv_bytes_match_per_cell_format(tmp_path):
     for header, array in ((["a", "b", "c"], values), (["w", "x", "y", "z"], table)):
         old, new = tmp_path / "old.csv", tmp_path / "new.csv"
         _write_csv_per_cell(old, header, [[float(v) for v in row] for row in array])
-        _write_csv(new, header, array.tolist())
+        _write_csv(new, header, [_cells(col) for col in array.T.tolist()])
         assert new.read_bytes() == old.read_bytes()
     int_rows = [[3, 1, -0.25], [40, 0, 1e-30]]  # the coeffs table mixes ints and floats
     _write_csv_per_cell(old, ["l", "k1", "coeff"], int_rows)
-    _write_csv(new, ["l", "k1", "coeff"], int_rows)
+    _write_csv(new, ["l", "k1", "coeff"], [_cells(col) for col in zip(*int_rows)])
     assert new.read_bytes() == old.read_bytes()
+
+
+def _eval_table_per_cell(path, n, kind, order, rho, grid):
+    """The eval table built point by point: meshgrid synthesis, one formatted cell per grid value."""
+    lp = LambdaParam(n)
+    spec = WaveletSpec(lp=lp, kind=kind, order=order, rho=rho)
+    field = directional_wavelet_field(spec, L=truncation_degree(spec, 1e-10))
+    theta1 = np.linspace(0.0, np.pi, grid + 2)[1:-1]
+    theta2 = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    t1g, t2g = np.meshgrid(theta1, theta2, indexing="ij")
+    columns = [t1g, t2g, synthesize(field, t1g, t2g)]
+    header = ["theta1", "theta2", "value_series"]
+    if kind == KIND_POISSON and order <= 2:
+        closed = [
+            lambda: np.broadcast_to(poisson_kernel_closed(lp, rho, t1g), t1g.shape),
+            lambda: g1_closed(spec, t1g, t2g),
+            lambda: g2_closed(spec, t1g, t2g),
+        ][order]()
+        columns.append(closed)
+        header.append("value_closed")
+    _write_csv_per_cell(path, header, np.stack([c.ravel() for c in columns], axis=1).tolist())
+
+
+@pytest.mark.parametrize(
+    "n, kind, order, rho, grid",
+    [
+        (2, KIND_POISSON, 0, 0.3, 7),
+        (3, KIND_POISSON, 1, 0.2, 9),
+        (4, KIND_POISSON, 2, 0.4, 6),
+        (2, KIND_POISSON, 3, 0.25, 5),
+        (4, KIND_POISSON, 3, 0.3, 11),
+        (3, KIND_POISSON, 2, 0.5, 1),
+        (2, KIND_POISSON, 1, 0.05, 1),
+        (2, KIND_HEAT, 2, 0.1, 8),
+        (4, KIND_HEAT, 1, 0.3, 5),
+    ],
+)
+def test_eval_separable_table_matches_per_cell_table(tmp_path, n, kind, order, rho, grid):
+    out, ref = tmp_path / "eval.csv", tmp_path / "ref.csv"
+    argv = ["eval", "--n", str(n), "--kind", kind, "--order", str(order), "--rho", repr(rho), "--grid", str(grid)]
+    assert run(argv + ["--out", str(out)]) == EXIT_OK
+    _eval_table_per_cell(ref, n, kind, order, rho, grid)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_cached_parser_reports_match_fresh_parser(tmp_path, capsys):
+    calls = [
+        ["eval", "--n", "3", "--order", "2", "--rho", "0.3", "--grid", "5"],
+        ["verify", "--n", "2", "--order", "1", "--band", "3"],
+    ]
+    reports = {}
+    for label in ("fresh", "cached"):
+        build_parser.cache_clear()
+        if label == "cached":
+            with pytest.raises(SystemExit) as exc:
+                main(["eval", "--grid", "0", "--out", str(tmp_path / "bad")])
+            assert exc.value.code == EXIT_USAGE
+            assert not (tmp_path / "bad").exists()
+        for i, argv in enumerate(calls):
+            if label == "fresh":
+                build_parser.cache_clear()
+            out = tmp_path / label / f"r{i}"
+            out.parent.mkdir(exist_ok=True)
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            files = sorted(out.parent.glob(f"r{i}*"))
+            reports[label, i] = [(f.name, f.read_bytes().replace(str(out).encode(), b"OUT")) for f in files]
+    assert build_parser() is build_parser()
+    for i in range(len(calls)):
+        assert reports["cached", i] == reports["fresh", i]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("order, rho_max", [(3, "0.008"), (5, "0.08")])
+def test_limit_beyond_truncation_cap_is_a_usage_error(order, rho_max, tmp_path, capsys):
+    out = tmp_path / "lim.json"
+    code = run(["limit", "--n", "2", "--order", str(order), "--rho-max", rho_max, "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "degree cap" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from sphwave.euclid import (
 )
 from sphwave.harmonics import to_cartesian
 from sphwave.special import LambdaParam
+from sphwave.wavelets import TruncationError
 
 
 def xi_polar(n, radius, angle):
@@ -150,7 +151,8 @@ def test_probe_order_three_series_path():
 def test_probe_scale_floor_for_series_orders():
     lp = LambdaParam(2)
     xi = xi_polar(2, 1.0, 0.3)
-    with pytest.raises(ValueError):
+    # rho = 0.01 still truncates below the cap; 0.005 does not
+    with pytest.raises(TruncationError, match="degree cap"):
         limit_convergence_probe(lp, 3, xi, [0.01, 0.005, 0.0005])
 
 

@@ -156,6 +156,19 @@ def test_synthesize_constant():
     assert np.allclose(synthesize(f, th, 0.3), 1.0, rtol=1e-14)
 
 
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 2), (4, 4)])
+def test_synthesize_column_by_row_matches_meshgrid_bits(n, d):
+    lp = LambdaParam(n)
+    zonal = np.random.default_rng(n).standard_normal(40) / np.arange(1, 41) ** 2
+    field = derivative_order(zonal, lp, d)
+    theta1 = np.linspace(0.0, np.pi, 9)[1:-1]
+    theta2 = np.linspace(0.0, 2.0 * np.pi, 11, endpoint=False)
+    t1g, t2g = np.meshgrid(theta1, theta2, indexing="ij")
+    separable = synthesize(field, theta1[:, None], theta2[None, :])
+    assert separable.shape == t1g.shape
+    assert separable.tobytes() == synthesize(field, t1g, t2g).tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_first_derivative_vs_central_difference(n):
     lp = LambdaParam(n)
