@@ -233,8 +233,7 @@ def cmd_verify(args) -> int:
                 )
             )
         if lp.n == 2 and args.order >= 1:
-            norms = tail_l1_sweep(lp, args.order, [1.0, 0.3, 0.1, 0.03], L=400)
-            plateau = tail_l1_sweep(lp, args.order, [1e-4], L=900)[0]
+            *norms, plateau = tail_l1_sweep(lp, args.order, [1.0, 0.3, 0.1, 0.03, 1e-4], L=[400] * 4 + [900])
             ratio = plateau / norms[-1]
             succ = [b / a for a, b in zip(norms, norms[1:])]
             ok = succ == sorted(succ, reverse=True) and abs(ratio - 1.0) < 0.2

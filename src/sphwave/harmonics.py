@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
 
-from .special import LambdaParam, gegenbauer_batch, gegenbauer_value, norm_const_a
+from .special import LambdaParam, gauss_gegenbauer, gegenbauer_batch, gegenbauer_value, norm_const_a
 
 __all__ = [
     "SphericalPoint",
@@ -145,9 +144,7 @@ class GaussJacobiRule:
 
 def gauss_jacobi_rule(lam: float, n_nodes: int) -> GaussJacobiRule:
     """Gauss-Jacobi rule with the zonal weight of the (2*lam+1)-sphere."""
-    if n_nodes < 1:
-        raise ValueError("rule needs at least one node")
-    x, w = roots_jacobi(n_nodes, lam - 0.5, lam - 0.5)
+    x, w = gauss_gegenbauer(n_nodes, lam - 0.5)
     return GaussJacobiRule(lam=float(lam), nodes=x, weights=w)
 
 
@@ -155,11 +152,11 @@ def _gegenbauer_norm_inv(l: int, lam: float) -> float:
     # c(l, lam): the constant that inverts the Gegenbauer squared norm.
     lg = (
         (2.0 * lam - 1.0) * math.log(2.0)
-        + gammaln(l + 1)
+        + math.lgamma(l + 1)
         + math.log(lam + l)
-        + 2.0 * gammaln(lam)
+        + 2.0 * math.lgamma(lam)
         - math.log(math.pi)
-        - gammaln(2.0 * lam + l)
+        - math.lgamma(2.0 * lam + l)
     )
     return math.exp(lg)
 

@@ -7,17 +7,20 @@ Conventions
 -----------
 * The Gegenbauer index convention ``C_l = 0`` for ``l < 0`` is honoured at the API
   boundary, so recursions built on top need no guards.
-* All gamma-function ratios go through ``gammaln`` with explicit sign handling;
-  ``Gamma`` itself is never formed above small arguments.
+* Gamma-function ratios of scalars go through ``math.lgamma``; ``Gamma`` itself
+  is formed only at small arguments.  Ratios over a degree array are sums of
+  logs of their integer factors, which stay accurate at high degree where a
+  difference of two large log-gammas would not.
+* Only numpy and the standard library are used.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "LambdaParam",
@@ -26,6 +29,7 @@ __all__ = [
     "gegenbauer_value",
     "gegenbauer_weighted_sum",
     "gegenbauer_derivative",
+    "gauss_gegenbauer",
     "norm_const_a",
     "dim_harmonic",
     "reproducing_kernel",
@@ -36,16 +40,16 @@ _T_SLACK = 1e-12
 
 def surface_measure(n: int) -> float:
     """Total measure of the unit n-sphere, 2*pi^((n+1)/2)/Gamma((n+1)/2)."""
-    return 2.0 * np.pi ** ((n + 1) / 2) / math.exp(gammaln((n + 1) / 2))
+    return 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
 
 
 @dataclass(frozen=True)
 class LambdaParam:
     """Sphere dimension ``n`` with the tied Gegenbauer index ``lam = (n-1)/2``.
 
-    ``lam`` and ``sigma`` are derived from ``n`` on construction, so the
-    invariants lam == (n-1)/2 and sigma == surface_measure(n) hold by
-    construction.  Half-integer ``lam`` (even ``n``) is handled uniformly.
+    ``lam`` and ``sigma`` are derived from ``n`` (``sigma`` once, on first
+    read), so the invariants lam == (n-1)/2 and sigma == surface_measure(n)
+    hold by construction.  Half-integer ``lam`` (even ``n``) is handled uniformly.
     """
 
     n: int
@@ -58,8 +62,9 @@ class LambdaParam:
     def lam(self) -> float:
         return (self.n - 1) / 2
 
-    @property
+    @cached_property
     def sigma(self) -> float:
+        # stored on first read: truncation scans read it once per degree
         return surface_measure(self.n)
 
 
@@ -148,12 +153,55 @@ def gegenbauer_derivative(l: int, order: "float | LambdaParam", t):
     return 2.0 * lam * gegenbauer_batch(lam + 1.0, l - 1, t)[l - 1]
 
 
+def gauss_gegenbauer(m: int, alpha: float) -> tuple:
+    """Gauss rule (nodes ascending, weights) with m nodes for the weight (1 - t^2)^alpha on [-1, 1].
+
+    Golub-Welsch for a symmetric weight: the Jacobi matrix J has a zero
+    diagonal, so J^2 splits by index parity, and its odd-index block, of size
+    m // 2, has the squared positive nodes as eigenvalues (odd m adds the
+    node 0).  One Newton step on the Gegenbauer recurrence polishes each
+    node.  The weights are the Christoffel numbers 1 / sum_{k<m} C_k^2 / h_k,
+    h_k the squared norm of C_k; unlike 1 / (C_{m-1} C_m'), this sum varies
+    slowly across the rounding of a node, which keeps the outermost weights
+    of a 400-node rule to about 1e-12 relative.  The rule is exactly
+    symmetric.  Needs alpha > -1/2.
+    """
+    if m < 1:
+        raise ValueError("rule needs at least one node")
+    if not alpha > -0.5:
+        raise ValueError(f"weight exponent must exceed -1/2, got {alpha}")
+    lam = alpha + 0.5
+    k = np.arange(1.0, m)
+    b = np.zeros(m + 1)  # b_k = J_{k-1,k}^2 for k = 1..m-1, zero at both ends
+    b[1:m] = k * (k + 2.0 * alpha) / ((2.0 * k + 2.0 * alpha + 1.0) * (2.0 * k + 2.0 * alpha - 1.0))
+    # rows 1, 3, 5, ... of J^2: diagonal b_i + b_{i+1}, two columns off sqrt(b_{i+1} b_{i+2})
+    diag = (b[:-1] + b[1:])[1::2]
+    off = np.sqrt(b[1 : m - 1] * b[2:m])[1::2]
+    squares = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    x = np.concatenate((np.zeros(m % 2), np.sqrt(np.maximum(squares, 0.0))))  # the nodes t >= 0
+    c = gegenbauer_batch(lam, m, x)
+    # Newton step, with C_m' = ((m + 2 lam - 1) C_{m-1} - m t C_m) / (1 - t^2)
+    x = x - c[m] * (1.0 - x * x) / ((m + 2.0 * lam - 1.0) * c[m - 1] - m * x * c[m])
+    mass = 2.0 ** (2.0 * alpha + 1.0) * math.gamma(alpha + 1.0) ** 2 / math.gamma(2.0 * alpha + 2.0)
+    h = mass * np.cumprod(np.concatenate(([1.0], (k + 2.0 * lam - 1.0) * (k + lam - 1.0) / (k * (k + lam)))))
+    c = gegenbauer_batch(lam, m - 1, x)
+    w = 1.0 / ((1.0 / h) @ (c * c))
+    return np.concatenate((-x[m % 2 :][::-1], x)), np.concatenate((w[m % 2 :][::-1], w))
+
+
+def _log_rising(start, count: int):
+    """log(start (start + 1) ... (start + count - 1)) as a sum of count logs, over an integer array."""
+    return np.log(np.asarray(start)[..., None] + np.arange(count)).sum(axis=-1)
+
+
 def norm_const_a(lp: LambdaParam, l, k1: int):
     """Normalization constant of the sector harmonic of degree l, order k1.
 
     Uses the closed doubling-formula reduction for n >= 3 and the dedicated
-    two-dimensional formula for n = 2; both are evaluated in log space so
-    degrees beyond 200 stay finite.  ``l`` may be an integer array (a whole
+    two-dimensional formula for n = 2, in log space so degrees beyond 200
+    stay finite.  The degree-dependent ratio Gamma(l-k1+1)/Gamma(l+k1+1)
+    (n = 2), or Gamma(l-k1+1)/Gamma(n+l+k1-1), is a sum of 2 k1, or
+    n + 2 k1 - 2, logs of integers.  ``l`` may be an integer array (a whole
     order-k1 column at once); the result then has its shape, and a scalar
     ``l`` gives a float.
     """
@@ -164,23 +212,21 @@ def norm_const_a(lp: LambdaParam, l, k1: int):
     if n == 2:
         lg = (
             k1 * math.log(2.0)
-            + gammaln(k1 + 0.5)
-            + 0.5 * (np.log(2 * ls + 1) + gammaln(ls - k1 + 1) - math.log(math.pi) - gammaln(ls + k1 + 1))
+            + math.lgamma(k1 + 0.5)
+            + 0.5 * (np.log(2 * ls + 1) - math.log(math.pi) - _log_rising(ls - k1 + 1, 2 * k1))
         )
     else:
-        lg = 0.5 * (
+        const = (
             (2 * n + 2 * k1 - 6) * math.log(2.0)
-            + gammaln(ls - k1 + 1)
-            + gammaln(k1 + 1)
-            + np.log(n + 2 * ls - 1)
+            + math.lgamma(k1 + 1)
             + math.log(n + 2 * k1 - 2)
-            + 2.0 * gammaln(lp.lam + k1)
-            + 2.0 * gammaln((n - 2) / 2)
+            + 2.0 * math.lgamma(lp.lam + k1)
+            + 2.0 * math.lgamma((n - 2) / 2)
             - math.log(n - 1)
             - math.log(math.pi)
-            - gammaln(n + ls + k1 - 1)
-            - gammaln(n + k1 - 2)
+            - math.lgamma(n + k1 - 2)
         )
+        lg = 0.5 * (const + np.log(n + 2 * ls - 1) - _log_rising(ls - k1 + 1, n + 2 * k1 - 2))
     out = np.exp(lg)
     return out if out.ndim else float(out)
 

@@ -50,11 +50,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .admissibility import GammaVector, _scale_integrals, admissibility_constant, solve_gamma
 from .rotderiv import CoefficientField, sector_basis_frame, sector_weights, synthesize, synthesize_frame
-from .special import LambdaParam, dim_harmonic
+from .special import LambdaParam, dim_harmonic, gauss_gegenbauer
 from .wavelets import KIND_HEAT, KIND_POISSON, modified_wavelet_table, scale_weights
 
 __all__ = [
@@ -120,7 +119,7 @@ def build_sphere_grid(n: int, band: int) -> SphereGrid:
     for tau in range(1, n):
         alpha = (n - tau - 1) / 2.0
         m = band // 2 + 1
-        t, w = roots_jacobi(m, alpha, alpha)
+        t, w = gauss_gegenbauer(m, alpha)
         axes_nodes.append(np.arccos(t[::-1]))
         axes_weights.append(w[::-1])
     n_phi = band + 1
@@ -147,7 +146,7 @@ def build_rotation_grid(band: int, order: int | None = None) -> RotationGrid:
     n_steer = n_twist if order is None else 2 * min(order, band) + 1
     tw = 2.0 * np.pi * np.arange(n_twist) / n_twist
     tg = 2.0 * np.pi * np.arange(n_steer) / n_steer
-    t, w = roots_jacobi(band + 1, 0.0, 0.0)
+    t, w = gauss_gegenbauer(band + 1, 0.0)
     betas = np.arccos(t[::-1])
     wb = w[::-1] / 2.0
     a, b, g = np.meshgrid(tw, betas, tg, indexing="ij")

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import legendre
@@ -11,9 +12,12 @@ from scipy.optimize import brentq
 from sphwave.admissibility import (
     GammaSolveError,
     GammaVector,
+    _pair_energy,
     _positive_root_count,
     _q_table,
+    _scale_integrals,
     _spectral_coeffs,
+    _upper_gamma_q,
     admissibility_constant,
     pair_coefficient_sum,
     q_polynomial,
@@ -307,6 +311,35 @@ def test_admissibility_constant_value():
     assert admissibility_constant(lp3, 2) == pytest.approx(lp3.sigma**2 / 4.0, rel=1e-15)
 
 
+@pytest.mark.parametrize(("n", "dfrak"), [(2, 1), (2, 2), (2, 6), (3, 3), (3, 6), (4, 2), (5, 5), (6, 1)])
+def test_trapezoid_scale_integrals_match_closed_form(n, dfrak):
+    # the trapezoid in log rho against Gamma(order) (2 lam / u)^order E_l,
+    # over a 40-degree sweep and for single degrees (a narrower window)
+    lp = LambdaParam(n)
+    gamma = solve_gamma(lp.lam, dfrak)
+    energy = _pair_energy(lp, gamma, 40)
+    sweep = _scale_integrals(lp, gamma, range(1, 41))
+    for l, val in enumerate(sweep, start=1):
+        u = l * (2 * lp.lam + l)
+        closed = math.gamma(dfrak) * (2 * lp.lam / u) ** dfrak * energy[l]
+        assert val == pytest.approx(closed, rel=1e-13, abs=0.0)
+        if l in (1, 7, 40):
+            assert _scale_integrals(lp, gamma, [l])[0] == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_upper_gamma_q_matches_scipy(d):
+    from scipy.special import gammaincc
+
+    x = np.concatenate(([0.0], np.logspace(-10, math.log10(700.0), 301)))
+    # scipy's own error reaches 1.05e-13 near x = 700 (order 3)
+    assert _upper_gamma_q(d, x) == pytest.approx(gammaincc(d, x), rel=2e-13, abs=0.0)
+    # the finite sum of positive terms is accurate to a few ulps
+    with mpmath.workdps(30):
+        for xv, q in zip(x[::10], _upper_gamma_q(d, x[::10])):
+            assert abs(q / mpmath.gammainc(d, xv, mpmath.inf, regularized=True) - 1) <= 2e-15
+
+
 def test_tail_single_term_hand_formula():
     from scipy.special import gammaincc
 
@@ -359,6 +392,16 @@ def tail_l1_oracle(R: float) -> float:
     anti = legendre.legint(coef, lbnd=-1.0)
     lower, total = legendre.legval(root, anti), legendre.legval(1.0, anti)
     return 0.5 * (abs(lower) + abs(total - lower))
+
+
+def test_tail_l1_sweep_per_cutoff_degrees_match_separate_sweeps():
+    # one rule serves cutoffs with their own truncation degrees
+    lp = LambdaParam(2)
+    joint = tail_l1_sweep(lp, 1, [1.0, 0.1, 1e-3], L=[100, 100, 300], n_quad=120)
+    apart = tail_l1_sweep(lp, 1, [1.0, 0.1], L=100, n_quad=120) + tail_l1_sweep(lp, 1, [1e-3], L=300, n_quad=120)
+    assert joint == apart
+    with pytest.raises(ValueError):
+        tail_l1_sweep(lp, 1, [1.0, 0.1], L=[100], n_quad=120)
 
 
 def test_tail_l1_sweep_bounded():

@@ -197,6 +197,22 @@ def test_verify_tail_row_states_its_criterion(tmp_path):
         assert "non-increasing" in row["identity"]
 
 
+def test_verify_builds_the_tail_rule_once(tmp_path, monkeypatch):
+    # the sweep and its plateau share one 400-node rule; the plateau equals a sweep of its own
+    import sphwave.admissibility as adm
+
+    built = []
+    rule = adm.gauss_jacobi_rule
+    monkeypatch.setattr(adm, "gauss_jacobi_rule", lambda lam, n: built.append(n) or rule(lam, n))
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--n", "2", "--order", "1", "--band", "3", "--out", str(out)]) == 0
+    assert built == [400]
+    row = next(c for c in json.loads(out.read_text())["checks"] if c["check"] == "tail_l1_bounded_sweep")
+    lp = LambdaParam(2)
+    plateau = adm.tail_l1_sweep(lp, 1, [1e-4], L=900)[0]
+    assert row["value"] == plateau / adm.tail_l1_sweep(lp, 1, [0.03], L=400)[0]
+
+
 def _write_csv_per_cell(path, header, rows):
     """The per-cell writer the table writer replaced: repr(float(v)) for floats, str otherwise."""
     lines = [",".join(header)]

@@ -3,13 +3,15 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_jacobi
 
 from sphwave.special import (
     LambdaParam,
     dim_harmonic,
+    gauss_gegenbauer,
     gegenbauer_batch,
     gegenbauer_derivative,
     gegenbauer_value,
@@ -59,6 +61,15 @@ def test_lambda_param_invariants():
         assert lp.lam == (n - 1) / 2
     with pytest.raises(ValueError):
         LambdaParam(1)
+
+
+def test_sigma_computed_once_with_surface_measure_bits():
+    for n in range(2, 13):
+        lp = LambdaParam(n)
+        assert "sigma" not in vars(lp)
+        assert lp.sigma == surface_measure(n)
+        assert vars(lp)["sigma"] == surface_measure(n)  # stored on first read
+    assert LambdaParam(3) == LambdaParam(3) and hash(LambdaParam(3)) == hash(LambdaParam(3))
 
 
 def test_degree_zero_is_one():
@@ -224,6 +235,38 @@ def test_norm_const_array_matches_scalar(n):
         assert np.max(np.abs(column / scalar - 1.0)) <= 1e-15
 
 
+def norm_const_product_mp(n: int, l: int, k1: int) -> mpmath.mpf:
+    """The product formula of :func:`norm_const_product_oracle` in 30-digit arithmetic."""
+    ks = [l, k1] + [0] * (n - 2)
+    lg = -mpmath.loggamma(mpmath.mpf(n + 1) / 2)
+    for tau in range(1, n):
+        kprev, kt = ks[tau - 1], ks[tau]
+        lg += (
+            (n - tau + 2 * kt - 2) * mpmath.log(2)
+            + mpmath.loggamma(kprev - kt + 1)
+            + mpmath.log(n - tau + 2 * kprev)
+            + 2 * mpmath.loggamma(mpmath.mpf(n - tau) / 2 + kt)
+            - mpmath.log(mpmath.pi) / 2
+            - mpmath.loggamma(n - tau + kprev + kt)
+        )
+    return mpmath.exp(lg / 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_norm_const_matches_mpmath_to_high_degree(n):
+    # the degree-dependent gamma ratio is a short sum of logs, so the
+    # constants keep about 1e-14 relative accuracy up to degree 3900, where a
+    # difference of two log-gammas of size 3e4 would lose some 1e-12
+    lp = LambdaParam(n)
+    with mpmath.workdps(30):
+        for k1 in (0, 1, 3, 6):
+            ls = np.array([k1, k1 + 1, 50, 777, 2024, 3899, 3900])
+            got = norm_const_a(lp, ls, k1)
+            for l, value in zip(ls, got):
+                exact = norm_const_product_mp(n, int(l), k1)
+                assert abs(value / exact - 1) <= 1e-13, (l, k1)
+
+
 def test_norm_const_errors():
     with pytest.raises(ValueError):
         norm_const_a(LambdaParam(3), 2, 3)
@@ -279,3 +322,80 @@ def test_negative_degree_convention():
 
     assert gegenbauer_value(1.5, -1, 0.3) == 0.0
     assert gegenbauer_value(1.5, -4, np.array([0.1, 0.9])).tolist() == [0.0, 0.0]
+
+
+# -- Gauss rule ---------------------------------------------------------------
+
+GAUSS_SIZES = [1, 2, 9, 100, 400, 401]
+GAUSS_ALPHAS = [0.0, 0.5, 1.0, 1.5, 2.5]
+
+
+def gauss_node_mp(m: int, alpha: float, x0: float) -> tuple:
+    """Node and weight of the m-point rule for (1-t^2)^alpha next to ``x0``, in 30 digits.
+
+    One Newton step on the Gegenbauer recurrence from the double node, then
+    the Christoffel number (k_m / k_{m-1}) h_{m-1} / (C_{m-1} C_m') from the
+    exact leading coefficients k and squared norms h.
+    """
+    lam = mpmath.mpf(alpha) + mpmath.mpf(1) / 2
+
+    def ends(t):
+        c_prev, c = mpmath.mpf(1), 2 * lam * t
+        for l in range(1, m):
+            c_prev, c = c, (2 * (lam + l) * t * c - (2 * lam + l - 1) * c_prev) / (l + 1)
+        return c_prev, c, ((m + 2 * lam - 1) * c_prev - m * t * c) / (1 - t * t)
+
+    t = mpmath.mpf(x0)
+    _, c, dc = ends(t)
+    t -= c / dc
+    c_prev, _, dc = ends(t)
+    const = (
+        2 * mpmath.pi * mpmath.power(2, 1 - 2 * lam) * mpmath.gamma(m - 1 + 2 * lam)
+        / (mpmath.factorial(m) * mpmath.gamma(lam) ** 2)
+    )
+    return t, const / (c_prev * dc)
+
+
+@pytest.mark.parametrize("alpha", GAUSS_ALPHAS)
+@pytest.mark.parametrize("m", GAUSS_SIZES)
+def test_gauss_gegenbauer_at_least_as_close_as_scipy(m, alpha):
+    x, w = gauss_gegenbauer(m, alpha)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0.0)
+    xs, ws = roots_jacobi(m, alpha, alpha)
+    # every t >= 0 node of the small rules; for the large ones the two
+    # innermost, three interior and the two outermost, where the errors peak
+    half = m // 2
+    idx = range(half, m) if m < 20 else sorted({half, half + 1, (m + half) // 2, m - 1 - half // 4, m - 2, m - 1})
+    err = np.zeros((2, 2))  # [ours, scipy] x [node abs, weight rel]
+    with mpmath.workdps(30):
+        for i in idx:
+            t, wt = gauss_node_mp(m, alpha, x[i])
+            for row, (xi, wi) in enumerate(((x[i], w[i]), (xs[i], ws[i]))):
+                err[row] = np.maximum(err[row], [float(abs(xi - t)), float(abs(wi / wt - 1))])
+    # at least as close as scipy's roots_jacobi, up to rounding: one ulp of a
+    # node in [1/2, 1), two ulps of a weight
+    assert err[0, 0] <= max(err[1, 0], 2.0**-53)
+    assert err[0, 1] <= max(err[1, 1], 2.0**-51)
+
+
+@pytest.mark.parametrize("alpha", GAUSS_ALPHAS)
+@pytest.mark.parametrize("m", GAUSS_SIZES)
+def test_gauss_gegenbauer_matches_roots_jacobi(m, alpha):
+    x, w = gauss_gegenbauer(m, alpha)
+    xs, ws = roots_jacobi(m, alpha, alpha)
+    assert np.max(np.abs(x - xs)) <= 1e-15
+    assert np.max(np.abs(w / ws - 1.0)) <= 1e-9
+
+
+def test_gauss_gegenbauer_exactness_and_errors():
+    # an m-point rule integrates t^(2m-2) exactly: int (1-t^2)^alpha t^2j dt = B(j+1/2, alpha+1)
+    for alpha in (0.0, 1.0, 2.5):
+        x, w = gauss_gegenbauer(12, alpha)
+        for j in range(12):
+            exact = math.gamma(j + 0.5) * math.gamma(alpha + 1) / math.gamma(j + alpha + 1.5)
+            assert np.sum(w * x ** (2 * j)) == pytest.approx(exact, rel=1e-13)
+    with pytest.raises(ValueError):
+        gauss_gegenbauer(0, 0.0)
+    with pytest.raises(ValueError):
+        gauss_gegenbauer(4, -0.5)
