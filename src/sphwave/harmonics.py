@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import LambdaParam, gauss_gegenbauer, gegenbauer_batch, gegenbauer_value, norm_const_a
+from .special import LambdaParam, _log_rising, gauss_gegenbauer, gegenbauer_batch, gegenbauer_value, norm_const_a
 
 __all__ = [
     "SphericalPoint",
@@ -149,14 +149,18 @@ def gauss_jacobi_rule(lam: float, n_nodes: int) -> GaussJacobiRule:
 
 
 def _gegenbauer_norm_inv(l: int, lam: float) -> float:
-    # c(l, lam): the constant that inverts the Gegenbauer squared norm.
+    # c(l, lam): the constant that inverts the Gegenbauer squared norm.  With
+    # 2 lam = n - 1 an integer, Gamma(l + 1) / Gamma(2 lam + l) is the inverse
+    # rising product (l + 1) ... (l + 2 lam - 1), a short sum of logs that stays
+    # accurate at high degree.
+    if not (2.0 * lam).is_integer():
+        raise ValueError(f"rule order lam must be (n - 1) / 2 for some n, got {lam}")
     lg = (
         (2.0 * lam - 1.0) * math.log(2.0)
-        + math.lgamma(l + 1)
         + math.log(lam + l)
         + 2.0 * math.lgamma(lam)
         - math.log(math.pi)
-        - math.lgamma(2.0 * lam + l)
+        - float(_log_rising(l + 1, int(2.0 * lam) - 1))
     )
     return math.exp(lg)
 
@@ -166,7 +170,8 @@ def gegenbauer_coefficient(rule: GaussJacobiRule, f_values, l: int) -> float:
 
     Computes c(l, lam) * integral f(t) C_l(t) (1-t^2)^(lam-1/2) dt by quadrature.
     The rule must resolve the integrand: it is rejected outright when it cannot
-    even integrate C_l against a constant exactly.
+    even integrate C_l against a constant exactly.  Its lam must be that of a
+    sphere, (n - 1) / 2.
     """
     if rule.order < l + 1:
         raise ValueError(

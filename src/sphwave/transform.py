@@ -22,13 +22,23 @@ Grid design notes
   that steered grid: at band 8, order 1 it has 459 nodes instead of 2601.
 * The transform is factored through the sector basis.  A modified wavelet at
   scale rho has coefficients s_l(rho) B_{l,k}: s_l is exp(-rho l) rho^d
-  (Poisson) or exp(-rho l^2 / 2 lam) (heat), and the table B is rho-free.  The
-  basis Y_l^k(R^-1 x) is evaluated once on the (rotation x sphere) grid;
-  analysis is then W = S^P B T with the per-degree transforms
-  T = Y (nu f) / sigma, and inversion is f_rec = sum_{l,k,R} V_{l,k}(R)
-  Y_l^k(R^-1 x) with V = C sum_r w_r s^H_l(rho_r) B_{l,k} W_r(R) nu_R.  No
-  step loops over scales in Python, and the basis count does not depend on
-  the number of scale nodes.
+  (Poisson) or exp(-rho l^2 / 2 lam) (heat), and the table B is rho-free.
+  Analysis is W = S^P B T with the per-degree transforms
+  T_{l,k}(R) = (1/sigma) sum_x nu_x f(x) Y_l^k(R^-1 x), and inversion is
+  f_rec(x) = sum_{l,k,R} V_{l,k}(R) Y_l^k(R^-1 x) with
+  V = C sum_r w_r s^H_l(rho_r) B_{l,k} W_r(R) nu_R.  No step loops over scales
+  in Python, and the basis work does not depend on the number of scale nodes.
+* The first Euler twist is an index shift.  The sphere grid's 2L+1 phi nodes
+  are the rotation grid's 2L+1 alpha twists, and R_pole(-alpha_i) maps phi_j
+  to phi_{j-i}, so Y(R^-1 x) at (alpha_i, beta, gamma; theta, phi_j) is the
+  alpha = 0 basis at (beta, gamma; theta, phi_{j-i}).  The round trip stores
+  that basis only, (L+1)(d+1) n_beta n_gamma M values, which grows like L^4
+  (the full basis is 2L+1 times larger).  T is then a circular
+  cross-correlation over phi and the inversion sum over alpha a circular
+  convolution, both products of rfft modes (the separation of variables of
+  McEwen et al., IEEE TSP 2007, and Kostelec & Rockmore, JFAA 2008).
+  :func:`wavelet_transform` and :func:`inverse_transform` take any rotation
+  frame and evaluate the full basis; they are the reference.
 * The scale integral is discretized log-uniformly (trapezoid in log rho),
   natural for the d(rho)/rho measure.  The default range [1e-6, 8] with 60
   nodes keeps every per-degree multiplier within ~1e-4 of 1 for band-8
@@ -53,7 +63,7 @@ import numpy as np
 
 from .admissibility import GammaVector, _scale_integrals, admissibility_constant, solve_gamma
 from .rotderiv import CoefficientField, sector_basis_frame, sector_weights, synthesize, synthesize_frame
-from .special import LambdaParam, dim_harmonic, gauss_gegenbauer
+from .special import LambdaParam, dim_harmonic, gauss_gegenbauer, surface_measure
 from .wavelets import KIND_HEAT, KIND_POISSON, modified_wavelet_table, scale_weights
 
 __all__ = [
@@ -64,7 +74,6 @@ __all__ = [
     "log_rho_grid",
     "rotation_matrices",
     "rotated_sector_frame",
-    "grid_integral",
     "grid_inner",
     "synthesize_on_grid",
     "random_bandlimited_field",
@@ -87,6 +96,7 @@ class SphereGrid:
     band: int
     angles: np.ndarray  # (M, n): theta_1..theta_{n-1}, phi
     weights: np.ndarray  # (M,)
+    shape: tuple  # nodes per axis; M nodes in C order, phi fastest
 
     @property
     def size(self) -> int:
@@ -129,7 +139,7 @@ def build_sphere_grid(n: int, band: int) -> SphereGrid:
     wgrids = np.meshgrid(*axes_weights, indexing="ij")
     angles = np.stack([g.ravel() for g in grids], axis=1)
     weights = np.prod(np.stack([w.ravel() for w in wgrids], axis=1), axis=1)
-    return SphereGrid(n=n, band=band, angles=angles, weights=weights)
+    return SphereGrid(n=n, band=band, angles=angles, weights=weights, shape=grids[0].shape)
 
 
 def build_rotation_grid(band: int, order: int | None = None) -> RotationGrid:
@@ -209,20 +219,22 @@ def rotated_sector_frame(matrices: np.ndarray, grid: SphereGrid) -> tuple:
     return c1, s1, theta2
 
 
-def grid_integral(grid: SphereGrid, values) -> float:
-    return float(np.dot(grid.weights, values))
-
-
 def grid_inner(grid: SphereGrid, f, g) -> float:
     """<f, g> with the 1/sigma_n normalization."""
-    from .special import surface_measure
-
     return float(np.dot(grid.weights, np.asarray(f) * np.asarray(g)) / surface_measure(grid.n))
 
 
 def synthesize_on_grid(field: CoefficientField, grid: SphereGrid) -> np.ndarray:
-    th1, th2 = grid.sector_angles()
-    return synthesize(field, th1, th2)
+    """Field values at the grid nodes, bit for bit those of node-by-node synthesis.
+
+    Sector fields depend on (theta1, theta2) alone and the grid is a product
+    rule, so synthesis runs on a theta1 column against a theta2 row (one
+    recurrence per distinct theta1) and is repeated along the other axes.
+    """
+    th1, th2 = (a.reshape(grid.shape) for a in grid.sector_angles())
+    rest = (0,) * (grid.n - 2)
+    vals = synthesize(field, th1[(slice(None), 0) + rest][:, None], th2[(0, slice(None)) + rest][None, :])
+    return np.broadcast_to(vals.reshape(vals.shape + (1,) * len(rest)), grid.shape).ravel()
 
 
 def random_bandlimited_field(lp: LambdaParam, band: int, seed: int = 0, mean_free: bool = True) -> CoefficientField:
@@ -236,19 +248,14 @@ def random_bandlimited_field(lp: LambdaParam, band: int, seed: int = 0, mean_fre
     return CoefficientField(lp, a)
 
 
-def _sector_transforms(basis: np.ndarray, f_values, grid: SphereGrid, lp: LambdaParam) -> np.ndarray:
-    """T_{l,k}(R) = (1/sigma) integral Y_l^k(R^-1 x) f(x) dsigma(x), shape (L+1, K+1, M_rot)."""
-    return basis @ (grid.weights * np.asarray(f_values)) / lp.sigma
+def _scale_rotation_sums(W: np.ndarray, omega_coeffs: np.ndarray, rho_weights, rot: RotationGrid) -> np.ndarray:
+    """V_{l,k}(R) = sum_r rho_w_r omega_r[l, k] W_r(R) nu_R, shape (L+1, K+1, M_rot).
 
-
-def _reconstruct(W: np.ndarray, omega_coeffs: np.ndarray, rho_weights, rot: RotationGrid, basis: np.ndarray) -> np.ndarray:
-    """sum_r rho_w_r sum_R nu_R W_r(R) omega_r(R^-1 x) at every sphere node.
-
-    ``omega_coeffs`` has shape (n_rho, L+1, K+1); the scale and rotation sums
-    collapse into one coefficient array V_{l,k}(R) before the basis is touched.
+    ``omega_coeffs`` has shape (n_rho, L+1, K+1); the scale sum is done before
+    the basis is touched, so the basis work does not grow with the scale count.
     """
-    V = np.einsum("r,rlk,rm->lkm", np.asarray(rho_weights, dtype=float), omega_coeffs, W * rot.weights)
-    return np.tensordot(V, basis, axes=3)
+    weighted = np.asarray(rho_weights, dtype=float)[:, None, None] * omega_coeffs
+    return np.tensordot(weighted, W * rot.weights, axes=(0, 0))
 
 
 def wavelet_transform(
@@ -272,7 +279,7 @@ def wavelet_transform(
         )
     lp = psi_field.lp
     basis = sector_basis_frame(lp, psi_field.degree_max, psi_field.order_bound, *rot_frame)
-    return np.tensordot(psi_field.coeffs, _sector_transforms(basis, f_values, grid, lp), axes=2)
+    return np.tensordot(psi_field.coeffs, basis @ (grid.weights * np.asarray(f_values)) / lp.sigma, axes=2)
 
 
 def inverse_transform(
@@ -294,7 +301,7 @@ def inverse_transform(
     omega = np.stack([field.coeffs for field in omega_fields])
     lp = omega_fields[0].lp
     basis = sector_basis_frame(lp, omega.shape[1] - 1, omega.shape[2] - 1, *rot_frame)
-    return _reconstruct(W, omega, rho_weights, rot, basis)
+    return np.tensordot(_scale_rotation_sums(W, omega, rho_weights, rot), basis, axes=3)
 
 
 def round_trip(
@@ -325,6 +332,9 @@ def round_trip(
     from the signal's per-degree energies E_l alone:
     ``predicted_rel_l2`` = sqrt(sum_l (m_l - 1)^2 E_l / sum_l E_l).  Rotations
     keep every E_l, so the prediction holds for f o Q^-1 too.
+
+    The basis is evaluated on the alpha = 0 rotations only; the sums over alpha
+    are circular correlations and convolutions over phi (see the module notes).
     """
     if lp.n != 2:
         raise ValueError("full round trip is 2-sphere only")
@@ -346,14 +356,26 @@ def round_trip(
             raise ValueError("rotation must be a 3x3 rotation matrix")
         f_vals = synthesize_frame(signal, *rotated_sector_frame(Q[None], grid))[0]
     rot = build_rotation_grid(band, dfrak)
-    basis = sector_basis_frame(lp, band, dfrak, *rotated_sector_frame(rotation_matrices(rot), grid))
+    n_theta, n_phi = grid.shape
+    block = rot.size // n_phi  # Euler nodes are alpha-major: the first block has alpha = 0
+    if not np.array_equal(rot.euler[::block, 0], grid.angles[:n_phi, 1]):
+        raise ValueError("the sphere grid's phi nodes must be the rotation grid's alpha twists")
+    basis = sector_basis_frame(lp, band, dfrak, *rotated_sector_frame(rotation_matrices(rot)[:block], grid))
+    # alpha_i turns phi_j into phi_{j-i}: the sums over phi and alpha become products of phi modes
+    spec = np.fft.rfft(basis.reshape(-1, n_theta, n_phi))  # (l k beta gamma, theta, phi mode)
+    del basis  # the modes replace it; at band 32 each is about 110 MB
     rhos, rho_w = log_rho_grid(rho_min, rho_max, rho_steps)
     C = admissibility_constant(lp, dfrak)
     B = modified_wavelet_table(lp, gamma, band)
     s_p = scale_weights(lp, KIND_POISSON, dfrak, rhos, band)
     s_h = scale_weights(lp, KIND_HEAT, dfrak, rhos, band)
-    W = np.tensordot(s_p[:, :, None] * B, _sector_transforms(basis, f_vals, grid, lp), axes=2)
-    f_rec = _reconstruct(W, C * s_h[:, :, None] * B, rho_w, rot, basis)
+    g = np.fft.rfft((grid.weights * f_vals / lp.sigma).reshape(n_theta, n_phi))
+    T = np.fft.irfft(np.einsum("ptm,tm->pm", spec, g.conj()).conj(), n_phi)  # cross-correlation over phi
+    T = T.reshape(band + 1, dfrak + 1, block, n_phi).swapaxes(2, 3).reshape(band + 1, dfrak + 1, -1)
+    W = np.tensordot(s_p[:, :, None] * B, T, axes=2)
+    V = _scale_rotation_sums(W, C * s_h[:, :, None] * B, rho_w, rot)
+    v = np.fft.rfft(V.reshape(-1, n_phi, block), axis=1).swapaxes(1, 2).reshape(spec.shape[0], -1)
+    f_rec = np.fft.irfft(np.einsum("pm,ptm->tm", v, spec), n_phi).ravel()  # convolution over phi
     err = f_rec - f_vals
     rel_l2 = math.sqrt(grid_inner(grid, err, err) / grid_inner(grid, f_vals, f_vals))
 

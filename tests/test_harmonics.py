@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,11 @@ from sphwave.harmonics import (
     gauss_jacobi_rule,
     gegenbauer_coefficient,
     rotate_in_plane,
+    _gegenbauer_norm_inv,
     to_cartesian,
 )
 from sphwave.special import LambdaParam, gegenbauer_batch, reproducing_kernel
-from sphwave.transform import build_sphere_grid, grid_inner, grid_integral
+from sphwave.transform import build_sphere_grid, grid_inner
 from sphwave.wavelets import poisson_kernel_closed
 
 try:
@@ -231,6 +233,26 @@ def test_insufficient_order_raises():
         gegenbauer_coefficient(rule, np.ones_like(rule.nodes), 5)
 
 
+def test_coefficient_rejects_a_non_sphere_order():
+    with pytest.raises(ValueError, match="lam"):
+        gegenbauer_coefficient(gauss_jacobi_rule(0.7, 8), np.ones(8), 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_gegenbauer_norm_inverse_matches_mpmath_to_high_degree(n):
+    # c(l, lam) = 2^(2 lam - 1) l! (lam + l) Gamma(lam)^2 / (pi Gamma(2 lam + l));
+    # the factorial ratio is a sum of 2 lam - 1 logs, where a difference of two
+    # log-gammas near 3e4 would lose about 1e-11 at degree 3900
+    lam = LambdaParam(n).lam
+    with mpmath.workdps(30):
+        m = mpmath.mpf(n - 1) / 2
+        for l in (0, 1, 2, 50, 400, 2024, 3899, 3900):
+            exact = 2 ** (2 * m - 1) * mpmath.factorial(l) * (m + l) * mpmath.gamma(m) ** 2 / (
+                mpmath.pi * mpmath.gamma(2 * m + l)
+            )
+            assert abs(_gegenbauer_norm_inv(l, lam) / exact - 1) <= 1e-13, l
+
+
 # -- convolution / invariance on grids ----------------------------------------
 
 
@@ -259,7 +281,7 @@ def test_funk_hecke_convolution_multiplier():
         x = nodes[idx]
         cosangles = nodes @ x
         kernel = poisson_kernel_closed(lp, rho, np.arccos(np.clip(cosangles, -1, 1)))
-        conv = grid_integral(grid, y_vals * kernel) / lp.sigma
+        conv = grid.weights @ (y_vals * kernel) / lp.sigma
         assert conv == pytest.approx(expect_factor * y_vals[idx], rel=1e-8, abs=1e-12)
 
 
@@ -270,7 +292,7 @@ def test_rotation_invariance_of_quadrature():
     f = lambda a, b: (
         eval_sector_harmonic(lp, 3, 1, a, b) * 0.7 + eval_sector_harmonic(lp, 2, 2, a, b) + 0.25
     )
-    base = grid_integral(grid, f(th1, th2))
+    base = grid.weights @ f(th1, th2)
     theta = 0.83
     c, s = math.cos(theta), math.sin(theta)
     x1 = np.cos(th1)
@@ -280,7 +302,7 @@ def test_rotation_invariance_of_quadrature():
     tail_sq = np.clip(1.0 - y1**2 - y2**2, 0.0, None)
     th1r = np.arccos(np.clip(y1, -1, 1))
     th2r = np.arctan2(np.sqrt(tail_sq), y2)
-    rotated = grid_integral(grid, f(th1r, th2r))
+    rotated = grid.weights @ f(th1r, th2r)
     assert rotated == pytest.approx(base, rel=1e-8, abs=1e-8)
 
 

@@ -18,7 +18,6 @@ from sphwave.transform import (
     build_rotation_grid,
     build_sphere_grid,
     grid_inner,
-    grid_integral,
     inverse_transform,
     log_rho_grid,
     per_degree_reconstruction_check,
@@ -35,7 +34,7 @@ from sphwave.wavelets import KIND_POISSON, WaveletSpec, directional_wavelet_fiel
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sphere_grid_weight_sum(n):
     grid = build_sphere_grid(n, 10)
-    assert grid_integral(grid, np.ones(grid.size)) == pytest.approx(
+    assert np.sum(grid.weights) == pytest.approx(
         surface_measure(n), rel=1e-12
     )
 
@@ -49,7 +48,7 @@ def test_sphere_grid_annihilates_harmonics(n):
     for l in range(1, band + 1):
         for k1 in (0, min(1, l), min(3, l)):
             vals = eval_sector_harmonic(lp, l, k1, th1, th2)
-            assert abs(grid_integral(grid, vals)) < 1e-10 * surface_measure(n)
+            assert abs(grid.weights @ vals) < 1e-10 * surface_measure(n)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -322,10 +321,9 @@ def test_round_trip_pinned_values(band, order, pinned):
     assert rep["rel_l2_error"] == pytest.approx(pinned, rel=1e-9)
 
 
-@pytest.mark.parametrize("order", [1, 2])
-def test_round_trip_matches_prediction(order):
+@pytest.mark.parametrize(("band", "order"), [(6, 1), (6, 2), (32, 1)], ids=["1", "2", "band32-1"])
+def test_round_trip_matches_prediction(band, order):
     lp = LambdaParam(2)
-    band = 6
     rep = round_trip(lp, random_bandlimited_field(lp, band, seed=5), order, rho_steps=40)
     assert rep["rel_l2_error"] == pytest.approx(rep["predicted_rel_l2"], rel=1e-8)
     # the multipliers are the discrete pair-condition sums of the admissibility module
@@ -355,14 +353,15 @@ def test_round_trip_of_rotated_signals(order):
         assert rep["rel_l2_error"] == pytest.approx(rep["predicted_rel_l2"], rel=1e-8)
 
 
-@pytest.mark.parametrize("order", [1, 2])
-def test_steered_round_trip_equals_full_grid_synthesis(order):
-    # the factored round trip on the steered grid against per-scale analysis
-    # and inversion through the public functions on the full rotation grid
+@pytest.mark.parametrize(("band", "order"), [(4, 1), (4, 2), (5, 1), (5, 2)], ids=["1", "2", "band5-1", "band5-2"])
+def test_steered_round_trip_equals_full_grid_synthesis(band, order):
+    # the alpha-shifted round trip on the steered grid against per-scale
+    # analysis and inversion through the public functions, which evaluate the
+    # basis on every node of the full rotation grid
     from sphwave.wavelets import KIND_HEAT, modified_wavelet_field
 
     lp = LambdaParam(2)
-    band, steps = 4, 12
+    steps = 12
     signal = random_bandlimited_field(lp, band, seed=4)
     Q = random_rotation(np.random.default_rng(10 + order))
     rep = round_trip(lp, signal, order, rho_steps=steps, rotation=Q)
@@ -416,15 +415,24 @@ def test_round_trip_evaluates_the_basis_once(monkeypatch):
     original = transform.sector_basis_frame
 
     def counting(*args):
-        calls.append(args[:3])
+        calls.append(np.shape(args[3])[0])  # rotation nodes
         return original(*args)
 
     monkeypatch.setattr(transform, "sector_basis_frame", counting)
     lp = LambdaParam(2)
-    signal = random_bandlimited_field(lp, 3, seed=1)
-    counts = []
+    band = 3
+    signal = random_bandlimited_field(lp, band, seed=1)
     for steps in (10, 40):
         calls.clear()
         round_trip(lp, signal, 1, rho_steps=steps)
-        counts.append(len(calls))
-    assert counts == [1, 1]
+        # once, and on the alpha = 0 block of the rotation grid only
+        assert calls == [build_rotation_grid(band, 1).size // (2 * band + 1)]
+
+
+def test_round_trip_requires_phi_nodes_on_alpha_twists(monkeypatch):
+    import sphwave.transform as transform
+
+    monkeypatch.setattr(transform, "build_rotation_grid", lambda band, order: build_rotation_grid(band + 1, order))
+    lp = LambdaParam(2)
+    with pytest.raises(ValueError, match="alpha"):
+        round_trip(lp, random_bandlimited_field(lp, 3, seed=1), 1)
