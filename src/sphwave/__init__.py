@@ -16,7 +16,6 @@ from .special import (
     LambdaParam,
     surface_measure,
     gegenbauer_batch,
-    gegenbauer_derivative,
     norm_const_a,
     dim_harmonic,
     reproducing_kernel,
@@ -47,6 +46,7 @@ from .wavelets import (
     kernel_zonal_coeffs,
     directional_wavelet_field,
     modified_wavelet_field,
+    poisson_wavelet_closed,
     g1_closed,
     g2_closed,
     truncation_degree,

@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-eval       Wavelet values on an angular grid (CSV; closed-form column for d <= 2).
+eval       Wavelet values on an angular grid (CSV; closed-form column for the Poisson kind).
 coeffs     Sector coefficient table of a wavelet field (CSV).
 gamma      Solve the admissibility mixing coefficients (JSON report).
 verify     Admissibility/identity verification sweeps (JSON report).
@@ -49,9 +49,7 @@ from .wavelets import (
     TruncationError,
     WaveletSpec,
     directional_wavelet_field,
-    g1_closed,
-    g2_closed,
-    poisson_kernel_closed,
+    poisson_wavelet_closed,
     truncation_degree,
 )
 
@@ -107,14 +105,9 @@ def cmd_eval(args) -> int:
     # the sector series separates into radial(theta1) x angular(theta2), so
     # broadcasting a column against a row runs the recurrence on m points
     series = synthesize(field, theta1[:, None], theta2[None, :])
-    t1g, t2g = np.meshgrid(theta1, theta2, indexing="ij")
     closed = None
-    if spec.kind == KIND_POISSON and args.order <= 2:
-        closed = {
-            0: lambda: np.broadcast_to(poisson_kernel_closed(lp, args.rho, t1g), t1g.shape),
-            1: lambda: g1_closed(spec, t1g, t2g),
-            2: lambda: g2_closed(spec, t1g, t2g),
-        }[args.order]()
+    if spec.kind == KIND_POISSON:
+        closed = poisson_wavelet_closed(spec, theta1[:, None], theta2[None, :])
     header = ["theta1", "theta2", "value_series"] + (["value_closed"] if closed is not None else [])
     values = [series] + ([closed] if closed is not None else [])
     # row-major grid: each theta1 repeats m times while theta2 cycles

@@ -5,10 +5,10 @@ stereographic projection and rescaled by rho^n, converges pointwise to
 
     G_d(xi) = (d/d xi_2)^d  [ 2 / (sigma_n (1 + |xi|^2)^(lam+1)) ],
 
-a plain d-th partial along the distinguished tangent direction.  The
-derivative is carried out exactly over a polynomial-over-power representation
-(terms c * xi_2^p * (1+|xi|^2)^-q with rational c), never by nested finite
-differences; d <= 2 also has hand-written branches used as cross-checks.
+a plain d-th partial along the distinguished tangent direction.  Both sides
+come from the exact terms of :func:`sphwave.wavelets.poisson_wavelet_terms`:
+the sphere's wavelet is their closed form, and G_d keeps the terms that
+survive rho -> 0, never nested finite differences.
 
 Probe functions evaluate the scaled spherical wavelet along a shrinking-scale
 sequence and report errors and empirical convergence order (first-order decay
@@ -24,17 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .harmonics import SphericalPoint, from_cartesian
-from .rotderiv import synthesize
 from .special import LambdaParam
-from .wavelets import (
-    KIND_POISSON,
-    WaveletSpec,
-    directional_wavelet_field,
-    g1_closed,
-    g2_closed,
-    poisson_kernel_closed,
-    truncation_degree,
-)
+from .wavelets import KIND_POISSON, WaveletSpec, poisson_wavelet_closed, poisson_wavelet_terms
 
 __all__ = [
     "EuclideanPoint",
@@ -76,19 +67,20 @@ def inverse_stereographic(xi: EuclideanPoint, n: int) -> SphericalPoint:
 
 
 def _limit_terms(lam: float, d: int) -> list:
-    """Terms (c, p, q): G_d(xi) = (2/sigma) sum c * xi_2^p * (1+|xi|^2)^-q."""
-    lamF = Fraction(lam)
-    terms = {(0, lamF + 1): Fraction(1)}
-    for _ in range(d):
-        new: dict = {}
-        for (p, q), c in terms.items():
-            if p >= 1:
-                key = (p - 1, q)
-                new[key] = new.get(key, Fraction(0)) + c * p
-            key = (p + 1, q + 1)
-            new[key] = new.get(key, Fraction(0)) - 2 * q * c
-        terms = {k: v for k, v in new.items() if v}
-    return [(c, p, q) for (p, q), c in sorted(terms.items())]
+    """Terms (c, p, q): G_d(xi) = (2/sigma) sum c * xi_2^p * (1+|xi|^2)^-q, sorted by (p, q).
+
+    Near the pole of the scaled wavelet, x1 -> 1, r -> 1, x2 ~ rho xi_2 and
+    D ~ rho^2 (1+|xi|^2), so a sphere term c x1^p x2^q r^j D^-(lam+1+j) times
+    the rho^(n+d) (1-r^2) prefactor scales like rho^(d + q - 2j), and
+    2j - q <= d.  The terms with 2j - q = d survive; they carry the flat
+    profile's coefficients exactly.
+    """
+    terms: dict = {}
+    for c, _, q, j in poisson_wavelet_terms(lam, d):
+        if 2 * j - q == d:
+            key = (q, Fraction(lam) + 1 + j)
+            terms[key] = terms.get(key, 0) + c
+    return [(c, p, q) for (p, q), c in sorted(terms.items()) if c]
 
 
 def euclidean_limit_eval(lp: LambdaParam, d: int, xi: EuclideanPoint) -> float:
@@ -103,56 +95,26 @@ def euclidean_limit_eval(lp: LambdaParam, d: int, xi: EuclideanPoint) -> float:
     return 2.0 / lp.sigma * total
 
 
-def _limit_closed_low_order(lp: LambdaParam, d: int, xi: EuclideanPoint) -> float:
-    # hand-written d <= 2 branches, kept as an independent cross-check
-    lam, sigma = lp.lam, lp.sigma
-    A = 1.0 + xi.radius**2
-    if d == 0:
-        return 2.0 / (sigma * A ** (lam + 1.0))
-    if d == 1:
-        return -4.0 * (lam + 1.0) * xi.xi2 / (sigma * A ** (lam + 2.0))
-    if d == 2:
-        return (2.0 / sigma) * (
-            -2.0 * (lam + 1.0) * A ** (-(lam + 2.0))
-            + 4.0 * (lam + 1.0) * (lam + 2.0) * xi.xi2**2 * A ** (-(lam + 3.0))
-        )
-    raise ValueError("closed branches exist for d <= 2")
-
-
-def wavelet_at_scaled_point(lp: LambdaParam, d: int, xi: EuclideanPoint, rho: float, *, eps: float = 1e-10) -> float:
+def wavelet_at_scaled_point(lp: LambdaParam, d: int, xi: EuclideanPoint, rho: float) -> float:
     """rho^n * g^[d]_rho evaluated at the inverse stereographic image of rho*xi.
 
-    Closed forms serve d <= 2; higher orders synthesize the coefficient field,
-    whose truncation degree grows like 1/rho: below the degree cap's reach
-    (near rho = 1e-2 for d >= 3 at the default eps) :func:`truncation_degree`
-    raises :class:`TruncationError`.
+    Evaluates :func:`sphwave.wavelets.poisson_wavelet_closed` at every order,
+    so no degree series is summed and no truncation cap limits the scale.
     """
     spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=d, rho=rho)
     scaled = EuclideanPoint(tuple(rho * c for c in xi.coords))
     point = inverse_stereographic(scaled, lp.n)
-    theta1 = point.thetas[0]
     R = xi.radius
     # theta2 of the direction: cos(theta2) = xi_2 / |xi|
     theta2 = 0.0 if R == 0.0 else math.acos(max(-1.0, min(1.0, xi.xi2 / R)))
-    if d == 0:
-        val = float(poisson_kernel_closed(lp, rho, theta1))
-    elif d == 1:
-        val = float(g1_closed(spec, theta1, theta2))
-    elif d == 2:
-        val = float(g2_closed(spec, theta1, theta2))
-    else:
-        field = directional_wavelet_field(spec, L=truncation_degree(spec, eps))
-        val = float(synthesize(field, theta1, theta2))
-    return rho**lp.n * val
+    return rho**lp.n * float(poisson_wavelet_closed(spec, point.thetas[0], theta2))
 
 
 def limit_convergence_probe(lp: LambdaParam, d: int, xi: EuclideanPoint, rho_sequence) -> dict:
     """Errors |rho^n g^[d](S^-1(rho xi)) - G_d(xi)| along a decreasing scale sequence.
 
     Reports per-scale errors, consecutive ratios, and the empirical order from
-    the last ratio (log2 of the ratio when scales halve).  For d >= 3 a scale
-    beyond the series' reach raises :class:`TruncationError` naming the
-    degree cap (see :func:`wavelet_at_scaled_point`).
+    the last ratio (log2 of the ratio when scales halve).
     """
     rhos = list(rho_sequence)
     if any(r2 >= r1 for r1, r2 in zip(rhos, rhos[1:])):

@@ -164,9 +164,10 @@ def synthesize_frame(field: CoefficientField, cos_theta1, sin_theta1, theta2) ->
 
     Preferred when the point comes from Cartesian data: sin(theta1) computed
     as a vector norm keeps full relative accuracy near the poles, where
-    reconstructing it through arccos would lose half the digits.  Streams the
-    recurrence per order column, so high degrees on many points stay cheap in
-    memory; :func:`sector_basis_frame` keeps every basis function instead.
+    reconstructing it through arccos would lose half the digits.  Streams one
+    recurrence for all nonzero order columns, so high degrees on many points
+    stay cheap in memory; :func:`sector_basis_frame` keeps every basis
+    function instead.
     """
     lp = field.lp
     c1 = np.asarray(cos_theta1, dtype=float)
@@ -174,11 +175,11 @@ def synthesize_frame(field: CoefficientField, cos_theta1, sin_theta1, theta2) ->
     theta2 = np.asarray(theta2, dtype=float)
     L, K = field.degree_max, field.order_bound
     total = np.zeros(np.broadcast(c1, theta2).shape)
-    for k in range(K + 1):
-        col = field.coeffs[:, k]
-        if not np.any(col):
-            continue
-        radial = gegenbauer_weighted_sum(lp.lam + k, col[k:] * _norm_column(lp, L, k), c1)
+    ks = [k for k in range(K + 1) if np.any(field.coeffs[:, k])]
+    if not ks:
+        return total
+    rows = [field.coeffs[k:, k] * _norm_column(lp, L, k) for k in ks]
+    for k, radial in zip(ks, gegenbauer_weighted_sum([lp.lam + k for k in ks], rows, c1)):
         if k > 0:
             radial = radial * s1**k
         total = total + radial * _angular(lp, k, theta2)

@@ -28,7 +28,6 @@ __all__ = [
     "gegenbauer_batch",
     "gegenbauer_value",
     "gegenbauer_weighted_sum",
-    "gegenbauer_derivative",
     "gauss_gegenbauer",
     "norm_const_a",
     "dim_harmonic",
@@ -120,37 +119,68 @@ def gegenbauer_value(order: "float | LambdaParam", l: int, t):
     return gegenbauer_batch(order, l, t)[l]
 
 
-def gegenbauer_weighted_sum(order: "float | LambdaParam", weights, t) -> np.ndarray:
+def gegenbauer_weighted_sum(order: "float | LambdaParam | list", weights, t) -> np.ndarray:
     """Streaming evaluation of sum_l weights[l] * C_l(t).
 
     Keeps only two recurrence levels in memory; intended for large point sets
-    where materializing the full (L+1, ...) batch would be wasteful.
+    where materializing the full (L+1, ...) batch would be wasteful.  ``order``
+    may also be a sequence of orders with one weight row each, rows ordered by
+    non-increasing length: all rows then advance in one recurrence loop, each
+    with its own order, and the result stacks their sums on a leading axis.
+    Each row's sum has the bits of its own single-row call.
     """
-    lam = _resolve_order(order)
-    w = np.asarray(weights, dtype=float)
+    if np.ndim(order) == 0:
+        return _weighted_sums([_resolve_order(order)], [weights], t)[0]
+    return _weighted_sums([_resolve_order(o) for o in order], weights, t)
+
+
+def _weighted_sums(lams: list, rows, t) -> np.ndarray:
     t = _check_t(np.asarray(t, dtype=float))
-    L = w.shape[0] - 1
-    if L < 0:
-        return np.zeros_like(t)
-    prev = np.ones_like(t)
-    acc = w[0] * prev
+    rows = [np.asarray(w, dtype=float) for w in rows]
+    sizes = [w.shape[0] for w in rows]
+    if len(rows) != len(lams) or sizes != sorted(sizes, reverse=True):
+        raise ValueError("need one weight row per order, in non-increasing length")
+    out = np.zeros((len(rows), t.size))
+    m = sum(size > 0 for size in sizes)
+    if m == 0:
+        return out.reshape((len(rows),) + t.shape)
+    L = sizes[0] - 1
+    ls = np.arange(L + 1)
+    lam = np.array(lams[:m])[:, None]
+    w = np.zeros((m, L + 1))
+    for r in range(m):
+        w[r, : sizes[r]] = rows[r]
+    running = ls < np.array(sizes[:m])[:, None]
+    active = running.sum(axis=0).tolist()  # rows that reach degree l: a prefix
+    nonzero = ((w != 0.0) & running).sum(axis=0).tolist()  # zero weights add nothing, not even a signed zero
+
+    def per_degree(table):
+        # one (m, 1) column per degree; a single row takes Python floats, same bits, less overhead
+        return list(table.T[:, :, None]) if m > 1 else table[0].tolist()
+
+    a, b, wl = per_degree(2.0 * (lam + ls)), per_degree(2.0 * lam + ls - 1.0), per_degree(w)
+    x = t.reshape(1, -1)
+    acc = out[:m]
+    prev = np.ones((m, t.size))
+    acc[...] = wl[0] * prev
     if L == 0:
-        return acc
-    cur = 2.0 * lam * t
-    acc = acc + w[1] * cur
+        return out.reshape((len(rows),) + t.shape)
+    k = active[1]
+    prev, acc = prev[:k], acc[:k]
+    cur = 2.0 * lam[:k] * x
+    acc += (wl[1][:k] if m > 1 else wl[1]) * cur
     for l in range(1, L):
-        prev, cur = cur, (2.0 * (lam + l) * t * cur - (2.0 * lam + l - 1.0) * prev) / (l + 1)
-        if w[l + 1] != 0.0:
-            acc = acc + w[l + 1] * cur
-    return acc
-
-
-def gegenbauer_derivative(l: int, order: "float | LambdaParam", t):
-    """d/dt C_l at t, via the order-shift identity 2*lam*C_{l-1}^{lam+1}."""
-    lam = _resolve_order(order)
-    if l <= 0:
-        return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-    return 2.0 * lam * gegenbauer_batch(lam + 1.0, l - 1, t)[l - 1]
+        k = active[l + 1]
+        al, bl, wv = a[l], b[l], wl[l + 1]
+        if k < m:
+            al, bl, wv = al[:k], bl[:k], wv[:k]
+            prev, cur, acc = prev[:k], cur[:k], acc[:k]
+        prev, cur = cur, (al * x * cur - bl * prev) / (l + 1)
+        if nonzero[l + 1] == k:
+            acc += wv * cur
+        elif nonzero[l + 1]:
+            np.add(acc, wv * cur, out=acc, where=wv != 0.0)
+    return out.reshape((len(rows),) + t.shape)
 
 
 def gauss_gegenbauer(m: int, alpha: float) -> tuple:

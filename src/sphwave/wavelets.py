@@ -2,9 +2,12 @@
 
 The scale-rho Poisson kernel sits at zeta = exp(-rho) * (north pole) inside the
 ball; the order-d directional wavelet is rho^d times the d-th derivative of the
-kernel along the rotation angle in the (x1, x2) plane.  Closed forms are
-provided for d = 1 and d = 2; higher orders go through the coefficient ladder
-of :mod:`sphwave.rotderiv`.
+kernel along the rotation angle in the (x1, x2) plane.  Two representations
+exist at every order: the degree series of :mod:`sphwave.rotderiv`'s
+coefficient ladder, and the explicit function of the spherical variables
+built by :func:`poisson_wavelet_closed` from exact derivative terms.  The
+hand-written :func:`g1_closed` and :func:`g2_closed` stay as independent
+references for d = 1, 2.
 
 The heat-kernel family uses the degree weight exp(-rho l^2 / (2 lam)); combined
 with the Poisson weight exp(-rho l) this yields exp(-rho l (2 lam + l)/(2 lam)),
@@ -20,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .rotderiv import CoefficientField, derivative_order, derivative_step, zonal_field
-from .special import LambdaParam, dim_harmonic, norm_const_a
+from .special import LambdaParam, norm_const_a
 
 if TYPE_CHECKING:  # admissibility builds its pair sums from this module's table
     from .admissibility import GammaVector
@@ -37,6 +41,8 @@ __all__ = [
     "TruncationError",
     "kernel_zonal_coeffs",
     "poisson_kernel_closed",
+    "poisson_wavelet_terms",
+    "poisson_wavelet_closed",
     "directional_wavelet_field",
     "modified_wavelet_field",
     "modified_wavelet_table",
@@ -125,6 +131,53 @@ def poisson_kernel_closed(lp: LambdaParam, rho: float, theta1):
     """Poisson kernel value (1/sigma)(1-r^2)/(1-2r cos(theta1)+r^2)^(lam+1)."""
     one_minus_r2, den = _poisson_parts(rho, theta1)
     return one_minus_r2 / (lp.sigma * den ** (lp.lam + 1.0))
+
+
+def poisson_wavelet_terms(lam: float, order: int) -> list:
+    """Exact terms (c, p, q, j) of the order-``order`` rotational derivative of the Poisson kernel.
+
+    With x1 = cos(theta1), x2 = sin(theta1) cos(theta2) and
+    D = 1 - 2 r x1 + r^2, (-x2 d/dx1 + x1 d/dx2)^order applied to
+    (1 - r^2) / (sigma D^(lam+1)) is
+
+        (1 - r^2) / sigma * sum c x1^p x2^q r^j D^-(lam+1+j),
+
+    c rational.  One derivative sends x1^p to -p x1^(p-1) x2, x2^q to
+    q x1 x2^(q-1) and D^-s to -2 s r x2 D^-(s+1); like terms merge, so order
+    6 has 9 terms.  Sorted by (p, q, j).
+    """
+    s0 = Fraction(lam) + 1
+    terms = {(0, 0, 0): Fraction(1)}
+    for _ in range(order):
+        new: dict = {}
+        for (p, q, j), c in terms.items():
+            for key, factor in (((p - 1, q + 1, j), -p), ((p + 1, q - 1, j), q), ((p, q + 1, j + 1), -2 * (s0 + j))):
+                if factor:
+                    new[key] = new.get(key, 0) + c * factor
+        terms = {key: c for key, c in new.items() if c}
+    return [(c, p, q, j) for (p, q, j), c in sorted(terms.items())]
+
+
+def poisson_wavelet_closed(spec: WaveletSpec, theta1, theta2):
+    """Order-d Poisson wavelet rho^d (d-th rotational derivative of the kernel), in closed form.
+
+    Sums the terms of :func:`poisson_wavelet_terms`, built on each call, with
+    D from :func:`_poisson_parts`, so the value stays accurate as rho -> 0.
+    Broadcasts theta1 against theta2; theta2 is phi on S^2.
+    """
+    if spec.kind != KIND_POISSON:
+        raise ValueError("closed forms exist for the Poisson kind")
+    lp, rho, d = spec.lp, spec.rho, spec.order
+    theta1 = np.asarray(theta1, dtype=float)
+    theta2 = np.asarray(theta2, dtype=float)
+    one_minus_r2, den = _poisson_parts(rho, theta1)
+    x1 = np.cos(theta1)
+    x2 = np.sin(theta1) * np.cos(theta2)
+    r = spec.r
+    total = np.zeros(np.broadcast(theta1, theta2).shape)
+    for c, p, q, j in poisson_wavelet_terms(lp.lam, d):
+        total = total + float(c) * x1**p * x2**q * (r**j * den ** -(lp.lam + 1.0 + j))
+    return rho**d * one_minus_r2 / lp.sigma * total
 
 
 def directional_wavelet_field(
@@ -217,42 +270,53 @@ def g2_closed(spec: WaveletSpec, theta1, theta2):
     return rho**2 * (term1 + term2)
 
 
-def _term_bound(spec: WaveletSpec, l: int) -> float:
-    # Sup-norm bound for the degree-l synthesis term: the ladder multiplies
-    # coefficients by at most 2^d (l+lam)^d across <= d+1 orders, each harmonic
-    # bounded by sqrt(N(n,l)), and a_l^0 * sqrt(N) = (1/sigma) N w_l.
-    lp, d = spec.lp, spec.order
-    nl = dim_harmonic(lp.n, l)
-    if spec.kind == KIND_POISSON:
-        w = math.exp(-spec.rho * l)
-        pref = spec.rho**d
-    else:
-        w = math.exp(-spec.rho * l * l / (2.0 * lp.lam))
-        pref = 1.0
-    return pref * (d + 1) * 2.0**d * (l + lp.lam) ** d * nl * w / lp.sigma
-
-
 def truncation_degree(spec: WaveletSpec, eps: float) -> int:
     """Smallest L whose geometric tail bound on dropped terms is below eps.
 
-    The bound sums sup-norm estimates C l^(2 lam + d) * decay(l) for l > L via
-    a geometric-ratio closed form (the term ratio is decreasing, so it
-    majorizes the tail).  Hard cap at 5000; scales below the cap's reach, and
-    orders whose bound overflows a float, raise :class:`TruncationError`
+    The degree-l synthesis term is bounded in sup norm by
+    rho^d (d+1) 2^d (l+lam)^d N(n,l) w_l / sigma: the ladder multiplies
+    coefficients by at most 2^d (l+lam)^d across <= d+1 orders, each harmonic
+    is bounded by sqrt(N(n,l)), and a_l^0 sqrt(N) = N w_l / sigma.  The bound
+    sums these terms for l > L via a geometric-ratio closed form (the term
+    ratio is decreasing, so it majorizes the tail).  All degrees up to the cap
+    of 5000 are bounded at once, as one array.  Scales below the cap's reach,
+    and orders whose bound overflows a float, raise :class:`TruncationError`
     rather than returning an unreliable degree.
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
+    lp, d = spec.lp, spec.order
+    overflow = TruncationError(f"degree bound overflows a float at order {d}")
     try:
-        head = _term_bound(spec, spec.order + 1)
-        for L in range(spec.order, TRUNCATION_CAP + 1):
-            nxt = _term_bound(spec, L + 2)
-            q = nxt / head if head > 0 else 0.0
-            if q < 1.0 and head / (1.0 - q) < eps:
-                return L
-            head = nxt
+        const = (spec.rho**d if spec.kind == KIND_POISSON else 1.0) * (d + 1) * 2.0**d
+        sigma = lp.sigma  # Gamma((n+1)/2) overflows for n above about 340
     except OverflowError:
-        raise TruncationError(f"degree bound overflows a float at order {spec.order}") from None
+        raise overflow from None
+    ls = np.arange(d + 1, max(TRUNCATION_CAP + 3, d + 2), dtype=float)  # l = L+1 for L = d .. cap, and L+2
+    if spec.kind == KIND_POISSON:
+        w = np.exp(-spec.rho * ls)
+    else:
+        w = np.exp(-spec.rho * ls * ls / (2.0 * lp.lam))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # N(n, l) in floats: each partial product is an integer, exact below 2^53
+        nl = np.ones_like(ls)
+        for i in range(1, lp.n - 1):
+            nl = nl * (ls + i) / i
+        nl = nl * (lp.n + 2 * ls - 1) / (lp.n - 1)
+        power = (ls + lp.lam) ** d
+        bound = const * power * nl * w / sigma
+        head, nxt = bound[:-1], bound[1:]
+        q = np.where(head > 0, nxt / head, 0.0)
+        done = (q < 1.0) & (head / (1.0 - q) < eps)
+    # the first degree whose bound overflows ends the scan
+    unbounded = np.flatnonzero(~(np.isfinite(power) & np.isfinite(nl)))
+    if unbounded.size:
+        done = done[: max(unbounded[0] - 1, 0)]
+    hits = np.flatnonzero(done)
+    if hits.size:
+        return d + int(hits[0])
+    if unbounded.size:
+        raise overflow
     raise TruncationError(
         f"tolerance {eps:g} unreachable below degree cap {TRUNCATION_CAP} at rho={spec.rho:g}"
     )

@@ -20,9 +20,7 @@ from sphwave.wavelets import (
     KIND_POISSON,
     WaveletSpec,
     directional_wavelet_field,
-    g1_closed,
-    g2_closed,
-    poisson_kernel_closed,
+    poisson_wavelet_closed,
     truncation_degree,
 )
 
@@ -248,13 +246,8 @@ def _eval_table_per_cell(path, n, kind, order, rho, grid):
     t1g, t2g = np.meshgrid(theta1, theta2, indexing="ij")
     columns = [t1g, t2g, synthesize(field, t1g, t2g)]
     header = ["theta1", "theta2", "value_series"]
-    if kind == KIND_POISSON and order <= 2:
-        closed = [
-            lambda: np.broadcast_to(poisson_kernel_closed(lp, rho, t1g), t1g.shape),
-            lambda: g1_closed(spec, t1g, t2g),
-            lambda: g2_closed(spec, t1g, t2g),
-        ][order]()
-        columns.append(closed)
+    if kind == KIND_POISSON:
+        columns.append(poisson_wavelet_closed(spec, t1g, t2g))
         header.append("value_closed")
     _write_csv_per_cell(path, header, np.stack([c.ravel() for c in columns], axis=1).tolist())
 
@@ -309,12 +302,22 @@ def test_cached_parser_reports_match_fresh_parser(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("order, rho_max", [(3, "0.008"), (5, "0.08")])
-def test_limit_beyond_truncation_cap_is_a_usage_error(order, rho_max, tmp_path, capsys):
-    out = tmp_path / "lim.json"
-    code = run(["limit", "--n", "2", "--order", str(order), "--rho-max", rho_max, "--out", str(out)])
-    assert code == EXIT_USAGE
+def test_series_beyond_truncation_cap_fails_where_limit_succeeds(order, rho_max, tmp_path, capsys):
+    # the probe's finest scale, rho_max / 8, is beyond the series' degree cap:
+    # eval, which sums the series, ends with exit 3 and writes nothing
+    bad = tmp_path / "bad" / "eval.csv"
+    bad.parent.mkdir()
+    code = run(["eval", "--n", "2", "--order", str(order), "--rho", repr(float(rho_max) / 8), "--out", str(bad)])
+    assert code == EXIT_VERIFY
     assert "degree cap" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    assert not list(bad.parent.iterdir())
+    # limit evaluates the closed form and converges at the same scales
+    out = tmp_path / "lim.json"
+    assert run(["limit", "--n", "2", "--order", str(order), "--rho-max", rho_max, "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["rho"][-1] == float(rho_max) / 8
+    assert report["failures"] == 0
+    assert report["empirical_order"] == pytest.approx(1.0, abs=0.05)
 
 
 @pytest.mark.parametrize(

@@ -7,15 +7,18 @@ import pytest
 
 from sphwave.euclid import (
     EuclideanPoint,
-    _limit_closed_low_order,
+    _limit_terms,
     euclidean_limit_eval,
     inverse_stereographic,
     limit_convergence_probe,
     wavelet_at_scaled_point,
 )
 from sphwave.harmonics import to_cartesian
+from sphwave.rotderiv import synthesize
 from sphwave.special import LambdaParam
-from sphwave.wavelets import TruncationError
+from sphwave.wavelets import KIND_POISSON, TruncationError, WaveletSpec, directional_wavelet_field, truncation_degree
+
+from reference import limit_closed_low_order, limit_terms_by_differentiation
 
 
 def xi_polar(n, radius, angle):
@@ -92,8 +95,17 @@ def test_symbolic_matches_closed_low_orders():
             for (r, ang) in [(0.3, 1.0), (1.4, 2.6)]:
                 xi = xi_polar(n, r, ang)
                 assert euclidean_limit_eval(lp, d, xi) == pytest.approx(
-                    _limit_closed_low_order(lp, d, xi), rel=1e-12
+                    limit_closed_low_order(lp, d, xi), rel=1e-12
                 )
+
+
+def test_flat_terms_are_the_surviving_sphere_terms():
+    # the rho -> 0 survivors of the sphere's terms are, coefficient for
+    # coefficient, the terms of d partial derivatives in xi_2
+    for n in range(2, 9):
+        lam = (n - 1) / 2
+        for d in range(7):
+            assert _limit_terms(lam, d) == limit_terms_by_differentiation(lam, d)
 
 
 def test_parity_in_first_coordinate():
@@ -130,7 +142,7 @@ def test_probe_order_two_ratio_window(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4, 5, 6])
 def test_probe_closed_forms_keep_converging_at_tiny_scales(n, d):
     # the Poisson denominator 1 - 2 r cos(theta1) + r^2 cancels as rho -> 0;
     # formed without cancellation, the error keeps falling 10x per decade
@@ -141,19 +153,38 @@ def test_probe_closed_forms_keep_converging_at_tiny_scales(n, d):
     assert rep["errors"][-1] < 1e-6 * abs(rep["target"])
 
 
+def series_at_scaled_point(lp, d, xi, rho):
+    """rho^n times the degree series of the order-d wavelet at the probe's point."""
+    spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=d, rho=rho)
+    theta1 = inverse_stereographic(EuclideanPoint(tuple(rho * c for c in xi.coords)), lp.n).thetas[0]
+    theta2 = math.acos(xi.xi2 / xi.radius)
+    field = directional_wavelet_field(spec, L=truncation_degree(spec, 1e-10))
+    return rho**lp.n * float(synthesize(field, theta1, theta2))
+
+
 def test_probe_order_three_series_path():
     lp = LambdaParam(2)
     xi = xi_polar(2, 0.9, 0.5)
     rep = limit_convergence_probe(lp, 3, xi, [0.2, 0.1, 0.05])
     assert rep["errors"] == sorted(rep["errors"], reverse=True)
+    # the degree series converges at the same scales, to the probe's closed-form values
+    series_errors = [abs(series_at_scaled_point(lp, 3, xi, rho) - rep["target"]) for rho in rep["rho"]]
+    assert series_errors == sorted(series_errors, reverse=True)
+    assert series_errors == pytest.approx(rep["errors"], rel=1e-8)
 
 
 def test_probe_scale_floor_for_series_orders():
     lp = LambdaParam(2)
     xi = xi_polar(2, 1.0, 0.3)
-    # rho = 0.01 still truncates below the cap; 0.005 does not
+    # the series: rho = 0.01 still truncates below the cap; 0.005 does not
+    truncation_degree(WaveletSpec(lp=lp, kind=KIND_POISSON, order=3, rho=0.01), 1e-10)
     with pytest.raises(TruncationError, match="degree cap"):
-        limit_convergence_probe(lp, 3, xi, [0.01, 0.005, 0.0005])
+        for rho in [0.01, 0.005, 0.0005]:
+            truncation_degree(WaveletSpec(lp=lp, kind=KIND_POISSON, order=3, rho=rho), 1e-10)
+    # the probe needs no truncation degree and converges at those scales
+    rep = limit_convergence_probe(lp, 3, xi, [0.01, 0.005, 0.0005])
+    assert rep["errors"] == sorted(rep["errors"], reverse=True)
+    assert rep["ratios"][-1] == pytest.approx(10.0, rel=0.01)
 
 
 def test_probe_requires_decreasing_scales():

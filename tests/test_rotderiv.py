@@ -12,9 +12,13 @@ from sphwave.rotderiv import (
     sector_pair_sum,
     structure_polynomial_check,
     synthesize,
+    synthesize_frame,
     zonal_field,
 )
 from sphwave.special import LambdaParam, gegenbauer_batch, gegenbauer_weighted_sum
+from sphwave.wavelets import KIND_HEAT, KIND_POISSON, WaveletSpec, directional_wavelet_field
+
+from reference import synthesize_frame_per_column
 
 
 def rotated_zonal_value(coeffs, lam, theta1, theta2, angle):
@@ -167,6 +171,30 @@ def test_synthesize_column_by_row_matches_meshgrid_bits(n, d):
     separable = synthesize(field, theta1[:, None], theta2[None, :])
     assert separable.shape == t1g.shape
     assert separable.tobytes() == synthesize(field, t1g, t2g).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, kind, order, rho",
+    [
+        (2, KIND_POISSON, 1, 0.03),
+        (2, KIND_POISSON, 2, 0.03),
+        (3, KIND_POISSON, 2, 0.04),
+        (2, KIND_POISSON, 4, 0.05),
+        (4, KIND_POISSON, 5, 0.2),
+        (6, KIND_POISSON, 6, 0.3),
+        (2, KIND_HEAT, 3, 0.1),
+        (5, KIND_HEAT, 0, 0.5),
+    ],
+)
+def test_synthesize_one_recurrence_matches_per_column_bits(n, kind, order, rho):
+    spec = WaveletSpec(lp=LambdaParam(n), kind=kind, order=order, rho=rho)
+    field = directional_wavelet_field(spec, eps=1e-10)
+    theta1 = np.linspace(0.0, np.pi, 14)[:, None]  # the poles included
+    theta2 = np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False)[None, :]
+    args = (field, np.cos(theta1), np.sin(theta1), theta2)
+    got, expect = synthesize_frame(*args), synthesize_frame_per_column(*args)
+    assert np.array_equal(got, expect)
+    assert np.array_equal(np.signbit(got), np.signbit(expect))
 
 
 @pytest.mark.parametrize("n", [2, 3])

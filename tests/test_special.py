@@ -13,13 +13,14 @@ from sphwave.special import (
     dim_harmonic,
     gauss_gegenbauer,
     gegenbauer_batch,
-    gegenbauer_derivative,
     gegenbauer_value,
     gegenbauer_weighted_sum,
     norm_const_a,
     reproducing_kernel,
     surface_measure,
 )
+
+from reference import gegenbauer_derivative, gegenbauer_weighted_sum_one_row
 
 LAMBDAS = [0.5, 1.0, 1.5, 2.0, 3.0]
 TGRID_21 = np.linspace(-1.0, 1.0, 21)
@@ -176,6 +177,40 @@ def test_weighted_sum_matches_batch():
     t = np.linspace(-1, 1, 7)
     direct = np.sum(gegenbauer_batch(1.5, 30, t) * w[:, None], axis=0)
     assert np.allclose(gegenbauer_weighted_sum(1.5, w, t), direct, rtol=1e-13, atol=1e-13)
+
+
+def _bits(a):
+    """Values with the sign of zero made visible, for bit-for-bit comparison."""
+    a = np.asarray(a)
+    return a.tobytes(), np.signbit(a).tobytes()
+
+
+def test_weighted_sum_rows_match_single_row_bits():
+    rng = np.random.default_rng(5)
+    t = np.concatenate((np.linspace(-1, 1, 9), [0.0, -0.0]))
+    rows = [rng.standard_normal(60), rng.standard_normal(58), rng.standard_normal(58), rng.standard_normal(3)]
+    rows[1][[4, 30, 57]] = 0.0  # zero weights add nothing, not even a signed zero
+    rows[2][:] = 0.0
+    rows[2][0] = -0.0  # an all-zero row keeps the sign of its zero sum
+    rows += [np.array([-0.0]), np.array([])]
+    lams = [0.5, 1.5, 2.5, 3.5, 1.0, 2.0]
+    stacked = gegenbauer_weighted_sum(lams, rows, t)
+    assert stacked.shape == (len(rows),) + t.shape
+    for lam, w, got in zip(lams, rows, stacked):
+        assert _bits(got) == _bits(gegenbauer_weighted_sum_one_row(lam, w, t))
+        assert _bits(got) == _bits(gegenbauer_weighted_sum(lam, w, t))
+    # one row, including a zero weight and the grid's shape
+    w = rng.standard_normal(4000) * np.exp(-0.01 * np.arange(4000))
+    w[[1, 2, 100]] = 0.0
+    grid = np.cos(np.linspace(0.01, 3.1, 12)).reshape(3, 4)
+    assert _bits(gegenbauer_weighted_sum(1.0, w, grid)) == _bits(gegenbauer_weighted_sum_one_row(1.0, w, grid))
+
+
+def test_weighted_sum_rows_must_not_grow():
+    with pytest.raises(ValueError):
+        gegenbauer_weighted_sum([0.5, 1.5], [np.ones(3), np.ones(4)], 0.2)
+    with pytest.raises(ValueError):
+        gegenbauer_weighted_sum([0.5, 1.5], [np.ones(3)], 0.2)
 
 
 # -- normalization constants -------------------------------------------------

@@ -20,8 +20,12 @@ from sphwave.wavelets import (
     kernel_zonal_coeffs,
     modified_wavelet_field,
     poisson_kernel_closed,
+    poisson_wavelet_closed,
+    poisson_wavelet_terms,
     truncation_degree,
 )
+
+from reference import truncation_degree_scan
 
 THETA1 = np.linspace(0.05, np.pi - 0.05, 12)
 THETA2 = np.linspace(0.0, 2 * np.pi, 9, endpoint=False)
@@ -114,6 +118,46 @@ def test_second_order_matches_closed_form(n):
     series = synthesize(field, t1, t2)
     closed = g2_closed(spec, t1, t2)
     assert np.max(np.abs(series - closed)) < 1e-9 * np.max(np.abs(closed))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("order", range(7))
+def test_closed_form_engine_matches_series(n, order):
+    t1, t2 = np.meshgrid(THETA1, THETA2, indexing="ij")
+    eps = 1e-12
+    for rho in (0.05, 0.3, 1.0):
+        spec = WaveletSpec(lp=LambdaParam(n), kind=KIND_POISSON, order=order, rho=rho)
+        series = synthesize(directional_wavelet_field(spec, eps=eps), t1, t2)
+        closed = poisson_wavelet_closed(spec, t1, t2)
+        # the series' truncation bound eps is absolute; the rest is rounding
+        assert np.max(np.abs(series - closed)) < eps + 1e-12 * np.max(np.abs(closed))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_form_engine_matches_hand_written_forms(n):
+    lp = LambdaParam(n)
+    t1, t2 = np.meshgrid(THETA1, THETA2, indexing="ij")
+    for rho in (1e-6, 0.05, 0.4, 2.0):
+        refs = [
+            lambda spec: poisson_kernel_closed(lp, rho, t1),
+            lambda spec: g1_closed(spec, t1, t2),
+            lambda spec: g2_closed(spec, t1, t2),
+        ]
+        for order, ref in enumerate(refs):
+            spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=order, rho=rho)
+            expect = ref(spec)
+            got = poisson_wavelet_closed(spec, t1, t2)
+            assert got.shape == t1.shape
+            assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+def test_closed_form_engine_terms_and_kind():
+    # like terms merge: order 6 has 9 terms
+    assert [len(poisson_wavelet_terms(1.0, d)) for d in range(7)] == [1, 1, 2, 3, 5, 6, 9]
+    # order 1: -2 (lam+1) x2 r D^-(lam+2)
+    assert poisson_wavelet_terms(0.5, 1) == [(-3, 0, 1, 1)]
+    with pytest.raises(ValueError):
+        poisson_wavelet_closed(WaveletSpec(lp=LambdaParam(2), kind=KIND_HEAT, order=2, rho=0.5), 1.0, 0.0)
 
 
 def test_g1_trivial_zeros_and_oddness():
@@ -216,6 +260,28 @@ def test_truncation_degree_recorded_values(n, order, kind, rho, eps, expected):
     assert truncation_degree(spec, eps) == expected
 
 
+def test_truncation_degree_matches_scalar_scan():
+    # seeded sweep over both kinds, cap failures included: the array scan
+    # returns the degree (or the error) of the one-degree-at-a-time scan
+    rng = np.random.default_rng(7)
+    outcomes = []
+    for _ in range(3000):
+        n, order = int(rng.integers(2, 7)), int(rng.integers(0, 7))
+        kind = (KIND_POISSON, KIND_HEAT)[int(rng.integers(2))]
+        rho = math.exp(rng.uniform(math.log(0.008), math.log(3.0)))
+        eps = 10.0 ** rng.uniform(-14.0, -4.0)
+        spec = WaveletSpec(lp=LambdaParam(n), kind=kind, order=order, rho=rho)
+        got, expect = [], []
+        for scan, out in ((truncation_degree, got), (truncation_degree_scan, expect)):
+            try:
+                out.append(scan(spec, eps))
+            except TruncationError as exc:
+                out.append(str(exc))
+        assert got == expect, (n, order, kind, rho, eps)
+        outcomes.append(isinstance(got[0], str))
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
 def test_truncation_cap_rejects_tiny_scales():
     lp = LambdaParam(2)
     spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=1, rho=1e-4)
@@ -228,6 +294,8 @@ def test_truncation_rejects_orders_whose_bound_overflows():
     for order in (200, 6000):  # (l + lam)^order overflows; 6000 is also above the cap
         with pytest.raises(TruncationError):
             truncation_degree(WaveletSpec(lp=lp, kind=KIND_POISSON, order=order, rho=0.5), 1e-10)
+    with pytest.raises(TruncationError):  # the surface measure overflows
+        truncation_degree(WaveletSpec(lp=LambdaParam(400), kind=KIND_POISSON, order=1, rho=0.5), 1e-10)
 
 
 def test_l2_norm_stable_under_refinement():
