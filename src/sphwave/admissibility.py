@@ -18,6 +18,7 @@ functions safe to parallelize over degrees.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,29 +105,31 @@ def _beta_sq_poly(lam: Fraction, j: int):
     return [-c * j * (2 * lam + j), c]
 
 
-def _ladder_polys(lam: Fraction, dmax: int) -> dict:
-    """P[(d, j)]: a_l^j(f^(d)) = (prod_{i<j} beta_{l,i}) P_{d,j}(u) a_l^0(f)."""
+def _ladder(lam: Fraction, dmax: int) -> tuple:
+    """(P, prefix): a_l^j(f^(d)) = (prod_{i<j} beta_{l,i}) P[(d, j)](u) a_l^0(f) for d <= dmax.
+
+    prefix[j] = prod_{i<j} beta_{l,i}^2, j = 0..dmax; each beta_{l,j}^2 is built once.
+    """
+    beta_sq = [_beta_sq_poly(lam, j) for j in range(dmax)]
     P = {(0, 0): [Fraction(1)]}
     for d in range(dmax):
         for j in range(d + 2):
             term = [Fraction(0)]
             if (d, j + 1) in P:
-                term = _padd(term, _pmul(_beta_sq_poly(lam, j), P[(d, j + 1)]))
+                term = _padd(term, _pmul(beta_sq[j], P[(d, j + 1)]))
             if j >= 1 and (d, j - 1) in P:
                 term = _padd(term, [-c for c in P[(d, j - 1)]])
             if any(term):
                 P[(d + 1, j)] = term
-    return P
+    return P, list(itertools.accumulate(beta_sq, _pmul, initial=[Fraction(1)]))
 
 
-def _q_sum(lam: Fraction, P: dict, d: int, dp: int) -> list:
-    """q_{d,d'} = sum_j (prod_{i<j} beta_{l,i}^2) P_{d,j} P_{d',j}, coefficients in u."""
+def _q_sum(P: dict, prefix: list, d: int, dp: int) -> list:
+    """q_{d,d'} = sum_j prefix[j] P_{d,j} P_{d',j}, coefficients in u."""
     out = [Fraction(0)]
-    prefix = [Fraction(1)]
     for j in range(min(d, dp) + 1):
         if (d, j) in P and (dp, j) in P:
-            out = _padd(out, _pmul(prefix, _pmul(P[(d, j)], P[(dp, j)])))
-        prefix = _pmul(prefix, _beta_sq_poly(lam, j))
+            out = _padd(out, _pmul(prefix[j], _pmul(P[(d, j)], P[(dp, j)])))
     return out
 
 
@@ -137,17 +140,16 @@ def q_polynomial(lam, d: int, dp: int) -> tuple:
     """
     if (d - dp) % 2:
         return (Fraction(0),)
-    lamF = _as_fraction(lam)
-    return tuple(_q_sum(lamF, _ladder_polys(lamF, max(d, dp)), d, dp))
+    return tuple(_q_sum(*_ladder(_as_fraction(lam), max(d, dp)), d, dp))
 
 
-def _q_table(lam: Fraction, dfrak: int) -> dict:
-    """Every q_{d,d'} with d <= d' <= dfrak of matching parity, keyed (d, d')."""
-    P = _ladder_polys(lam, dfrak)
-    return {(d, dp): _q_sum(lam, P, d, dp) for d in range(dfrak + 1) for dp in range(d, dfrak + 1, 2)}
+def _q_table(lam: Fraction, dfrak: int) -> list:
+    """The diagonal q_{s,s}, s = 0..dfrak; q_{a,b} = (-1)^((a-b)/2) q_{s,s} with s = (a+b)/2 gives the rest."""
+    P, prefix = _ladder(lam, dfrak)
+    return [_q_sum(P, prefix, s, s) for s in range(dfrak + 1)]
 
 
-def _spectral_coeffs(dfrak: int, qs: dict) -> list:
+def _spectral_coeffs(dfrak: int, qs: list) -> list:
     """c_0..c_dfrak with sum_s c_s q_{s,s}(u) = u^dfrak, by back-substitution.
 
     q_{s,s} has degree exactly s, so the coefficient of u^J fixes c_J once
@@ -155,8 +157,8 @@ def _spectral_coeffs(dfrak: int, qs: dict) -> list:
     """
     c = [Fraction(0)] * (dfrak + 1)
     for J in range(dfrak, -1, -1):
-        rest = sum(c[s] * qs[(s, s)][J] for s in range(J + 1, dfrak + 1))
-        c[J] = (int(J == dfrak) - rest) / qs[(J, J)][J]
+        rest = sum(c[s] * qs[s][J] for s in range(J + 1, dfrak + 1))
+        c[J] = (int(J == dfrak) - rest) / qs[J][J]
     return c
 
 
@@ -201,7 +203,8 @@ def solve_gamma(lam, dfrak: int) -> GammaVector:
 
     The skew-adjoint rotation generator gives q_{a,b} = (-1)^((a-b)/2) q_{s,s}
     with s = (a+b)/2, so sum_{a,b} gamma_a gamma_b q_{a,b} = sum_s c_s q_{s,s}
-    where A(y) = sum_s c_s y^s equals |sum_d gamma_d (ix)^d|^2 at y = x^2.
+    where A(y) = sum_s c_s y^s equals |sum_d gamma_d (ix)^d|^2 at y = x^2;
+    only the diagonal q_{s,s}, s = 0..dfrak, are built.
     The collapse to u^dfrak fixes c in exact rationals.  Real gammas exist
     exactly when A has no sign change on y > 0; a Sturm count on A(y)/y^k,
     y^k the largest power of y dividing A, decides this.  When it is zero,
@@ -238,20 +241,22 @@ def solve_gamma(lam, dfrak: int) -> GammaVector:
     return vec
 
 
-def _assert_collapse(vec: GammaVector, qs: dict, l_max: int = 30, tol: float = 1e-9) -> None:
-    lam = vec.lam
+def _assert_collapse(vec: GammaVector, qs: list, l_max: int = 30, tol: float = 1e-9) -> None:
+    """Check sum_{a,b} gamma_a gamma_b (-1)^((a-b)/2) q_{(a+b)/2}(u) = u^order at six degrees.
+
+    The weight of q_{s,s} is (-1)^s times the t^(2s) coefficient of h(t) h(-t),
+    h(t) = sum_d gamma_d t^d; each q_{s,s} is evaluated at all six u at once.
+    """
+    ls = np.array([1, 2, 3, 5, 11, l_max], dtype=float)
+    u = ls * (2.0 * vec.lam + ls)
     g = np.asarray(vec.gammas)
-    for l in (1, 2, 3, 5, 11, l_max):
-        u = l * (2 * lam + l)
-        total = 0.0
-        for d in range(vec.order + 1):
-            for dp in range(vec.order + 1):
-                c = sum(float(c_) * u**k for k, c_ in enumerate(qs.get((min(d, dp), max(d, dp)), ())))
-                total += g[d] * g[dp] * c
-        if abs(total - u**vec.order) > tol * u**vec.order:
-            raise GammaSolveError(
-                f"solved gammas fail the collapse identity at l={l}: {total} vs {u**vec.order}"
-            )
+    alt = (-1.0) ** np.arange(vec.order + 1)
+    weights = alt * np.convolve(g, alt * g)[::2]
+    total = weights @ [np.polynomial.polynomial.polyval(u, [float(x) for x in q]) for q in qs]
+    target = u**vec.order
+    for l, got, want in zip(ls, total, target):
+        if abs(got - want) > tol * want:
+            raise GammaSolveError(f"solved gammas fail the collapse identity at l={int(l)}: {got} vs {want}")
 
 
 def admissibility_constant(lp: LambdaParam, dfrak: int) -> float:

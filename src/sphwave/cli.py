@@ -12,8 +12,9 @@ limit      Flat-space limit convergence probe (JSON report).
 Outputs are plot-ready tables, byte-identical for identical configs: floats
 are written with shortest round-trip formatting, summation orders are fixed,
 and test signals use fixed seeds.  Every numeric default lands in the report
-metadata.  Exit codes: 0 ok, 2 usage error, 3 verification/tolerance failure
-(suppressed by --report-only).
+metadata.  Exit codes: 0 ok, 2 usage error (also a transform order with no
+real gamma vector; the solver's certificate goes to stderr), 3
+verification/tolerance failure (suppressed by --report-only).
 """
 
 from __future__ import annotations
@@ -446,7 +447,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, TruncationError) as exc:
+    except (ValueError, TruncationError, GammaSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -128,6 +128,11 @@ def gegenbauer_weighted_sum(order: "float | LambdaParam | list", weights, t) -> 
     non-increasing length: all rows then advance in one recurrence loop, each
     with its own order, and the result stacks their sums on a leading axis.
     Each row's sum has the bits of its own single-row call.
+
+    A row's recurrence ends at its last nonzero weight, but never before
+    degree 1 (where the row has one) nor before a later row's end, so
+    trailing zero weights cost nothing.  Zero weights add nothing, so the
+    sums keep the bits of the full-length rows.
     """
     if np.ndim(order) == 0:
         return _weighted_sums([_resolve_order(order)], [weights], t)[0]
@@ -140,6 +145,14 @@ def _weighted_sums(lams: list, rows, t) -> np.ndarray:
     sizes = [w.shape[0] for w in rows]
     if len(rows) != len(lams) or sizes != sorted(sizes, reverse=True):
         raise ValueError("need one weight row per order, in non-increasing length")
+    # each row ends at its last nonzero weight, but keeps degrees 0 and 1 (always
+    # added: they carry the sign of a zero sum) and never ends below a later row
+    end = 0
+    for r in range(len(rows) - 1, -1, -1):
+        nz = np.flatnonzero(rows[r])
+        end = max(end, min(sizes[r], 2), int(nz[-1]) + 1 if nz.size else 0)
+        sizes[r] = end
+        rows[r] = rows[r][:end]
     out = np.zeros((len(rows), t.size))
     m = sum(size > 0 for size in sizes)
     if m == 0:

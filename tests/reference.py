@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from sphwave.admissibility import _beta_sq_poly, _padd, _pmul
 from sphwave.euclid import EuclideanPoint
 from sphwave.rotderiv import CoefficientField, _angular, _norm_column
 from sphwave.special import LambdaParam, _check_t, _resolve_order, dim_harmonic, gegenbauer_batch
@@ -42,6 +43,30 @@ def gegenbauer_weighted_sum_one_row(order, weights, t) -> np.ndarray:
         if w[l + 1] != 0.0:
             acc = acc + w[l + 1] * cur
     return acc
+
+
+def q_table_all_pairs(lam: Fraction, dfrak: int) -> dict:
+    """Every q_{d,d'} with d <= d' <= dfrak of matching parity, keyed (d, d'), each pair with its own prefix products."""
+    P = {(0, 0): [Fraction(1)]}
+    for d in range(dfrak):
+        for j in range(d + 2):
+            term = [Fraction(0)]
+            if (d, j + 1) in P:
+                term = _padd(term, _pmul(_beta_sq_poly(lam, j), P[(d, j + 1)]))
+            if j >= 1 and (d, j - 1) in P:
+                term = _padd(term, [-c for c in P[(d, j - 1)]])
+            if any(term):
+                P[(d + 1, j)] = term
+    table = {}
+    for d in range(dfrak + 1):
+        for dp in range(d, dfrak + 1, 2):
+            q, prefix = [Fraction(0)], [Fraction(1)]
+            for j in range(d + 1):
+                if (d, j) in P and (dp, j) in P:
+                    q = _padd(q, _pmul(prefix, _pmul(P[(d, j)], P[(dp, j)])))
+                prefix = _pmul(prefix, _beta_sq_poly(lam, j))
+            table[(d, dp)] = q
+    return table
 
 
 def synthesize_frame_per_column(field: CoefficientField, cos_theta1, sin_theta1, theta2) -> np.ndarray:

@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 from sphwave.admissibility import (
     GammaSolveError,
     GammaVector,
+    _assert_collapse,
     _pair_energy,
     _positive_root_count,
     _q_table,
@@ -30,6 +31,8 @@ from sphwave.admissibility import (
 from sphwave.rotderiv import CoefficientField, derivative_order, sector_pair_sum
 from sphwave.special import LambdaParam, dim_harmonic, reproducing_kernel
 from sphwave.wavelets import KIND_HEAT, KIND_POISSON, modified_wavelet_field
+
+from reference import gegenbauer_weighted_sum_one_row, q_table_all_pairs
 
 
 def qval(lam, d, dp, u):
@@ -75,12 +78,12 @@ def test_q_structural_identity_q13_is_minus_q22():
 
 
 def test_q_table_matches_q_polynomial():
-    # the solver's table and the public builder share one prefix-product sum
+    # the solver's table holds the diagonal q_{s,s} alone, built by the public builder's prefix-product sum
     for lam in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
         qs = _q_table(lam, 6)
-        assert sorted(qs) == [(d, dp) for d in range(7) for dp in range(d, 7, 2)]
-        for (d, dp), q in qs.items():
-            assert tuple(q) == q_polynomial(lam, d, dp)
+        assert len(qs) == 7
+        for s, q in enumerate(qs):
+            assert tuple(q) == q_polynomial(lam, s, s)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -192,10 +195,34 @@ def test_q_skew_adjoint_identity():
     # work with the diagonal polynomials alone
     for n in range(2, 13):
         lam = Fraction(n - 1, 2)
-        qs = _q_table(lam, 6)
-        for (a, b), q in qs.items():
+        diag = _q_table(lam, 6)
+        for order in range(6):
+            assert _q_table(lam, order) == diag[: order + 1], (n, order)
+        for (a, b), q in q_table_all_pairs(lam, 6).items():
             s = (a + b) // 2
-            assert q == [(-1) ** ((b - a) // 2) * c for c in qs[(s, s)]], (n, a, b)
+            assert q == [(-1) ** ((b - a) // 2) * c for c in diag[s]], (n, a, b)
+            assert tuple(q) == q_polynomial(lam, a, b), (n, a, b)
+
+
+def test_collapse_check_catches_any_perturbed_gamma():
+    for n in range(2, 7):
+        lam = Fraction(n - 1, 2)
+        for order in range(1, 7):
+            try:
+                vec = solve_gamma(lam, order)
+            except GammaSolveError:
+                continue
+            qs = _q_table(lam, order)
+            _assert_collapse(vec, qs)
+            for d, g in enumerate(vec.gammas):
+                if not g:
+                    continue
+                for factor in (1.0 - 1e-6, 1.0 + 1e-6):
+                    gammas = list(vec.gammas)
+                    gammas[d] = g * factor
+                    bad = GammaVector(order=order, lam=vec.lam, gammas=tuple(gammas))
+                    with pytest.raises(GammaSolveError, match="collapse identity"):
+                        _assert_collapse(bad, qs)
 
 
 def test_sturm_counts_match_sympy():
@@ -402,6 +429,19 @@ def test_tail_l1_sweep_per_cutoff_degrees_match_separate_sweeps():
     assert joint == apart
     with pytest.raises(ValueError):
         tail_l1_sweep(lp, 1, [1.0, 0.1], L=[100], n_quad=120)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_tail_l1_sweep_matches_untrimmed_recurrence_bits(order, monkeypatch):
+    # the tail weights underflow to 0.0 from degree 27 (R = 1) on, and the
+    # recurrence stops there; the verify sweep keeps the bits of the full loop
+    import sphwave.admissibility as adm
+
+    lp = LambdaParam(2)
+    R_values, L = [1.0, 0.3, 0.1, 0.03, 1e-4], [400] * 4 + [900]
+    trimmed = tail_l1_sweep(lp, order, R_values, L=L)
+    monkeypatch.setattr(adm, "gegenbauer_weighted_sum", gegenbauer_weighted_sum_one_row)
+    assert trimmed == tail_l1_sweep(lp, order, R_values, L=L)
 
 
 def test_tail_l1_sweep_bounded():

@@ -130,6 +130,16 @@ def test_transform_rejects_higher_dimensions(tmp_path):
     assert run(["transform", "--n", "3", "--order", "1", "--out", str(tmp_path / "x.json")]) == 2
 
 
+def test_transform_infeasible_order_exit_code(tmp_path, capsys):
+    # order 3 has no real gamma on S^2: exit 2, the certificate on stderr, no report
+    out = tmp_path / "t3.json"
+    assert run(["transform", "--order", "3", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: order 3 infeasible")
+    assert "-8/15" in err and "Sturm count" in err
+    assert not out.exists()
+
+
 def test_limit_report(tmp_path):
     out = tmp_path / "lim.json"
     code = run(

@@ -206,6 +206,41 @@ def test_weighted_sum_rows_match_single_row_bits():
     assert _bits(gegenbauer_weighted_sum(1.0, w, grid)) == _bits(gegenbauer_weighted_sum_one_row(1.0, w, grid))
 
 
+def test_weighted_sum_trailing_zeros_match_full_row_bits():
+    # each row's recurrence ends at its last nonzero weight, never before degree 1
+    # nor before a later row's end; the sums keep the bits of the untrimmed rows
+    rng = np.random.default_rng(11)
+    t = np.concatenate((np.linspace(-1, 1, 9), [0.0, -0.0]))
+
+    def tail(head, zeros):
+        return np.concatenate((head, np.zeros(zeros)))
+
+    single = [tail(rng.standard_normal(5), 40), tail([0.7], 12), tail([0.0, -1.3], 9), tail([-0.0], 6), tail([], 3)]
+    for lam, w in zip((0.5, 1.0, 1.5, 2.5, 3.0), single):
+        assert _bits(gegenbauer_weighted_sum(lam, w, t)) == _bits(gegenbauer_weighted_sum_one_row(lam, w, t))
+    rows = [
+        tail(rng.standard_normal(2), 48),  # trimmed end (2) falls below the next row's
+        tail(rng.standard_normal(20), 20),
+        tail(rng.standard_normal(7), 25),
+        tail([-0.0], 12),  # all zero with -0.0 at degree 0: degree 1 still sets the sign
+        tail([1.0], 0),
+        np.array([]),
+    ]
+    lams = [0.5, 1.5, 2.5, 1.0, 2.0, 3.0]
+    stacked = gegenbauer_weighted_sum(lams, rows, t)
+    assert stacked.shape == (len(rows),) + t.shape
+    for lam, w, got in zip(lams, rows, stacked):
+        assert _bits(got) == _bits(gegenbauer_weighted_sum_one_row(lam, w, t))
+
+
+def test_weighted_sum_trailing_zeros_run_no_recurrence():
+    # past degree 1 nothing is summed, and C_l at order 200 overflows a float
+    # long before degree 3000: RuntimeWarnings fail the suite
+    w = [1.0, 0.5] + [0.0] * 3000
+    t = np.array([1.0, -0.3])
+    assert _bits(gegenbauer_weighted_sum(200.0, w, t)) == _bits(1.0 + 0.5 * 400.0 * t)
+
+
 def test_weighted_sum_rows_must_not_grow():
     with pytest.raises(ValueError):
         gegenbauer_weighted_sum([0.5, 1.5], [np.ones(3), np.ones(4)], 0.2)
