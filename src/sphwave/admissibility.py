@@ -28,7 +28,7 @@ import numpy as np
 from .harmonics import gauss_jacobi_rule
 from .rotderiv import CoefficientField, sector_pair_sum, sector_weights
 from .special import LambdaParam, dim_harmonic, gegenbauer_weighted_sum, surface_measure
-from .wavelets import KIND_HEAT, KIND_POISSON, modified_wavelet_table, scale_weights
+from .wavelets import KIND_HEAT, KIND_POISSON, TRUNCATION_CAP, certified_degree, modified_wavelet_table, scale_weights
 
 __all__ = [
     "GammaVector",
@@ -311,13 +311,7 @@ def _scale_integrals(lp: LambdaParam, gamma: GammaVector, degrees) -> list:
 
 
 def verify_pair_condition1(
-    lp: LambdaParam,
-    dfrak: int,
-    l_max: int,
-    gamma: GammaVector | None = None,
-    *,
-    tol_identity: float = 1e-6,
-    tol_paths: float = 1e-8,
+    lp: LambdaParam, dfrak: int, l_max: int, gamma: GammaVector | None = None, *, tol_identity: float = 1e-6
 ) -> list:
     """Check the per-degree admissibility integral against N(n, l), both ways.
 
@@ -326,7 +320,8 @@ def verify_pair_condition1(
     degree constants, and (b) by a trapezoid rule in log rho over the
     coefficient products s^P_l s^H_l E_l, whose energies E_l come from the ladder-built
     table of :func:`modified_wavelet_table`; after scaling by C both must
-    equal the harmonic dimension N(n, l).  Returns one report dict per
+    equal the harmonic dimension N(n, l): the ratio to ``tol_identity``, the
+    two paths to 1e-8 relative of each other.  Returns one report dict per
     degree; failures are recorded, not raised.
     """
     if gamma is None:
@@ -348,7 +343,7 @@ def verify_pair_condition1(
                 "quadrature_scaled": C * val,
                 "paths_rel_diff": paths,
                 "ratio": ratio,
-                "pass": bool(paths < tol_paths and abs(ratio - 1.0) < tol_identity),
+                "pass": bool(paths < 1e-8 and abs(ratio - 1.0) < tol_identity),
             }
         )
     return rows
@@ -375,66 +370,58 @@ def _upper_gamma_q(d: int, x):
     return total
 
 
-def _tail_term_bound(lam: float, dfrak: int, R: float, l: int) -> float:
-    # sup-norm bound on the degree-l tail term, using
-    # Gamma(d, x) <= x^(d-1) e^(-x) / (1 - (d-1)/x) for x > d - 1.
-    x = R * l * (2.0 * lam + l) / (2.0 * lam)
-    if x <= dfrak:
-        return math.inf
-    kl1 = (lam + l) / lam * math.exp(math.lgamma(2 * lam + l) - math.lgamma(2 * lam) - math.lgamma(l + 1))
-    return (2.0 * lam) ** dfrak * x ** (dfrak - 1) * math.exp(-x) / (1.0 - (dfrak - 1) / x) * kl1
+def _tail_weights(lam: float, dfrak: int, R: float) -> np.ndarray:
+    """Degree weights w_l = (2 lam)^dfrak Gamma(dfrak, x_l) (lam + l)/lam of the scale tail, l = 0..L (w_0 = 0).
+
+    x_l = R l (2 lam + l)/(2 lam).  Every w_l >= 0 and |C_l(t)| <= C_l(1), so
+    the partial sums S_L = sum_{l<=L} w_l C_l(1) rise to sigma^2 sup |Phi_R|.
+    L is the first degree whose remainder has a geometric majorant
+    (:func:`certified_degree`) below 1e-12 S_L; each term is bounded through
+    Gamma(d, x) <= x^(d-1) e^-x / (1 - (d-1)/x) for x > d - 1.  Terms and
+    bounds up to the cap are formed in logs, so no C_l(1) overflows.
+    """
+    ls = np.arange(TRUNCATION_CAP + 3)
+    x = R * ls * (2.0 * lam + ls) / (2.0 * lam)
+    weights = (2.0 * lam) ** dfrak * _upper_gamma_q(dfrak, x) * math.gamma(dfrak) * (lam + ls) / lam
+    weights[0] = 0.0
+    # log C_l(1), with C_l(1) = prod_{i<=l} (2 lam + i - 1)/i
+    log_c = np.concatenate(([0.0], np.cumsum(np.log1p((2.0 * lam - 1.0) / ls[1:]))))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        terms = np.exp(np.log(weights) + log_c)
+        bound = np.exp(dfrak * math.log(2.0 * lam) + (dfrak - 1) * np.log(x) - x - np.log1p((1 - dfrak) / x)
+                       + np.log((lam + ls) / lam) + log_c)
+    bound[x <= dfrak] = np.inf
+    failure = f"scale tail at R={R:g} not certified below degree cap {TRUNCATION_CAP}"
+    L = certified_degree(bound, 1e-12 * np.cumsum(terms)[: TRUNCATION_CAP + 1], failure)
+    return weights[: L + 1]
 
 
-def tail_integral(lp: LambdaParam, dfrak: int, R: float, t, L: int, *, tail_tol: float = 1e-12):
+def tail_integral(lp: LambdaParam, dfrak: int, R: float, t):
     """Scale-tail of the pair's zonal product, integrated over rho > R.
 
     Term-wise in degree via the upper incomplete gamma:
-    (1/sigma^2) sum_{l>=1} (2 lam)^dfrak Gamma(dfrak, R l (2 lam + l)/(2 lam)) K_l(t),
-    truncated at L.  Raises ValueError when the dropped remainder cannot be
-    certified below ``tail_tol`` relative to the accumulated magnitude.
+    Phi_R(t) = (1/sigma^2) sum_{l>=1} (2 lam)^dfrak Gamma(dfrak, R l (2 lam + l)/(2 lam)) K_l(t),
+    summed to the degree of :func:`_tail_weights`, whose dropped remainder is
+    below 1e-12 of sup |Phi_R| = Phi_R(1) at every t.
     """
     if R <= 0:
         raise ValueError("R must be positive")
     if dfrak < 1:
         raise ValueError("tail integral defined for order >= 1")
-    lam = lp.lam
-    t = np.asarray(t, dtype=float)
-    ls = np.arange(1, L + 1)
-    weights = np.zeros(L + 1)
-    x = R * ls * (2.0 * lam + ls) / (2.0 * lam)
-    weights[1:] = (2.0 * lam) ** dfrak * _upper_gamma_q(dfrak, x) * math.gamma(dfrak) * (lam + ls) / lam
-    out = gegenbauer_weighted_sum(lam, weights, t) / lp.sigma**2
-    head = _tail_term_bound(lam, dfrak, R, L + 1)
-    scale = max(float(np.max(np.abs(out))), 1e-30)
-    if head == 0.0:  # underflow: the remainder is far below everything
-        certified = True
-    elif head < math.inf:
-        # the term-bound ratio decreases in degree, so a single geometric
-        # majorant covers the whole remainder for any ratio < 1
-        ratio = _tail_term_bound(lam, dfrak, R, L + 2) / head
-        certified = ratio < 1.0 and head / (1.0 - ratio) / lp.sigma**2 <= tail_tol * scale
-    else:
-        certified = False
-    if not certified:
-        raise ValueError(f"truncation degree {L} insufficient for R={R}: tail remainder not certified")
+    out = gegenbauer_weighted_sum(lp.lam, _tail_weights(lp.lam, dfrak, R), np.asarray(t, dtype=float)) / lp.sigma**2
     return out if out.shape else float(out)
 
 
-def tail_l1_sweep(lp: LambdaParam, dfrak: int, R_values, L, n_quad: int = 400) -> list:
+def tail_l1_sweep(lp: LambdaParam, dfrak: int, R_values) -> list:
     """Spherical L1 norms of the scale-tail kernel across cutoff values R.
 
     Each entry is (sigma_{n-1}/sigma_n) times the integral of |tail_integral|
-    against the zonal weight, on one ``n_quad``-point Gauss-Jacobi rule.
-    ``L`` is the truncation degree, one for all R or one per R.
+    against the zonal weight, on one 400-point Gauss-Jacobi rule; each R's
+    series stops where its remainder is below 1e-12 of sup |Phi_R| = Phi_R(1).
     |Phi_R| has a kink at each sign change of the kernel, so the accuracy is
-    algebraic in ``n_quad``: about 2.5e-5 relative on the spread of the
-    n = 2, order 2 sweep R = 1, 0.3, 0.1, 0.03 at 400 nodes.
+    algebraic in the node count: about 2.5e-5 relative on the spread of the
+    n = 2, order 2 sweep R = 1, 0.3, 0.1, 0.03.
     """
-    rule = gauss_jacobi_rule(lp.lam, n_quad)
+    rule = gauss_jacobi_rule(lp.lam, 400)
     ratio = surface_measure(lp.n - 1) / lp.sigma
-    degrees = L if np.ndim(L) else [L] * len(R_values)
-    norms = []
-    for R, L_R in zip(R_values, degrees, strict=True):
-        vals = tail_integral(lp, dfrak, R, rule.nodes, L_R)
-        norms.append(float(ratio * np.sum(rule.weights * np.abs(vals))))
-    return norms
+    return [float(ratio * np.sum(rule.weights * np.abs(tail_integral(lp, dfrak, R, rule.nodes)))) for R in R_values]

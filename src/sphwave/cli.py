@@ -13,7 +13,8 @@ Outputs are plot-ready tables, byte-identical for identical configs: floats
 are written with shortest round-trip formatting, summation orders are fixed,
 and test signals use fixed seeds.  Every numeric default lands in the report
 metadata.  Exit codes: 0 ok, 2 usage error (also a transform order with no
-real gamma vector; the solver's certificate goes to stderr), 3
+real gamma vector, whose certificate goes to stderr, and n >= 261, where the
+sphere's squared surface measure is not a normal float), 3
 verification/tolerance failure (suppressed by --report-only).
 """
 
@@ -227,7 +228,7 @@ def cmd_verify(args) -> int:
                 )
             )
         if lp.n == 2 and args.order >= 1:
-            *norms, plateau = tail_l1_sweep(lp, args.order, [1.0, 0.3, 0.1, 0.03, 1e-4], L=[400] * 4 + [900])
+            *norms, plateau = tail_l1_sweep(lp, args.order, [1.0, 0.3, 0.1, 0.03, 1e-4])
             ratio = plateau / norms[-1]
             succ = [b / a for a, b in zip(norms, norms[1:])]
             ok = succ == sorted(succ, reverse=True) and abs(ratio - 1.0) < 0.2
@@ -324,11 +325,7 @@ def cmd_limit(args) -> int:
     coords += [0.0] * (lp.n - 2)
     xi = EuclideanPoint(tuple(coords))
     rhos = [args.rho_max / 2**k for k in range(args.rho_steps)]
-    try:
-        rep = limit_convergence_probe(lp, args.order, xi, rhos)
-    except (ValueError, TruncationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rep = limit_convergence_probe(lp, args.order, xi, rhos)
     decreasing = all(e1 > e2 for e1, e2 in zip(rep["errors"], rep["errors"][1:]))
     payload = {
         "subcommand": "limit",

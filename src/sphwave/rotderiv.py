@@ -243,12 +243,12 @@ def sector_pair_sum(f: CoefficientField, g: CoefficientField) -> np.ndarray:
     return np.einsum("lk,lk,k->l", f.coeffs[: L + 1, : K + 1], g.coeffs[: L + 1, : K + 1], w)
 
 
-def structure_polynomial_check(lp: LambdaParam, zonal_coeffs, d: int, fit_tol: float = 1e-8) -> list:
+def structure_polynomial_check(lp: LambdaParam, zonal_coeffs, d: int) -> list:
     """Fit a_l^j(f^(d)) / (prod_{i<j} beta_{l,i} * a_l^0(f)) against polynomials in u = l(2 lam + l).
 
     Returns one report dict per order j of matching parity: the expected degree
     (d - j)/2, the fitted degree (smallest achieving relative residual below
-    ``fit_tol``), the max residual of that fit, and the fitted leading
+    1e-8), the max residual of that fit, and the fitted leading
     coefficient.  Fit failures are reported, never raised.
     """
     if d > 8:
@@ -279,7 +279,7 @@ def structure_polynomial_check(lp: LambdaParam, zonal_coeffs, d: int, fit_tol: f
                 break
             c = np.polynomial.polynomial.polyfit(u, ratio, deg)
             res = float(np.max(np.abs(np.polynomial.polynomial.polyval(u, c) - ratio)))
-            if res < fit_tol * scale:
+            if res < 1e-8 * scale:
                 fitted_degree, residual, coeffs = deg, res, c
                 break
         reports.append(

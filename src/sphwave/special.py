@@ -38,7 +38,13 @@ _T_SLACK = 1e-12
 
 
 def surface_measure(n: int) -> float:
-    """Total measure of the unit n-sphere, 2*pi^((n+1)/2)/Gamma((n+1)/2)."""
+    """Total measure of the unit n-sphere, 2*pi^((n+1)/2)/Gamma((n+1)/2).
+
+    Kernels divide by its square, which is below the smallest normal float
+    from n = 261 on; those n raise ValueError.
+    """
+    if n > 260:
+        raise ValueError(f"sphere dimension n={n} above 260: sigma_n^2 is not a normal float")
     return 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
 
 

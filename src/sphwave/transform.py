@@ -237,14 +237,13 @@ def synthesize_on_grid(field: CoefficientField, grid: SphereGrid) -> np.ndarray:
     return np.broadcast_to(vals.reshape(vals.shape + (1,) * len(rest)), grid.shape).ravel()
 
 
-def random_bandlimited_field(lp: LambdaParam, band: int, seed: int = 0, mean_free: bool = True) -> CoefficientField:
-    """Random test signal with unit-scale sector coefficients up to the band."""
+def random_bandlimited_field(lp: LambdaParam, band: int, seed: int = 0) -> CoefficientField:
+    """Random mean-free test signal with unit-scale sector coefficients up to the band."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((band + 1, band + 1))
     for k1 in range(band + 1):
         a[:k1, k1] = 0.0
-    if mean_free:
-        a[0, :] = 0.0
+    a[0, :] = 0.0
     return CoefficientField(lp, a)
 
 

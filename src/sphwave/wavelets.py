@@ -13,10 +13,11 @@ The heat-kernel family uses the degree weight exp(-rho l^2 / (2 lam)); combined
 with the Poisson weight exp(-rho l) this yields exp(-rho l (2 lam + l)/(2 lam)),
 the decay that drives all admissibility integrals downstream.
 
-Scale parameters are strictly positive.  Builders take either an explicit
-truncation degree L (caller-owned, e.g. band-limited projections) or a
-tolerance ``eps`` that is converted through :func:`truncation_degree`, whose
+Scale parameters are strictly positive.  Builders take the truncation degree
+L.  :func:`truncation_degree` is the one path from a tolerance to a degree; its
 hard cap rejects the near-singular regime rather than silently losing accuracy.
+:func:`certified_degree` is the scan it shares with the scale-tail kernel of
+:mod:`sphwave.admissibility`.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "g1_closed",
     "g2_closed",
     "truncation_degree",
+    "certified_degree",
 ]
 
 KIND_POISSON = "poisson"
@@ -180,24 +182,14 @@ def poisson_wavelet_closed(spec: WaveletSpec, theta1, theta2):
     return rho**d * one_minus_r2 / lp.sigma * total
 
 
-def directional_wavelet_field(
-    spec: WaveletSpec, L: int | None = None, *, eps: float | None = None, scaled: bool | None = None
-) -> CoefficientField:
-    """Coefficient field of the order-d directional wavelet at scale rho.
+def directional_wavelet_field(spec: WaveletSpec, L: int) -> CoefficientField:
+    """Coefficient field of the order-d directional wavelet at scale rho, truncated at degree L.
 
-    ``scaled`` controls the rho^d prefactor: the bracketed Poisson wavelet
-    carries it, the bare derivative families (and the heat family) do not.
-    Defaults to the kind's own convention.  Exactly one of ``L`` (explicit
-    truncation) or ``eps`` (tolerance-driven, cap-checked) must be given.
+    The Poisson kind carries the rho^d prefactor of the bracketed wavelet; the
+    heat family is the bare derivative.
     """
-    if (L is None) == (eps is None):
-        raise ValueError("give exactly one of L or eps")
-    if L is None:
-        L = truncation_degree(spec, eps)
     field = derivative_order(kernel_zonal_coeffs(spec, L), spec.lp, spec.order)
-    if scaled is None:
-        scaled = spec.kind == KIND_POISSON
-    if scaled and spec.order > 0:
+    if spec.kind == KIND_POISSON and spec.order > 0:
         field = field.scaled(spec.rho**spec.order)
     return field
 
@@ -222,19 +214,13 @@ def modified_wavelet_table(lp: LambdaParam, gamma: GammaVector, L: int) -> np.nd
     return acc
 
 
-def modified_wavelet_field(
-    lp: LambdaParam, gamma: GammaVector, kind: str, rho: float, L: int | None = None, *, eps: float | None = None
-) -> CoefficientField:
-    """Admissible combination sum_d gamma_d * (d-th derivative field).
+def modified_wavelet_field(lp: LambdaParam, gamma: GammaVector, kind: str, rho: float, L: int) -> CoefficientField:
+    """Admissible combination sum_d gamma_d * (d-th derivative field), truncated at degree L.
 
     Poisson kind carries the rho^order prefactor; the heat-side reconstruction
     family does not.
     """
-    spec = WaveletSpec(lp=lp, kind=kind, order=gamma.order, rho=rho)
-    if (L is None) == (eps is None):
-        raise ValueError("give exactly one of L or eps")
-    if L is None:
-        L = truncation_degree(spec, eps)
+    WaveletSpec(lp=lp, kind=kind, order=gamma.order, rho=rho)  # validates kind and rho
     weights = scale_weights(lp, kind, gamma.order, [rho], L)[0]
     return CoefficientField(lp, weights[:, None] * modified_wavelet_table(lp, gamma, L))
 
@@ -270,6 +256,25 @@ def g2_closed(spec: WaveletSpec, theta1, theta2):
     return rho**2 * (term1 + term2)
 
 
+def certified_degree(bound, limit, failure: str) -> int:
+    """First index L whose remainder sum_{i > L} bound[i] has a geometric majorant below limit[L].
+
+    ``bound`` holds sup-norm bounds of consecutive series terms whose ratio
+    bound[i+1] / bound[i] decreases, so for L the majorant
+    bound[L+1] / (1 - bound[L+2] / bound[L+1]) covers the whole remainder once
+    that ratio is below 1.  ``limit`` is a scalar or one value per L, for the
+    len(bound) - 2 candidate indices.  Raises :class:`TruncationError` with the
+    message ``failure`` when no candidate is certified.
+    """
+    head, nxt = bound[1:-1], bound[2:]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q = np.where(head > 0, nxt / head, 0.0)
+        hits = np.flatnonzero((q < 1.0) & (head / (1.0 - q) < limit))
+    if not hits.size:
+        raise TruncationError(failure)
+    return int(hits[0])
+
+
 def truncation_degree(spec: WaveletSpec, eps: float) -> int:
     """Smallest L whose geometric tail bound on dropped terms is below eps.
 
@@ -279,20 +284,21 @@ def truncation_degree(spec: WaveletSpec, eps: float) -> int:
     is bounded by sqrt(N(n,l)), and a_l^0 sqrt(N) = N w_l / sigma.  The bound
     sums these terms for l > L via a geometric-ratio closed form (the term
     ratio is decreasing, so it majorizes the tail).  All degrees up to the cap
-    of 5000 are bounded at once, as one array.  Scales below the cap's reach,
-    and orders whose bound overflows a float, raise :class:`TruncationError`
-    rather than returning an unreliable degree.
+    of 5000 are bounded at once, as one array, and scanned by
+    :func:`certified_degree`.  Scales below the cap's reach, and orders whose
+    bound overflows a float, raise :class:`TruncationError` rather than
+    returning an unreliable degree.
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     lp, d = spec.lp, spec.order
-    overflow = TruncationError(f"degree bound overflows a float at order {d}")
+    overflow = f"degree bound overflows a float at order {d}"
     try:
         const = (spec.rho**d if spec.kind == KIND_POISSON else 1.0) * (d + 1) * 2.0**d
-        sigma = lp.sigma  # Gamma((n+1)/2) overflows for n above about 340
-    except OverflowError:
-        raise overflow from None
-    ls = np.arange(d + 1, max(TRUNCATION_CAP + 3, d + 2), dtype=float)  # l = L+1 for L = d .. cap, and L+2
+        sigma = lp.sigma  # n >= 261 has no normal-float sigma^2
+    except (OverflowError, ValueError):
+        raise TruncationError(overflow) from None
+    ls = np.arange(d, max(TRUNCATION_CAP + 3, d + 2), dtype=float)  # l = L for L = d .. cap, then L+1, L+2
     if spec.kind == KIND_POISSON:
         w = np.exp(-spec.rho * ls)
     else:
@@ -305,18 +311,8 @@ def truncation_degree(spec: WaveletSpec, eps: float) -> int:
         nl = nl * (lp.n + 2 * ls - 1) / (lp.n - 1)
         power = (ls + lp.lam) ** d
         bound = const * power * nl * w / sigma
-        head, nxt = bound[:-1], bound[1:]
-        q = np.where(head > 0, nxt / head, 0.0)
-        done = (q < 1.0) & (head / (1.0 - q) < eps)
-    # the first degree whose bound overflows ends the scan
+    failure = f"tolerance {eps:g} unreachable below degree cap {TRUNCATION_CAP} at rho={spec.rho:g}"
     unbounded = np.flatnonzero(~(np.isfinite(power) & np.isfinite(nl)))
-    if unbounded.size:
-        done = done[: max(unbounded[0] - 1, 0)]
-    hits = np.flatnonzero(done)
-    if hits.size:
-        return d + int(hits[0])
-    if unbounded.size:
-        raise overflow
-    raise TruncationError(
-        f"tolerance {eps:g} unreachable below degree cap {TRUNCATION_CAP} at rho={spec.rho:g}"
-    )
+    if unbounded.size:  # the first degree whose bound overflows ends the scan
+        bound, failure = bound[: unbounded[0]], overflow
+    return d + certified_degree(bound, eps, failure)

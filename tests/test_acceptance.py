@@ -36,6 +36,7 @@ from sphwave.wavelets import (
     directional_wavelet_field,
     g1_closed,
     g2_closed,
+    truncation_degree,
 )
 
 from test_admissibility import tail_l1_oracle
@@ -58,7 +59,7 @@ def test_criterion_1_closed_form_oracles():
         for rho in (0.2, 0.5, 1.0):
             for order, closed_fn in ((1, g1_closed), (2, g2_closed)):
                 spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=order, rho=rho)
-                field = directional_wavelet_field(spec, eps=1e-11)
+                field = directional_wavelet_field(spec, truncation_degree(spec, 1e-11))
                 series = synthesize(field, t1, t2)
                 closed = closed_fn(spec, t1, t2)
                 rel = float(np.max(np.abs(series - closed)) / np.max(np.abs(closed)))
@@ -245,7 +246,7 @@ def test_criterion_8_tail_boundedness_literal():
     agree with it to 1e-4 relative.
     """
     R_sweep = [1.0, 0.3, 0.1, 0.03]
-    norms = tail_l1_sweep(LambdaParam(2), 2, R_sweep, L=400)
+    norms = tail_l1_sweep(LambdaParam(2), 2, R_sweep)
     exact = [tail_l1_oracle(R) for R in R_sweep]
     spread, exact_spread = max(norms) / min(norms), max(exact) / min(exact)
     worst = max(abs(a / b - 1.0) for a, b in zip(norms, exact))
@@ -269,9 +270,9 @@ def test_criterion_8_tail_boundedness_content():
     successive ratios decrease toward 1, excluding any blow-up.
     """
     lp = LambdaParam(2)
-    norms = tail_l1_sweep(lp, 2, [1.0, 0.3, 0.1, 0.03], L=400)
+    norms = tail_l1_sweep(lp, 2, [1.0, 0.3, 0.1, 0.03])
     succ = [b / a for a, b in zip(norms, norms[1:])]
-    plateau = tail_l1_sweep(lp, 2, [1e-4], L=900)[0]
+    plateau = tail_l1_sweep(lp, 2, [1e-4])[0]
     ok = (
         norms == sorted(norms)
         and succ == sorted(succ, reverse=True)

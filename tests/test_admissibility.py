@@ -18,6 +18,7 @@ from sphwave.admissibility import (
     _q_table,
     _scale_integrals,
     _spectral_coeffs,
+    _tail_weights,
     _upper_gamma_q,
     admissibility_constant,
     pair_coefficient_sum,
@@ -29,8 +30,9 @@ from sphwave.admissibility import (
     zonal_product_series,
 )
 from sphwave.rotderiv import CoefficientField, derivative_order, sector_pair_sum
-from sphwave.special import LambdaParam, dim_harmonic, reproducing_kernel
-from sphwave.wavelets import KIND_HEAT, KIND_POISSON, modified_wavelet_field
+from sphwave.harmonics import gauss_jacobi_rule
+from sphwave.special import LambdaParam, dim_harmonic, gegenbauer_weighted_sum, reproducing_kernel
+from sphwave.wavelets import KIND_HEAT, KIND_POISSON, TruncationError, modified_wavelet_field
 
 from reference import gegenbauer_weighted_sum_one_row, q_table_all_pairs
 
@@ -374,7 +376,7 @@ def test_tail_single_term_hand_formula():
     dfrak, R = 2, 0.9
     t = 0.4
     # restrict to the l=1 term by choosing R large enough that l >= 2 is negligible
-    val = tail_integral(lp, dfrak, 6.0, t, 60)
+    val = tail_integral(lp, dfrak, 6.0, t)
     lam = lp.lam
     x1 = 6.0 * 1 * (2 * lam + 1) / (2 * lam)
     hand = (2 * lam) ** dfrak * gammaincc(dfrak, x1) * math.gamma(dfrak) * reproducing_kernel(
@@ -382,18 +384,38 @@ def test_tail_single_term_hand_formula():
     ) / lp.sigma**2
     assert val == pytest.approx(hand, rel=1e-10)
     # the full value at moderate R is finite and the remainder is certified
-    tail_integral(lp, dfrak, R, t, 200)
+    assert math.isfinite(tail_integral(lp, dfrak, R, t))
 
 
 def test_tail_vanishes_for_large_cutoff():
     lp = LambdaParam(2)
-    assert abs(tail_integral(lp, 2, 40.0, 0.2, 40)) < 1e-15
+    assert abs(tail_integral(lp, 2, 40.0, 0.2)) < 1e-15
 
 
-def test_tail_truncation_error():
+def test_tail_cutoff_beyond_the_cap_raises():
+    # at R = 1e-8 the degree-5000 tail weight still has x = 0.25, so no degree certifies
     lp = LambdaParam(2)
-    with pytest.raises(ValueError):
-        tail_integral(lp, 2, 0.05, 0.2, 10)
+    with pytest.raises(TruncationError):
+        tail_integral(lp, 2, 1e-8, 0.2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_tail_degree_certifies_against_the_sup_norm(n, order):
+    # the sum at the chosen degree and the sum 400 degrees further differ by
+    # at most 1e-12 sup |Phi_R| = 1e-12 Phi_R(1) at the sweep's nodes
+    lp = LambdaParam(n)
+    lam = lp.lam
+    nodes = gauss_jacobi_rule(lam, 400).nodes
+    for R in (1.0, 0.03, 1e-4):
+        L = _tail_weights(lam, order, R).size - 1
+        ls = np.arange(1, L + 401)
+        x = R * ls * (2 * lam + ls) / (2 * lam)
+        tail = (2 * lam) ** order * _upper_gamma_q(order, x) * math.gamma(order) * (lam + ls) / lam
+        longer = np.concatenate(([0.0], tail)) / lp.sigma**2
+        drift = tail_integral(lp, order, R, nodes) - gegenbauer_weighted_sum(lam, longer, nodes)
+        assert np.max(np.abs(drift)) <= 1e-12 * gegenbauer_weighted_sum(lam, longer, 1.0), (R, L)
+    assert L < 900
 
 
 def tail_l1_oracle(R: float) -> float:
@@ -424,24 +446,22 @@ def tail_l1_oracle(R: float) -> float:
 def test_tail_l1_sweep_per_cutoff_degrees_match_separate_sweeps():
     # one rule serves cutoffs with their own truncation degrees
     lp = LambdaParam(2)
-    joint = tail_l1_sweep(lp, 1, [1.0, 0.1, 1e-3], L=[100, 100, 300], n_quad=120)
-    apart = tail_l1_sweep(lp, 1, [1.0, 0.1], L=100, n_quad=120) + tail_l1_sweep(lp, 1, [1e-3], L=300, n_quad=120)
+    joint = tail_l1_sweep(lp, 1, [1.0, 0.1, 1e-3])
+    apart = tail_l1_sweep(lp, 1, [1.0, 0.1]) + tail_l1_sweep(lp, 1, [1e-3])
     assert joint == apart
-    with pytest.raises(ValueError):
-        tail_l1_sweep(lp, 1, [1.0, 0.1], L=[100], n_quad=120)
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_tail_l1_sweep_matches_untrimmed_recurrence_bits(order, monkeypatch):
-    # the tail weights underflow to 0.0 from degree 27 (R = 1) on, and the
-    # recurrence stops there; the verify sweep keeps the bits of the full loop
+    # the verify sweep, at the degrees its tail sums choose, keeps the bits
+    # of the single-row streaming loop
     import sphwave.admissibility as adm
 
     lp = LambdaParam(2)
-    R_values, L = [1.0, 0.3, 0.1, 0.03, 1e-4], [400] * 4 + [900]
-    trimmed = tail_l1_sweep(lp, order, R_values, L=L)
+    R_values = [1.0, 0.3, 0.1, 0.03, 1e-4]
+    trimmed = tail_l1_sweep(lp, order, R_values)
     monkeypatch.setattr(adm, "gegenbauer_weighted_sum", gegenbauer_weighted_sum_one_row)
-    assert trimmed == tail_l1_sweep(lp, order, R_values, L=L)
+    assert trimmed == tail_l1_sweep(lp, order, R_values)
 
 
 def test_tail_l1_sweep_bounded():
@@ -449,12 +469,12 @@ def test_tail_l1_sweep_bounded():
     # shrink toward 1 and the whole sweep stays near the small-R limit
     lp = LambdaParam(2)
     R_sweep = [1.0, 0.3, 0.1, 0.03]
-    norms = tail_l1_sweep(lp, 2, R_sweep, L=400)
+    norms = tail_l1_sweep(lp, 2, R_sweep)
     assert norms == sorted(norms)
     succ = [b / a for a, b in zip(norms, norms[1:])]
     assert succ == sorted(succ, reverse=True)
     assert max(succ) < 2.5
-    limit = tail_l1_sweep(lp, 2, [1e-4], L=900)[0]
+    limit = tail_l1_sweep(lp, 2, [1e-4])[0]
     assert norms[-1] < limit < 1.1 * norms[-1]
     # every norm and the full spread agree with the exact oracle; the
     # Gauss-Jacobi rule meets a kink of |Phi_R| at the sign change, which

@@ -217,8 +217,8 @@ def test_verify_builds_the_tail_rule_once(tmp_path, monkeypatch):
     assert built == [400]
     row = next(c for c in json.loads(out.read_text())["checks"] if c["check"] == "tail_l1_bounded_sweep")
     lp = LambdaParam(2)
-    plateau = adm.tail_l1_sweep(lp, 1, [1e-4], L=900)[0]
-    assert row["value"] == plateau / adm.tail_l1_sweep(lp, 1, [0.03], L=400)[0]
+    plateau = adm.tail_l1_sweep(lp, 1, [1e-4])[0]
+    assert row["value"] == plateau / adm.tail_l1_sweep(lp, 1, [0.03])[0]
 
 
 def _write_csv_per_cell(path, header, rows):
@@ -408,6 +408,19 @@ def test_fuzzed_arguments_exit_cleanly(argv, tmp_path_factory):
     for path in written:
         if path.suffix == ".json" or argv[0] not in ("eval", "coeffs"):  # eval and coeffs write a CSV table at out
             json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("n", [261, 300, 400])
+@pytest.mark.parametrize("argv", [["limit"], ["coeffs"], ["verify", "--order", "1", "--band", "4"]], ids=lambda a: a[0])
+def test_sphere_without_a_normal_surface_measure_is_a_usage_error(n, argv, tmp_path):
+    # from n = 261 on, sigma^2 is below the smallest normal float (and Gamma overflows by n = 400)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--n", str(n), "--out", str(tmp_path / "report")])
+    assert code == EXIT_USAGE
+    assert "Traceback" not in stderr.getvalue()
+    assert stderr.getvalue().startswith("error:")
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_check_names_are_unique(tmp_path):

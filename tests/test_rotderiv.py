@@ -16,7 +16,7 @@ from sphwave.rotderiv import (
     zonal_field,
 )
 from sphwave.special import LambdaParam, gegenbauer_batch, gegenbauer_weighted_sum
-from sphwave.wavelets import KIND_HEAT, KIND_POISSON, WaveletSpec, directional_wavelet_field
+from sphwave.wavelets import KIND_HEAT, KIND_POISSON, WaveletSpec, directional_wavelet_field, truncation_degree
 
 from reference import synthesize_frame_per_column
 
@@ -188,7 +188,7 @@ def test_synthesize_column_by_row_matches_meshgrid_bits(n, d):
 )
 def test_synthesize_one_recurrence_matches_per_column_bits(n, kind, order, rho):
     spec = WaveletSpec(lp=LambdaParam(n), kind=kind, order=order, rho=rho)
-    field = directional_wavelet_field(spec, eps=1e-10)
+    field = directional_wavelet_field(spec, truncation_degree(spec, 1e-10))
     theta1 = np.linspace(0.0, np.pi, 14)[:, None]  # the poles included
     theta2 = np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False)[None, :]
     args = (field, np.cos(theta1), np.sin(theta1), theta2)

@@ -1,6 +1,7 @@
 """Gegenbauer recurrences, normalization constants, dimensions."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -54,6 +55,18 @@ def test_surface_measure_values():
     assert surface_measure(2) == pytest.approx(4 * np.pi, rel=1e-15)
     assert surface_measure(3) == pytest.approx(2 * np.pi**2, rel=1e-15)
     assert LambdaParam(4).sigma == pytest.approx(8 * np.pi**2 / 3, rel=1e-14)
+
+
+def test_surface_measure_range():
+    # the formula's bits up to n = 260; beyond it sigma^2 is not a normal float
+    for n in range(1, 261):
+        sigma = 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
+        assert surface_measure(n) == sigma
+    assert surface_measure(260) ** 2 >= sys.float_info.min
+    assert (2.0 * math.pi**131 / math.gamma(131)) ** 2 < sys.float_info.min  # n = 261
+    for n in (261, 300, 342, 400, 10**6):  # Gamma overflows from n = 342 on
+        with pytest.raises(ValueError):
+            surface_measure(n)
 
 
 def test_lambda_param_invariants():

@@ -57,7 +57,7 @@ def test_kernel_coeff_degree_zero():
 def test_poisson_series_matches_closed_form(n, rho):
     lp = LambdaParam(n)
     spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=0, rho=rho)
-    field = directional_wavelet_field(spec, eps=1e-11)
+    field = directional_wavelet_field(spec, truncation_degree(spec, 1e-11))
     series = synthesize(field, THETA1, 0.0)
     closed = poisson_kernel_closed(lp, rho, THETA1)
     assert np.max(np.abs(series - closed)) < 1e-9 * np.max(np.abs(closed))
@@ -66,7 +66,7 @@ def test_poisson_series_matches_closed_form(n, rho):
 def test_zonal_kernel_is_theta2_independent():
     lp = LambdaParam(3)
     spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=0, rho=0.5)
-    field = directional_wavelet_field(spec, eps=1e-11)
+    field = directional_wavelet_field(spec, truncation_degree(spec, 1e-11))
     v1 = synthesize(field, 1.0, 0.0)
     v2 = synthesize(field, 1.0, 2.0)
     assert float(v1) == pytest.approx(float(v2), rel=1e-14)
@@ -90,7 +90,7 @@ def test_poisson_coeff_round_trip_through_quadrature():
     lp = LambdaParam(3)
     rho = 0.6
     spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=0, rho=rho)
-    field = directional_wavelet_field(spec, eps=1e-12)
+    field = directional_wavelet_field(spec, truncation_degree(spec, 1e-12))
     rule = gauss_jacobi_rule(lp.lam, 220)
     vals = synthesize(field, np.arccos(rule.nodes), 0.0)
     for l in range(10):
@@ -102,7 +102,7 @@ def test_poisson_coeff_round_trip_through_quadrature():
 def test_first_order_matches_closed_form(n):
     lp = LambdaParam(n)
     spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=1, rho=0.5)
-    field = directional_wavelet_field(spec, eps=1e-11)
+    field = directional_wavelet_field(spec, truncation_degree(spec, 1e-11))
     t1, t2 = np.meshgrid(THETA1, THETA2, indexing="ij")
     series = synthesize(field, t1, t2)
     closed = g1_closed(spec, t1, t2)
@@ -113,7 +113,7 @@ def test_first_order_matches_closed_form(n):
 def test_second_order_matches_closed_form(n):
     lp = LambdaParam(n)
     spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=2, rho=0.4)
-    field = directional_wavelet_field(spec, eps=1e-11)
+    field = directional_wavelet_field(spec, truncation_degree(spec, 1e-11))
     t1, t2 = np.meshgrid(THETA1, THETA2, indexing="ij")
     series = synthesize(field, t1, t2)
     closed = g2_closed(spec, t1, t2)
@@ -127,7 +127,7 @@ def test_closed_form_engine_matches_series(n, order):
     eps = 1e-12
     for rho in (0.05, 0.3, 1.0):
         spec = WaveletSpec(lp=LambdaParam(n), kind=KIND_POISSON, order=order, rho=rho)
-        series = synthesize(directional_wavelet_field(spec, eps=eps), t1, t2)
+        series = synthesize(directional_wavelet_field(spec, truncation_degree(spec, eps)), t1, t2)
         closed = poisson_wavelet_closed(spec, t1, t2)
         # the series' truncation bound eps is absolute; the rest is rounding
         assert np.max(np.abs(series - closed)) < eps + 1e-12 * np.max(np.abs(closed))
@@ -305,15 +305,6 @@ def test_l2_norm_stable_under_refinement():
     a = directional_wavelet_field(spec, L=L).l2_norm_sq()
     b = directional_wavelet_field(spec, L=2 * L).l2_norm_sq()
     assert abs(a - b) < 1e-10 * b
-
-
-def test_field_builder_argument_contract():
-    lp = LambdaParam(3)
-    spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=1, rho=0.5)
-    with pytest.raises(ValueError):
-        directional_wavelet_field(spec)
-    with pytest.raises(ValueError):
-        directional_wavelet_field(spec, L=10, eps=1e-10)
 
 
 def test_modified_field_lambda_mismatch():
