@@ -28,17 +28,23 @@ Grid design notes
   f_rec(x) = sum_{l,k,R} V_{l,k}(R) Y_l^k(R^-1 x) with
   V = C sum_r w_r s^H_l(rho_r) B_{l,k} W_r(R) nu_R.  No step loops over scales
   in Python, and the basis work does not depend on the number of scale nodes.
-* The first Euler twist is an index shift.  The sphere grid's 2L+1 phi nodes
-  are the rotation grid's 2L+1 alpha twists, and R_pole(-alpha_i) maps phi_j
-  to phi_{j-i}, so Y(R^-1 x) at (alpha_i, beta, gamma; theta, phi_j) is the
-  alpha = 0 basis at (beta, gamma; theta, phi_{j-i}).  The round trip stores
-  that basis only, (L+1)(d+1) n_beta n_gamma M values, which grows like L^4
-  (the full basis is 2L+1 times larger).  T is then a circular
-  cross-correlation over phi and the inversion sum over alpha a circular
-  convolution, both products of rfft modes (the separation of variables of
-  McEwen et al., IEEE TSP 2007, and Kostelec & Rockmore, JFAA 2008).
-  :func:`wavelet_transform` and :func:`inverse_transform` take any rotation
-  frame and evaluate the full basis; they are the reference.
+* The round trip evaluates no rotated basis: it separates variables through
+  Wigner-d matrices (McEwen et al., IEEE TSP 2007; the SO(3) FFT of Kostelec
+  & Rockmore, JFAA 2008).  In the frame (x2, x3, x1) the Euler rotation is
+  R = R_z(alpha) R_y(beta) R_z(gamma), the unit-norm complex harmonics
+  y_l^m(theta, phi) = sqrt(2l+1) d^l_{m0}(theta) e^{i m phi} turn by
+  y_l^m(R^-1 x) = sum_m' e^{-i m' alpha} d^l_{m'm}(beta) e^{-i m gamma} y_l^m'(x),
+  and the sector basis is Y_l^k = (-1)^k y_l^k + y_l^{-k}.  So T_{l,k} needs
+  the signal's coefficients f_lm (the theta rule times an FFT over phi), one
+  table d^l_{m'k} with k <= d (the wavelet is steerable), and FFTs over
+  alpha and gamma; the inversion is the adjoint, ending in synthesis on the
+  grid.  The sphere grid's theta rule is the rotation grid's beta rule, so
+  the one table serves both: its k = 0 column holds the harmonics at the
+  grid's theta nodes.  Time is O(L^3 d) per round trip plus the scale sums,
+  and the table holds (L+1)(2L+1)(d+1)(L+1) values: at band 64, order 2 the
+  round trip takes about 0.5 s.  :func:`wavelet_transform` and
+  :func:`inverse_transform` take any rotation frame and evaluate the full
+  basis; they are the reference.
 * The scale integral is discretized log-uniformly (trapezoid in log rho),
   natural for the d(rho)/rho measure.  The default range [1e-6, 8] with 60
   nodes keeps every per-degree multiplier within ~1e-4 of 1 for band-8
@@ -79,6 +85,7 @@ __all__ = [
     "random_bandlimited_field",
     "wavelet_transform",
     "inverse_transform",
+    "wigner_d_table",
     "round_trip",
     "per_degree_reconstruction_check",
 ]
@@ -247,14 +254,14 @@ def random_bandlimited_field(lp: LambdaParam, band: int, seed: int = 0) -> Coeff
     return CoefficientField(lp, a)
 
 
-def _scale_rotation_sums(W: np.ndarray, omega_coeffs: np.ndarray, rho_weights, rot: RotationGrid) -> np.ndarray:
+def _scale_rotation_sums(W: np.ndarray, omega_coeffs: np.ndarray, rho_weights, nu: np.ndarray) -> np.ndarray:
     """V_{l,k}(R) = sum_r rho_w_r omega_r[l, k] W_r(R) nu_R, shape (L+1, K+1, M_rot).
 
-    ``omega_coeffs`` has shape (n_rho, L+1, K+1); the scale sum is done before
-    the basis is touched, so the basis work does not grow with the scale count.
+    ``omega_coeffs`` has shape (n_rho, L+1, K+1) and ``nu`` holds the rotation
+    weights; the scale sum comes first, so no later step grows with the scale count.
     """
     weighted = np.asarray(rho_weights, dtype=float)[:, None, None] * omega_coeffs
-    return np.tensordot(weighted, W * rot.weights, axes=(0, 0))
+    return np.tensordot(weighted, W * nu, axes=(0, 0))
 
 
 def wavelet_transform(
@@ -300,7 +307,60 @@ def inverse_transform(
     omega = np.stack([field.coeffs for field in omega_fields])
     lp = omega_fields[0].lp
     basis = sector_basis_frame(lp, omega.shape[1] - 1, omega.shape[2] - 1, *rot_frame)
-    return np.tensordot(_scale_rotation_sums(W, omega, rho_weights, rot), basis, axes=3)
+    return np.tensordot(_scale_rotation_sums(W, omega, rho_weights, rot.weights), basis, axes=3)
+
+
+def wigner_d_table(L: int, K: int, beta) -> np.ndarray:
+    """Wigner small-d values d^l_{m,k}(beta) for l <= L, |m| <= L and 0 <= k <= K.
+
+    ``beta`` is a 1-d array.  Shape ``(L+1, 2L+1, K+1, len(beta))``; entry
+    ``[l, m, k]`` is d^l_{mk}(beta) = <l m| exp(-i beta J_y) |l k>, zero
+    where |m| > l or k > l.  A negative m is a python index, m mod (2L+1):
+    the order of FFT modes, so sums over m are FFTs.  Each (m, k) column
+    runs the three-term recurrence in l of Kostelec & Rockmore (JFAA 2008),
+
+        a_{l+1} d^{l+1} = (cos beta - m k / (l (l+1))) d^l - a_l d^{l-1},
+        a_l = sqrt((l^2 - m^2)(l^2 - k^2)) / (l (2l+1)),
+
+    from its first degree max(|m|, k), where d is a binomial root times
+    powers of cos(beta/2) and sin(beta/2).  The roots are running products,
+    so no factorial is formed.
+    """
+    if L < 0 or K < 0:
+        raise ValueError("L and K must be >= 0")
+    beta = np.asarray(beta, dtype=float)
+    if beta.ndim != 1:
+        raise ValueError("beta must be a 1-d array")
+    c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
+    out = np.zeros((L + 1, 2 * L + 1, K + 1, beta.size))
+    for k in range(min(K, L) + 1):
+        # first degree k >= |m|: d^k_{mk} = sqrt(C(2k, k+m)) c^(k+m) s^(k-m)
+        root = 1.0
+        for m in range(k, -k - 1, -1):
+            out[k, L + m, k] = root * c ** (k + m) * s ** (k - m)
+            root *= math.sqrt((k + m) / (k - m + 1))
+        # first degree j = |m| > k: d^j_{jk} = (-1)^(j-k) r_j c^(j+k) s^(j-k), d^j_{-j,k} = r_j c^(j-k) s^(j+k),
+        # with r_j = sqrt(C(2j, j+k)) grown by sqrt(2j (2j-1) / ((j+k)(j-k))) per degree
+        top, bottom = c ** (2 * k), s ** (2 * k)
+        for j in range(k + 1, L + 1):
+            step = math.sqrt(2 * j * (2 * j - 1) / ((j + k) * (j - k))) * c * s
+            top, bottom = top * step, bottom * step
+            out[j, L + j, k] = top if (j - k) % 2 == 0 else -top
+            out[j, L - j, k] = bottom
+    cos_b = np.cos(beta)
+    for l in range(L):
+        # d^{l+1} on the block |m| <= l, k <= min(l, K), where every column has started
+        m = np.arange(-l, l + 1.0)[:, None, None]
+        k = np.arange(min(l, K) + 1.0)[None, :, None]
+        block = (slice(L - l, L + l + 1), slice(0, k.size))
+        next_sq = ((l + 1) ** 2 - m * m) * ((l + 1) ** 2 - k * k)
+        x = (l + 1) * (2 * l + 1) / np.sqrt(next_sq)
+        if l == 0:
+            out[1][block] = x * cos_b * out[0][block]
+            continue
+        y = (l + 1) / l * np.sqrt((l * l - m * m) * (l * l - k * k) / next_sq)
+        out[l + 1][block] = x * (cos_b - m * k / (l * (l + 1))) * out[l][block] - y * out[l - 1][block]
+    return np.roll(out, -L, axis=1)  # index L + m to index m mod (2L+1)
 
 
 def round_trip(
@@ -332,8 +392,10 @@ def round_trip(
     ``predicted_rel_l2`` = sqrt(sum_l (m_l - 1)^2 E_l / sum_l E_l).  Rotations
     keep every E_l, so the prediction holds for f o Q^-1 too.
 
-    The basis is evaluated on the alpha = 0 rotations only; the sums over alpha
-    are circular correlations and convolutions over phi (see the module notes).
+    The transform W and the inversion sum V live on every node of the steered
+    rotation grid, but no basis is evaluated on it: both go through the
+    signal's coefficients f_lm and one Wigner-d table, with FFTs over the
+    Euler twists (see the module notes).
     """
     if lp.n != 2:
         raise ValueError("full round trip is 2-sphere only")
@@ -354,32 +416,46 @@ def round_trip(
         if Q.shape != (3, 3) or not np.allclose(Q @ Q.T, np.eye(3), atol=1e-12) or np.linalg.det(Q) < 0:
             raise ValueError("rotation must be a 3x3 rotation matrix")
         f_vals = synthesize_frame(signal, *rotated_sector_frame(Q[None], grid))[0]
-    rot = build_rotation_grid(band, dfrak)
-    n_theta, n_phi = grid.shape
-    block = rot.size // n_phi  # Euler nodes are alpha-major: the first block has alpha = 0
-    if not np.array_equal(rot.euler[::block, 0], grid.angles[:n_phi, 1]):
-        raise ValueError("the sphere grid's phi nodes must be the rotation grid's alpha twists")
-    basis = sector_basis_frame(lp, band, dfrak, *rotated_sector_frame(rotation_matrices(rot)[:block], grid))
-    # alpha_i turns phi_j into phi_{j-i}: the sums over phi and alpha become products of phi modes
-    spec = np.fft.rfft(basis.reshape(-1, n_theta, n_phi))  # (l k beta gamma, theta, phi mode)
-    del basis  # the modes replace it; at band 32 each is about 110 MB
+    # the rotation grid of build_rotation_grid(band, dfrak): alpha on the phi nodes, beta on the
+    # theta rule, 2K + 1 gamma twists, Haar weight w_theta / (2 n_alpha n_gamma) per node
+    n_beta, n_alpha = grid.shape
+    if (n_beta, n_alpha) != (band + 1, 2 * band + 1):
+        raise ValueError("the sphere grid's theta rule must be the rotation grid's beta rule")
+    K = min(dfrak, band)
+    n_gamma = 2 * K + 1
+    nu = np.repeat(grid.weights[::n_alpha] / (4.0 * np.pi * n_gamma), n_alpha * n_gamma)
+    d = wigner_d_table(band, K, grid.angles[::n_alpha, 0])  # (l, m, k, beta)
+    # y_l^m = sqrt(2l+1) d^l_{m0}(theta) e^{i m phi} are the complex harmonics with
+    # (1/sigma)-unit norm, and the sector basis is Y_l^k = (-1)^k y_l^k + y_l^{-k}
+    y_theta = np.sqrt(2.0 * np.arange(band + 1) + 1.0)[:, None, None] * d[:, :, 0, :]
+    g = np.fft.fft((grid.weights * f_vals / lp.sigma).reshape(n_beta, n_alpha))
+    f_lm = np.einsum("lmb,bm->lm", y_theta, g)
+    # T_{l,k}(R) = (1/sigma) int Y_l^k(R^-1 x) f(x) dx = w_k Re[(-1)^k e^{-ik gamma} G_{l,k}(alpha, beta)],
+    # G_{l,k}(alpha, beta) = sum_m e^{-im alpha} d^l_{mk}(beta) conj(f_lm): an FFT over m
+    G = np.fft.fft(d * f_lm.conj()[:, :, None, None], axis=1)  # (l, alpha, k, beta)
+    ks = np.arange(K + 1)
+    twist = ks[:, None] * (2.0 * np.pi * np.arange(n_gamma) / n_gamma)
+    w_k = np.where(ks % 2, -1.0, 1.0) * sector_weights(2, K)
+    cos_g, sin_g = w_k[:, None] * np.cos(twist), w_k[:, None] * np.sin(twist)
+    T = np.einsum("lakb,kg->lkbag", G.real, cos_g) + np.einsum("lakb,kg->lkbag", G.imag, sin_g)
     rhos, rho_w = log_rho_grid(rho_min, rho_max, rho_steps)
     C = admissibility_constant(lp, dfrak)
-    B = modified_wavelet_table(lp, gamma, band)
+    B = modified_wavelet_table(lp, gamma, band)[:, : K + 1]
     s_p = scale_weights(lp, KIND_POISSON, dfrak, rhos, band)
     s_h = scale_weights(lp, KIND_HEAT, dfrak, rhos, band)
-    g = np.fft.rfft((grid.weights * f_vals / lp.sigma).reshape(n_theta, n_phi))
-    T = np.fft.irfft(np.einsum("ptm,tm->pm", spec, g.conj()).conj(), n_phi)  # cross-correlation over phi
-    T = T.reshape(band + 1, dfrak + 1, block, n_phi).swapaxes(2, 3).reshape(band + 1, dfrak + 1, -1)
-    W = np.tensordot(s_p[:, :, None] * B, T, axes=2)
-    V = _scale_rotation_sums(W, C * s_h[:, :, None] * B, rho_w, rot)
-    v = np.fft.rfft(V.reshape(-1, n_phi, block), axis=1).swapaxes(1, 2).reshape(spec.shape[0], -1)
-    f_rec = np.fft.irfft(np.einsum("pm,ptm->tm", v, spec), n_phi).ravel()  # convolution over phi
+    W = np.tensordot(s_p[:, :, None] * B, T.reshape(band + 1, K + 1, -1), axes=2)
+    V = _scale_rotation_sums(W, C * s_h[:, :, None] * B, rho_w, nu).reshape(T.shape)
+    # inversion, the adjoint: f_rec,lm = sum_{k,R} V_{l,k}(R) w_k (-1)^k D^l_{mk}(R), then synthesis
+    V_k = np.einsum("lkbag,kg->lkba", V, cos_g) - 1j * np.einsum("lkbag,kg->lkba", V, sin_g)
+    V_km = np.fft.fft(V_k, axis=3)  # (l, k, beta, m)
+    rec_lm = np.einsum("lmkb,lkbm->lm", d, V_km)
+    rec = np.einsum("lmb,lm->bm", y_theta, rec_lm)
+    f_rec = n_alpha * np.fft.ifft(rec).real.ravel()
     err = f_rec - f_vals
     rel_l2 = math.sqrt(grid_inner(grid, err, err) / grid_inner(grid, f_vals, f_vals))
 
     ls = np.arange(band + 1)
-    multipliers = C * (rho_w @ (s_p * s_h)) * (B**2 @ sector_weights(2, dfrak)) / (2 * ls + 1)
+    multipliers = C * (rho_w @ (s_p * s_h)) * (B**2 @ sector_weights(2, K)) / (2 * ls + 1)
     energy = signal.coeffs**2 @ sector_weights(2, signal.order_bound)
     predicted = math.sqrt(float(np.sum((multipliers - 1.0) ** 2 * energy) / np.sum(energy)))
     return {
@@ -388,7 +464,7 @@ def round_trip(
         "rho_min": rho_min,
         "rho_max": rho_max,
         "rho_steps": rho_steps,
-        "rotation_nodes": rot.size,
+        "rotation_nodes": n_alpha * n_beta * n_gamma,
         "sphere_nodes": grid.size,
         "rel_l2_error": rel_l2,
         "predicted_rel_l2": predicted,

@@ -7,6 +7,7 @@ replaced with a faster or more general form.  None is imported by ``sphwave``.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from sphwave.admissibility import _beta_sq_poly, _padd, _pmul
@@ -145,3 +146,19 @@ def limit_closed_low_order(lp: LambdaParam, d: int, xi: EuclideanPoint) -> float
             + 4.0 * (lam + 1.0) * (lam + 2.0) * xi.xi2**2 * A ** (-(lam + 3.0))
         )
     raise ValueError("closed branches exist for d <= 2")
+
+
+def wigner_d_sum(l: int, m: int, k: int, beta: float) -> float:
+    """d^l_{mk}(beta) by Wigner's explicit sum over s, in 40-digit arithmetic.
+
+    sqrt((l+m)! (l-m)! (l+k)! (l-k)!) sum_s (-1)^(m-k+s) cos(beta/2)^(2l+k-m-2s)
+    sin(beta/2)^(m-k+2s) / ((l+k-s)! s! (m-k+s)! (l-m-s)!).
+    """
+    f = math.factorial
+    with mpmath.workdps(40):
+        c, s_ = mpmath.cos(mpmath.mpf(beta) / 2), mpmath.sin(mpmath.mpf(beta) / 2)
+        total = mpmath.mpf(0)
+        for s in range(max(0, k - m), min(l + k, l - m) + 1):
+            term = c ** (2 * l + k - m - 2 * s) * s_ ** (m - k + 2 * s) / (f(l + k - s) * f(s) * f(m - k + s) * f(l - m - s))
+            total += -term if (m - k + s) % 2 else term
+        return float(mpmath.sqrt(f(l + m) * f(l - m) * f(l + k) * f(l - k)) * total)

@@ -27,8 +27,11 @@ from sphwave.transform import (
     round_trip,
     synthesize_on_grid,
     wavelet_transform,
+    wigner_d_table,
 )
 from sphwave.wavelets import KIND_POISSON, WaveletSpec, directional_wavelet_field
+
+from reference import wigner_d_sum
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -353,18 +356,35 @@ def test_round_trip_of_rotated_signals(order):
         assert rep["rel_l2_error"] == pytest.approx(rep["predicted_rel_l2"], rel=1e-8)
 
 
-@pytest.mark.parametrize(("band", "order"), [(4, 1), (4, 2), (5, 1), (5, 2)], ids=["1", "2", "band5-1", "band5-2"])
-def test_steered_round_trip_equals_full_grid_synthesis(band, order):
-    # the alpha-shifted round trip on the steered grid against per-scale
-    # analysis and inversion through the public functions, which evaluate the
-    # basis on every node of the full rotation grid
+STEERED_CASES = [
+    # (band, order, rotated); the order may exceed the band
+    pytest.param(4, 1, True, id="1"),
+    pytest.param(4, 2, True, id="2"),
+    pytest.param(5, 1, True, id="band5-1"),
+    pytest.param(5, 2, True, id="band5-2"),
+    pytest.param(4, 1, False, id="unrotated-1"),
+    pytest.param(4, 2, False, id="unrotated-2"),
+    pytest.param(4, 4, True, id="4"),
+    pytest.param(4, 4, False, id="unrotated-4"),
+    pytest.param(1, 2, True, id="band1-2"),
+    pytest.param(1, 2, False, id="unrotated-band1-2"),
+    pytest.param(2, 4, True, id="band2-4"),
+    pytest.param(2, 4, False, id="unrotated-band2-4"),
+]
+
+
+@pytest.mark.parametrize(("band", "order", "rotated"), STEERED_CASES)
+def test_steered_round_trip_equals_full_grid_synthesis(band, order, rotated):
+    # the Wigner-d round trip on the steered grid against per-scale analysis
+    # and inversion through the public functions, which evaluate the basis on
+    # every node of the full rotation grid
     from sphwave.wavelets import KIND_HEAT, modified_wavelet_field
 
     lp = LambdaParam(2)
     steps = 12
     signal = random_bandlimited_field(lp, band, seed=4)
-    Q = random_rotation(np.random.default_rng(10 + order))
-    rep = round_trip(lp, signal, order, rho_steps=steps, rotation=Q)
+    Q = random_rotation(np.random.default_rng(10 + order)) if rotated else np.eye(3)
+    rep = round_trip(lp, signal, order, rho_steps=steps, rotation=Q if rotated else None)
     grid = build_sphere_grid(2, 2 * band)
     rot = build_rotation_grid(band)
     frame = rotated_sector_frame(rotation_matrices(rot), grid)
@@ -377,6 +397,37 @@ def test_steered_round_trip_equals_full_grid_synthesis(band, order):
     rec = inverse_transform(W, omegas, rho_w, rot, grid, frame)
     assert np.allclose(rep["f_values"], f_vals, rtol=0, atol=1e-13)
     assert np.max(np.abs(rep["f_reconstructed"] - rec)) < 1e-10 * np.max(np.abs(rec))
+    assert rep["rotation_nodes"] == build_rotation_grid(band, order).size
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_round_trip_transform_values_equal_the_reference(monkeypatch, order):
+    # the W that round_trip sums over scales is the wavelet transform on every
+    # node of the steered grid, in (beta, alpha, gamma) order
+    import sphwave.transform as transform
+    from sphwave.wavelets import modified_wavelet_field
+
+    seen = []
+    original = transform._scale_rotation_sums
+
+    def capture(W, *args):
+        seen.append(W)
+        return original(W, *args)
+
+    monkeypatch.setattr(transform, "_scale_rotation_sums", capture)
+    lp = LambdaParam(2)
+    band, steps = 4, 5
+    signal = random_bandlimited_field(lp, band, seed=9)
+    round_trip(lp, signal, order, rho_steps=steps)
+    rot = build_rotation_grid(band, order)
+    grid = build_sphere_grid(2, 2 * band)
+    frame = rotated_sector_frame(rotation_matrices(rot), grid)
+    gam = solve_gamma(lp.lam, order)
+    f_vals = synthesize_on_grid(signal, grid)
+    W = np.array([wavelet_transform(modified_wavelet_field(lp, gam, KIND_POISSON, r, L=band), f_vals, grid, frame) for r in log_rho_grid(steps=steps)[0]])
+    n_alpha, n_beta = 2 * band + 1, band + 1
+    W = W.reshape(steps, n_alpha, n_beta, -1).transpose(0, 2, 1, 3).reshape(steps, -1)
+    assert np.max(np.abs(seen[0] - W)) < 1e-12 * np.max(np.abs(W))
 
 
 def test_steered_rotation_grid():
@@ -408,31 +459,98 @@ def test_transform_equivariance_random_rotations(order):
         assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-13 * np.max(np.abs(rhs)))
 
 
-def test_round_trip_evaluates_the_basis_once(monkeypatch):
+def test_round_trip_evaluates_no_rotated_basis(monkeypatch):
+    # the round trip goes through coefficients and Wigner-d tables only
     import sphwave.transform as transform
 
-    calls = []
-    original = transform.sector_basis_frame
+    def forbidden(*args, **kwargs):
+        raise AssertionError("round_trip evaluated a rotated basis")
 
-    def counting(*args):
-        calls.append(np.shape(args[3])[0])  # rotation nodes
-        return original(*args)
-
-    monkeypatch.setattr(transform, "sector_basis_frame", counting)
+    monkeypatch.setattr(transform, "sector_basis_frame", forbidden)
+    monkeypatch.setattr(transform, "rotation_matrices", forbidden)
     lp = LambdaParam(2)
-    band = 3
-    signal = random_bandlimited_field(lp, band, seed=1)
-    for steps in (10, 40):
-        calls.clear()
-        round_trip(lp, signal, 1, rho_steps=steps)
-        # once, and on the alpha = 0 block of the rotation grid only
-        assert calls == [build_rotation_grid(band, 1).size // (2 * band + 1)]
+    signal = random_bandlimited_field(lp, 3, seed=1)
+    for Q in (None, random_rotation(np.random.default_rng(5))):
+        rep = round_trip(lp, signal, 1, rho_steps=10, rotation=Q)
+        assert rep["rel_l2_error"] == pytest.approx(rep["predicted_rel_l2"], rel=1e-8)
 
 
-def test_round_trip_requires_phi_nodes_on_alpha_twists(monkeypatch):
+def test_round_trip_requires_theta_rule_on_beta_nodes(monkeypatch):
     import sphwave.transform as transform
 
-    monkeypatch.setattr(transform, "build_rotation_grid", lambda band, order: build_rotation_grid(band + 1, order))
+    monkeypatch.setattr(transform, "build_sphere_grid", lambda n, band: build_sphere_grid(n, band + 2))
     lp = LambdaParam(2)
-    with pytest.raises(ValueError, match="alpha"):
+    with pytest.raises(ValueError, match="beta"):
         round_trip(lp, random_bandlimited_field(lp, 3, seed=1), 1)
+
+
+def test_round_trip_order_two_band_32_matches_prediction():
+    # the default scale grid, where the observed error is about 2.9e-7 and
+    # grid rounding near 1e-15 |f| is a visible share of it
+    lp = LambdaParam(2)
+    rep = round_trip(lp, random_bandlimited_field(lp, 32, seed=0), 2)
+    assert rep["rel_l2_error"] == pytest.approx(rep["predicted_rel_l2"], rel=1e-8)
+
+
+@pytest.mark.parametrize("band", [3, 8, 16, 32])
+def test_round_trip_reconstructs_the_multiplied_signal(band):
+    # f_rec is the exact synthesis of m_l f_l, degree by degree
+    lp = LambdaParam(2)
+    signal = random_bandlimited_field(lp, band, seed=6)
+    rep = round_trip(lp, signal, 2)
+    expect = synthesize_on_grid(CoefficientField(lp, rep["multipliers"][:, None] * signal.coeffs), rep["grid"])
+    assert np.max(np.abs(rep["f_reconstructed"] - expect)) < 1e-14 * np.max(np.abs(rep["f_values"]))
+
+
+def test_wigner_d_matches_the_explicit_sum():
+    L, K = 12, 4
+    betas = np.array([1e-3, 0.02, np.pi / 2 - 0.01, np.pi / 2, np.pi - 1e-3])
+    d = wigner_d_table(L, K, betas)
+    for l in range(L + 1):
+        for m in range(-l, l + 1):
+            for k in range(min(K, l) + 1):
+                expect = [wigner_d_sum(l, m, k, b) for b in betas]
+                assert np.max(np.abs(d[l, m, k] - expect)) < 1e-13, (l, m, k)
+        # rows above the degree stay zero
+        if l < L:
+            assert not np.any(d[l, l + 1 : 2 * L + 1 - l]) and not np.any(d[l, :, l + 1 :])
+
+
+def test_wigner_d_columns_are_orthonormal():
+    L, K = 64, 3
+    betas = np.arccos(np.linspace(-0.999, 0.999, 9))
+    d = wigner_d_table(L, K, betas)
+    for l in range(L + 1):
+        gram = np.einsum("mkb,mjb->kjb", d[l], d[l])
+        live = (np.arange(K + 1) <= l).astype(float)
+        expect = (np.eye(K + 1) * live)[:, :, None]
+        assert np.max(np.abs(gram - expect)) < 1e-12, l
+
+
+def test_wigner_d_rotates_the_complex_harmonics():
+    # Z_l^m(R^-1 x) = sum_m' D^l_{m'm}(R) Z_l^m'(x) with D = e^{-i m' alpha} d^l_{m'm}(beta) e^{-i m gamma},
+    # R = R_pole(alpha) R_plane(beta) R_pole(gamma) and Z from the package's real sector harmonics:
+    # Z_l^k = (-1)^k (Y_l^k / w_k) e^{i k phi} at phi = 0, Z_l^-k = (-1)^k conj(Z_l^k)
+    from sphwave.transform import RotationGrid
+
+    lp = LambdaParam(2)
+    L = 7
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((3, 6))
+    x /= np.linalg.norm(x, axis=0)
+
+    def Z(l, m, pts):
+        th, ph = np.arccos(np.clip(pts[0], -1, 1)), np.arctan2(pts[2], pts[1])
+        k = abs(m)
+        z = (-1) ** k * eval_sector_harmonic(lp, l, k, th, 0.0) / (2.0 if k else 1.0) * np.exp(1j * k * ph)
+        return z if m >= 0 else (-1) ** k * z.conj()
+
+    for _ in range(3):
+        a, b, g = rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
+        R = rotation_matrices(RotationGrid(band=0, euler=np.array([[a, b, g]]), weights=np.ones(1)))[0]
+        d = wigner_d_table(L, L, np.array([b]))[..., 0]
+        for l in range(1, L + 1):
+            for m in range(l + 1):
+                lhs = Z(l, m, R.T @ x)
+                rhs = sum(np.exp(-1j * (mp * a + m * g)) * d[l, mp, m] * Z(l, mp, x) for mp in range(-l, l + 1))
+                assert np.max(np.abs(lhs - rhs)) < 1e-12, (l, m)
