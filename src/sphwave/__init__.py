@@ -3,7 +3,7 @@
 Modules
 -------
 special        Gegenbauer polynomials, normalization constants, dimensions.
-harmonics      Spherical geometry, sector harmonics, coefficient extraction.
+harmonics      Spherical geometry, sector harmonics, the zonal Gauss-Jacobi rule.
 rotderiv       The rotational derivative ladder on coefficient fields.
 wavelets       Poisson/heat kernels, directional wavelets, closed forms.
 admissibility  Gamma mixing coefficients and the admissible-pair conditions.
@@ -28,7 +28,6 @@ from .harmonics import (
     rotate_in_plane,
     eval_sector_harmonic,
     gauss_jacobi_rule,
-    gegenbauer_coefficient,
 )
 from .rotderiv import (
     CoefficientField,

@@ -25,7 +25,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .harmonics import gauss_jacobi_rule
 from .rotderiv import CoefficientField, sector_pair_sum, sector_weights
 from .special import LambdaParam, dim_harmonic, gegenbauer_weighted_sum, surface_measure
 from .wavelets import KIND_HEAT, KIND_POISSON, TRUNCATION_CAP, certified_degree, modified_wavelet_table, scale_weights
@@ -69,64 +68,79 @@ class GammaVector:
             raise ValueError("top coefficient must be positive")
 
 
-def _as_fraction(lam) -> Fraction:
-    f = Fraction(lam)
-    if f.denominator not in (1, 2):
+def _twice_lam(lam) -> int:
+    """mu = 2 lam = n - 1, the integer that carries lam through the exact solver."""
+    mu = 2 * lam
+    if mu != int(mu):
         # lam = (n-1)/2 is always a half-integer; anything else is a misuse.
         raise ValueError(f"lam must be a half-integer, got {lam}")
-    return f
+    return int(mu)
 
 
-def _padd(a, b):
-    out = list(a) + [Fraction(0)] * (len(b) - len(a)) if len(b) > len(a) else list(a)
-    for i, x in enumerate(b):
-        out[i] += x
-    return out
+# Exact polynomials in u are pairs (nums, den): ascending integer numerators
+# over one positive denominator, reduced by their common gcd.
 
 
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
+def _reduced(nums: list, den: int) -> tuple:
+    g = math.gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
+def _padd(a: tuple, b: tuple) -> tuple:
+    (na, da), (nb, db) = a, b
+    g = math.gcd(da, db)
+    fa, fb = db // g, da // g
+    out = [x * fa for x in na] + [0] * (len(nb) - len(na))
+    for i, x in enumerate(nb):
+        out[i] += x * fb
+    return _reduced(out, da * fa)
+
+
+def _pmul(a: tuple, b: tuple) -> tuple:
+    (na, da), (nb, db) = a, b
+    out = [0] * (len(na) + len(nb) - 1)
+    for i, x in enumerate(na):
         if x:
-            for j, y in enumerate(b):
+            for j, y in enumerate(nb):
                 out[i + j] += x * y
-    return out
+    return _reduced(out, da * db)
 
 
-def _beta_sq_poly(lam: Fraction, j: int):
-    """beta_{l,j}^2 as a linear polynomial in u = l(2 lam + l).
+def _beta_sq(mu: int, j: int) -> tuple:
+    """beta_{l,j}^2 = c_j (u - j (mu + j)), mu = 2 lam, with c_j = (j+1)(mu+j-1)/((mu+2j-1)(mu+2j+1)).
 
-    The j = 0 case carries the (2 lam + j - 1)/(2 lam + 2 j - 1) cancellation
-    explicitly, which keeps it finite (and lam-continuous) at lam = 1/2.
+    The j = 0 case carries the (mu + j - 1)/(mu + 2j - 1) cancellation
+    explicitly, c_0 = 1/(mu + 1), which keeps it finite at mu = 1.
     """
     if j == 0:
-        return [Fraction(0), 1 / (2 * lam + 1)]
-    c = Fraction(j + 1) * (2 * lam + j - 1) / ((2 * lam + 2 * j - 1) * (2 * lam + 2 * j + 1))
-    return [-c * j * (2 * lam + j), c]
+        return [0, 1], mu + 1
+    c = (j + 1) * (mu + j - 1)
+    return _reduced([-c * j * (mu + j), c], (mu + 2 * j - 1) * (mu + 2 * j + 1))
 
 
-def _ladder(lam: Fraction, dmax: int) -> tuple:
+def _ladder(mu: int, dmax: int) -> tuple:
     """(P, prefix): a_l^j(f^(d)) = (prod_{i<j} beta_{l,i}) P[(d, j)](u) a_l^0(f) for d <= dmax.
 
     prefix[j] = prod_{i<j} beta_{l,i}^2, j = 0..dmax; each beta_{l,j}^2 is built once.
     """
-    beta_sq = [_beta_sq_poly(lam, j) for j in range(dmax)]
-    P = {(0, 0): [Fraction(1)]}
+    beta_sq = [_beta_sq(mu, j) for j in range(dmax)]
+    P = {(0, 0): ([1], 1)}
     for d in range(dmax):
         for j in range(d + 2):
-            term = [Fraction(0)]
+            term = ([0], 1)
             if (d, j + 1) in P:
-                term = _padd(term, _pmul(beta_sq[j], P[(d, j + 1)]))
+                term = _pmul(beta_sq[j], P[(d, j + 1)])
             if j >= 1 and (d, j - 1) in P:
-                term = _padd(term, [-c for c in P[(d, j - 1)]])
-            if any(term):
+                nums, den = P[(d, j - 1)]
+                term = _padd(term, ([-x for x in nums], den))
+            if any(term[0]):
                 P[(d + 1, j)] = term
-    return P, list(itertools.accumulate(beta_sq, _pmul, initial=[Fraction(1)]))
+    return P, list(itertools.accumulate(beta_sq, _pmul, initial=([1], 1)))
 
 
-def _q_sum(P: dict, prefix: list, d: int, dp: int) -> list:
-    """q_{d,d'} = sum_j prefix[j] P_{d,j} P_{d',j}, coefficients in u."""
-    out = [Fraction(0)]
+def _q_sum(P: dict, prefix: list, d: int, dp: int) -> tuple:
+    """q_{d,d'} = sum_j prefix[j] P_{d,j} P_{d',j}, an exact polynomial in u."""
+    out = ([0], 1)
     for j in range(min(d, dp) + 1):
         if (d, j) in P and (dp, j) in P:
             out = _padd(out, _pmul(prefix[j], _pmul(P[(d, j)], P[(dp, j)])))
@@ -140,56 +154,78 @@ def q_polynomial(lam, d: int, dp: int) -> tuple:
     """
     if (d - dp) % 2:
         return (Fraction(0),)
-    return tuple(_q_sum(*_ladder(_as_fraction(lam), max(d, dp)), d, dp))
+    nums, den = _q_sum(*_ladder(_twice_lam(lam), max(d, dp)), d, dp)
+    return tuple(Fraction(x, den) for x in nums)
 
 
-def _q_table(lam: Fraction, dfrak: int) -> list:
+def _q_table(mu: int, dfrak: int) -> list:
     """The diagonal q_{s,s}, s = 0..dfrak; q_{a,b} = (-1)^((a-b)/2) q_{s,s} with s = (a+b)/2 gives the rest."""
-    P, prefix = _ladder(lam, dfrak)
+    P, prefix = _ladder(mu, dfrak)
     return [_q_sum(P, prefix, s, s) for s in range(dfrak + 1)]
 
 
-def _spectral_coeffs(dfrak: int, qs: list) -> list:
-    """c_0..c_dfrak with sum_s c_s q_{s,s}(u) = u^dfrak, by back-substitution.
+def _spectral_coeffs(dfrak: int, qs: list) -> tuple:
+    """(C, E): c_s = C[s]/E, s = 0..dfrak, with sum_s c_s q_{s,s}(u) = u^dfrak, by back-substitution.
 
     q_{s,s} has degree exactly s, so the coefficient of u^J fixes c_J once
-    c_{J+1}..c_dfrak are known.
+    c_{J+1}..c_dfrak are known.  The q_{s,s} are taken over one denominator D,
+    and the c over one denominator E: c_J = (delta_{J,dfrak} E D - sum_{s>J}
+    C_s Q_s[J]) / (E Q_J[J]).  Every lead Q_J[J] is positive (q_{J,J} is a sum
+    of squares), so E stays positive as the earlier numerators are rescaled.
     """
-    c = [Fraction(0)] * (dfrak + 1)
+    D = math.lcm(*(den for _, den in qs))
+    Q = [[x * (D // den) for x in nums] for nums, den in qs]
+    C, E = [0] * (dfrak + 1), 1
     for J in range(dfrak, -1, -1):
-        rest = sum(c[s] * qs[s][J] for s in range(J + 1, dfrak + 1))
-        c[J] = (int(J == dfrak) - rest) / qs[J][J]
-    return c
+        lead = Q[J][J]
+        num = int(J == dfrak) * E * D - sum(C[s] * Q[s][J] for s in range(J + 1, dfrak + 1))
+        C = [x * lead for x in C]
+        C[J], E = num, E * lead
+    g = math.gcd(E, *C)
+    return [x // g for x in C], E // g
 
 
-def _poly_rem(a: list, b: list) -> list:
-    """Remainder of a divided by b (ascending coefficients); [] is the zero polynomial."""
+def _primitive(p: list) -> list:
+    """p divided by the gcd of its coefficients, a positive content: every sign is kept."""
+    g = math.gcd(*p) or 1
+    return [x // g for x in p]
+
+
+def _negated_prem(a: list, b: list) -> list:
+    """-(|lead b|^k a mod b) in primitive integer form; [] is the zero polynomial.
+
+    Each pseudo-division step scales a by |lead b| > 0, so the result has the
+    signs of the remainder of a by b, negated: a Sturm-sequence step.
+    """
     a = list(a)
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
     while len(a) >= len(b):
-        f = a[-1] / b[-1]
+        f, shift = sign * a[-1], len(a) - len(b)
+        a = [scale * x for x in a]
         for i, x in enumerate(b):
-            a[len(a) - len(b) + i] -= f * x
+            a[shift + i] -= f * x
         a.pop()
     while a and not a[-1]:
         a.pop()
-    return a
+    return _primitive([-x for x in a])
 
 
-def _positive_root_count(p: list) -> int:
+def _positive_root_count(p: list, den: int = 1) -> int:
     """Distinct roots of p in (0, inf) by Sturm's theorem; needs p(0) != 0.
 
-    The last Sturm remainder is gcd(p, p'); a non-constant one (a repeated
-    root) raises rather than leaving the sign question undecided.
+    p holds integer numerators over the positive ``den``; the sequence runs on
+    its primitive integer form with sign-preserving pseudo-remainders.  The
+    last Sturm remainder is gcd(p, p'); a non-constant one (a repeated root)
+    raises rather than leaving the sign question undecided.
     """
-    seq = [p, [k * x for k, x in enumerate(p)][1:]]
+    seq = [_primitive(p), _primitive([k * x for k, x in enumerate(p)][1:])]
     while len(seq[-1]) > 1:
-        seq.append([-x for x in _poly_rem(seq[-2], seq[-1])])
+        seq.append(_negated_prem(seq[-2], seq[-1]))
     if not seq[-1]:
         seq.pop()
     if len(seq[-1]) > 1:
-        raise GammaSolveError(
-            f"A(y)/y^k with coefficients ({', '.join(map(str, p))}) has a repeated root; feasibility undecided"
-        )
+        coeffs = ", ".join(str(Fraction(x, den)) for x in p)
+        raise GammaSolveError(f"A(y)/y^k with coefficients ({coeffs}) has a repeated root; feasibility undecided")
 
     def changes(vals):
         nz = [v for v in vals if v]
@@ -205,9 +241,11 @@ def solve_gamma(lam, dfrak: int) -> GammaVector:
     with s = (a+b)/2, so sum_{a,b} gamma_a gamma_b q_{a,b} = sum_s c_s q_{s,s}
     where A(y) = sum_s c_s y^s equals |sum_d gamma_d (ix)^d|^2 at y = x^2;
     only the diagonal q_{s,s}, s = 0..dfrak, are built.
-    The collapse to u^dfrak fixes c in exact rationals.  Real gammas exist
-    exactly when A has no sign change on y > 0; a Sturm count on A(y)/y^k,
-    y^k the largest power of y dividing A, decides this.  When it is zero,
+    The collapse to u^dfrak fixes c exactly, in integers over one denominator
+    (lam = mu/2 makes every beta^2 an integer polynomial over an integer).
+    Real gammas exist exactly when A has no sign change on y > 0; a Sturm
+    count on A(y)/y^k, y^k the largest power of y dividing A, decides this.
+    When it is zero,
     gamma is the coefficient list of the spectral factor
     h(t) = sqrt(c_dfrak) t^k prod_j (t + sqrt(-y_j)) over the nonzero roots
     y_j of A, whose zeros all lie in the open left half-plane, so every
@@ -216,35 +254,39 @@ def solve_gamma(lam, dfrak: int) -> GammaVector:
     :class:`GammaSolveError`, with the exact c and the root count, when no
     real vector exists.
     """
-    lamF = _as_fraction(lam)
+    mu = _twice_lam(lam)
     if dfrak < 0 or dfrak > 6:
         raise ValueError("solver envelope is 0 <= order <= 6")
     if dfrak == 0:
-        return GammaVector(order=0, lam=float(lamF), gammas=(1.0,))
-    qs = _q_table(lamF, dfrak)
-    c = _spectral_coeffs(dfrak, qs)
-    k = next(s for s, x in enumerate(c) if x)
+        return GammaVector(order=0, lam=mu / 2, gammas=(1.0,))
+    qs = _q_table(mu, dfrak)
+    C, E = _spectral_coeffs(dfrak, qs)
+    k = next(s for s, x in enumerate(C) if x)
     # c_dfrak = 1/lead(q_{dfrak,dfrak}) > 0 because q_{s,s}(u) is a sum of
     # squares, so A >= 0 on y > 0 exactly when A/y^k has no root there
-    sign_changes = _positive_root_count(c[k:])
+    sign_changes = _positive_root_count(C[k:], E)
     if sign_changes:
         raise GammaSolveError(
-            f"order {dfrak} infeasible at lam={lamF}: A(y) = sum_s c_s y^s with c = ({', '.join(map(str, c))}) "
+            f"order {dfrak} infeasible at lam={Fraction(mu, 2)}: A(y) = sum_s c_s y^s with "
+            f"c = ({', '.join(str(Fraction(x, E)) for x in C)}) "
             f"must be >= 0 for y > 0 but has {sign_changes} simple root(s) there (Sturm count)"
         )
-    roots = np.roots([float(x) for x in reversed(c[k:])])
-    h = math.sqrt(float(c[-1])) * np.polynomial.polynomial.polyfromroots(-np.sqrt(-roots.astype(complex))).real
+    # int true division is correctly rounded, as float(Fraction) is
+    c = [x / E for x in C]
+    roots = np.roots(c[k:][::-1])
+    h = math.sqrt(c[-1]) * np.polynomial.polynomial.polyfromroots(-np.sqrt(-roots.astype(complex))).real
     # the end coefficients are known exactly: h(0)^2 = c_k and lead(h)^2 = c_dfrak
-    h[0], h[-1] = math.sqrt(float(c[k])), math.sqrt(float(c[-1]))
-    vec = GammaVector(order=dfrak, lam=float(lamF), gammas=(0.0,) * k + tuple(float(x) for x in h))
-    _assert_collapse(vec, qs)
+    h[0], h[-1] = math.sqrt(c[k]), math.sqrt(c[-1])
+    vec = GammaVector(order=dfrak, lam=mu / 2, gammas=(0.0,) * k + tuple(float(x) for x in h))
+    _assert_collapse(vec, [[x / den for x in nums] for nums, den in qs])
     return vec
 
 
 def _assert_collapse(vec: GammaVector, qs: list, l_max: int = 30, tol: float = 1e-9) -> None:
     """Check sum_{a,b} gamma_a gamma_b (-1)^((a-b)/2) q_{(a+b)/2}(u) = u^order at six degrees.
 
-    The weight of q_{s,s} is (-1)^s times the t^(2s) coefficient of h(t) h(-t),
+    ``qs`` holds the float coefficients of q_{0,0}..q_{order,order}.  The
+    weight of q_{s,s} is (-1)^s times the t^(2s) coefficient of h(t) h(-t),
     h(t) = sum_d gamma_d t^d; each q_{s,s} is evaluated at all six u at once.
     """
     ls = np.array([1, 2, 3, 5, 11, l_max], dtype=float)
@@ -252,7 +294,7 @@ def _assert_collapse(vec: GammaVector, qs: list, l_max: int = 30, tol: float = 1
     g = np.asarray(vec.gammas)
     alt = (-1.0) ** np.arange(vec.order + 1)
     weights = alt * np.convolve(g, alt * g)[::2]
-    total = weights @ [np.polynomial.polynomial.polyval(u, [float(x) for x in q]) for q in qs]
+    total = weights @ [np.polynomial.polynomial.polyval(u, q) for q in qs]
     target = u**vec.order
     for l, got, want in zip(ls, total, target):
         if abs(got - want) > tol * want:
@@ -412,16 +454,85 @@ def tail_integral(lp: LambdaParam, dfrak: int, R: float, t):
     return out if out.shape else float(out)
 
 
-def tail_l1_sweep(lp: LambdaParam, dfrak: int, R_values) -> list:
-    """Spherical L1 norms of the scale-tail kernel across cutoff values R.
+# Samples per period of the top harmonic cos(L theta) on the grid that
+# brackets the sign changes of a scale-tail kernel.
+_SIGN_CHANGE_SAMPLES = 8
 
-    Each entry is (sigma_{n-1}/sigma_n) times the integral of |tail_integral|
-    against the zonal weight, on one 400-point Gauss-Jacobi rule; each R's
-    series stops where its remainder is below 1e-12 of sup |Phi_R| = Phi_R(1).
-    |Phi_R| has a kink at each sign change of the kernel, so the accuracy is
-    algebraic in the node count: about 2.5e-5 relative on the spread of the
-    n = 2, order 2 sweep R = 1, 0.3, 0.1, 0.03.
+
+def _cosine_coeffs(lam: float, c: np.ndarray) -> np.ndarray:
+    """B_j, j = 0..L, with sum_l c_l C_l^lam(cos theta) = sum_j B_j cos(j theta).
+
+    C_l^lam(cos theta) = sum_{p+q=l} g_p g_q cos((q - p) theta) with
+    g_k = (lam)_k / k!, so B_j = (2 - delta_{j0}) sum_p g_p g_{p+j} c_{2p+j}:
+    one slice update per p, every term >= 0 when c >= 0.
     """
-    rule = gauss_jacobi_rule(lp.lam, 400)
+    L = c.shape[0] - 1
+    g = np.cumprod(np.concatenate(([1.0], (lam + np.arange(L)) / np.arange(1.0, L + 1))))
+    B = np.zeros(L + 1)
+    for p in range(L // 2 + 1):
+        B[: L - 2 * p + 1] += g[p] * g[p : L - p + 1] * c[2 * p :]
+    B[1:] *= 2.0
+    return B
+
+
+def _sign_changes(lam: float, c: np.ndarray) -> np.ndarray:
+    """Ascending angles theta in (0, pi) where sum_l c_l C_l^lam(cos theta) changes sign.
+
+    One irfft samples the cosine series at theta_k = pi k / N, N a power of
+    two with at least ``_SIGN_CHANGE_SAMPLES`` samples per period of cos(L theta);
+    each bracket [theta_k, theta_k+1] with a sign change starts at its linear
+    interpolant and takes three Newton steps on the cosine series, kept
+    inside the bracket.
+    """
+    B = _cosine_coeffs(lam, c)
+    L = B.shape[0] - 1
+    N = 1 << (_SIGN_CHANGE_SAMPLES * (L + 1) - 1).bit_length()
+    spectrum = np.zeros(N + 1)
+    spectrum[0] = 2.0 * N * B[0]
+    spectrum[1 : L + 1] = N * B[1:]
+    vals = np.fft.irfft(spectrum, 2 * N)[: N + 1]
+    k = np.flatnonzero(np.diff(vals > 0.0))
+    h = math.pi / N
+    lo, hi = k * h, (k + 1) * h
+    theta = lo + h * vals[k] / (vals[k] - vals[k + 1])
+    j = np.arange(L + 1)
+    for _ in range(3):
+        jt = np.outer(theta, j)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (np.cos(jt) @ B) / (np.sin(jt) @ (j * B))
+        # the slope vanishes at theta = pi, the end of the last bracket: stay put there
+        theta = np.clip(theta + np.where(np.isfinite(step), step, 0.0), lo, hi)
+    return theta
+
+
+def tail_l1_sweep(lp: LambdaParam, dfrak: int, R_values) -> list:
+    """Spherical L1 norms of the scale-tail kernel across cutoff values R, exactly.
+
+    Phi_R = sum_l c_l C_l^lam with c the weights of :func:`tail_integral`,
+    whose degree is certified: the dropped remainder is below 1e-12 of
+    sup |Phi_R| = Phi_R(1).  With w(t) = (1 - t^2)^(lam - 1/2), DLMF 18.9 gives
+
+        G(a) = integral_a^1 Phi_R w dt
+             = (1 - a^2)^(lam + 1/2) sum_l c_l 2 lam / (l (l + 2 lam)) C_{l-1}^{lam+1}(a),
+
+    so between consecutive sign changes a_1 > a_2 > ... of Phi_R, with
+    a_0 = 1 and a_last = -1 (where G vanishes), the norm is
+    (sigma_{n-1}/sigma_n) sum_i |G(a_i) - G(a_i+1)|.  G is summed in its
+    Gegenbauer form, one recurrence at order lam + 1 over the roots of each
+    R; the cosine form of G would cancel at eps Phi_R(1).  The sign changes
+    come from :func:`_sign_changes`: they are resolved at 8 samples per
+    period of the top harmonic, not certified, so a pair of changes closer
+    than the grid could be missed.  A root's error enters the norm only
+    quadratically, because G' = -Phi_R w vanishes at a root.
+    """
+    lam = lp.lam
     ratio = surface_measure(lp.n - 1) / lp.sigma
-    return [float(ratio * np.sum(rule.weights * np.abs(tail_integral(lp, dfrak, R, rule.nodes)))) for R in R_values]
+    norms = []
+    for R in R_values:
+        c = _tail_weights(lam, dfrak, R) / lp.sigma**2
+        a = np.cos(_sign_changes(lam, c))
+        l = np.arange(1.0, c.shape[0])
+        sums = gegenbauer_weighted_sum(lam + 1.0, c[1:] * 2.0 * lam / (l * (l + 2.0 * lam)), a)
+        G = (1.0 - a * a) ** (lam + 0.5) * sums
+        norms.append(float(ratio * np.sum(np.abs(np.diff(np.concatenate(([0.0], G, [0.0])))))))
+    return norms

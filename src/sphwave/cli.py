@@ -13,9 +13,10 @@ Outputs are plot-ready tables, byte-identical for identical configs: floats
 are written with shortest round-trip formatting, summation orders are fixed,
 and test signals use fixed seeds.  Every numeric default lands in the report
 metadata.  Exit codes: 0 ok, 2 usage error (also a transform order with no
-real gamma vector, whose certificate goes to stderr, and n >= 261, where the
-sphere's squared surface measure is not a normal float), 3
-verification/tolerance failure (suppressed by --report-only).
+real gamma vector, whose certificate goes to stderr, n >= 261, where the
+sphere's squared surface measure is not a normal float, and a limit probe
+value that is not a finite float), 3 verification/tolerance failure
+(suppressed by --report-only).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ import numpy as np
 
 from .harmonics import SphericalPoint, from_cartesian
 from .special import LambdaParam
-from .wavelets import KIND_POISSON, WaveletSpec, poisson_wavelet_closed, poisson_wavelet_terms
+from .wavelets import KIND_POISSON, WaveletSpec, _poisson_parts, _poisson_term_sum, poisson_wavelet_terms
 
 __all__ = [
     "EuclideanPoint",
@@ -98,8 +98,12 @@ def euclidean_limit_eval(lp: LambdaParam, d: int, xi: EuclideanPoint) -> float:
 def wavelet_at_scaled_point(lp: LambdaParam, d: int, xi: EuclideanPoint, rho: float) -> float:
     """rho^n * g^[d]_rho evaluated at the inverse stereographic image of rho*xi.
 
-    Evaluates :func:`sphwave.wavelets.poisson_wavelet_closed` at every order,
-    so no degree series is summed and no truncation cap limits the scale.
+    Sums the exact terms of :func:`sphwave.wavelets.poisson_wavelet_terms`
+    at every order, so no degree series is summed and no truncation cap
+    limits the scale.  rho^n is folded into each term,
+    rho^n D^-(lam+1+j) = rho^(-1-2j) (D/rho^2)^-(lam+1+j) with n = 2 lam + 1,
+    and D/rho^2 stays near 1 + |xi|^2, so no intermediate overflows at
+    large n.  Raises ValueError when the value is not a finite float.
     """
     spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=d, rho=rho)
     scaled = EuclideanPoint(tuple(rho * c for c in xi.coords))
@@ -107,7 +111,15 @@ def wavelet_at_scaled_point(lp: LambdaParam, d: int, xi: EuclideanPoint, rho: fl
     R = xi.radius
     # theta2 of the direction: cos(theta2) = xi_2 / |xi|
     theta2 = 0.0 if R == 0.0 else math.acos(max(-1.0, min(1.0, xi.xi2 / R)))
-    return rho**lp.n * float(poisson_wavelet_closed(spec, point.thetas[0], theta2))
+    one_minus_r2, den = _poisson_parts(rho, point.thetas[0])
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        rho_ = np.float64(rho)
+        factors = [spec.r**j * rho_ ** (-1.0 - 2 * j) for j in range(d + 1)]
+        total = _poisson_term_sum(lp.lam, d, point.thetas[0], theta2, den / rho_**2, factors)
+        value = float(rho_**d * one_minus_r2 / lp.sigma * total)
+    if not math.isfinite(value):
+        raise ValueError(f"rho^n g^[{d}] at rho={rho!r} does not evaluate to a finite float (n={lp.n})")
+    return value
 
 
 def limit_convergence_probe(lp: LambdaParam, d: int, xi: EuclideanPoint, rho_sequence) -> dict:

@@ -1,5 +1,5 @@
-"""Spherical geometry, the sector family of hyperspherical harmonics, and
-Gegenbauer coefficient extraction.
+"""Spherical geometry, the sector family of hyperspherical harmonics, and the
+Gauss-Jacobi rule of the zonal weight.
 
 Only the sector of harmonics indexed by (l, k1) -- the members depending on the
 first two angles alone -- is represented: rotational derivatives of zonal
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import LambdaParam, _log_rising, gauss_gegenbauer, gegenbauer_batch, gegenbauer_value, norm_const_a
+from .special import LambdaParam, gauss_gegenbauer, gegenbauer_value, norm_const_a
 
 __all__ = [
     "SphericalPoint",
@@ -31,7 +31,6 @@ __all__ = [
     "eval_sector_harmonic",
     "GaussJacobiRule",
     "gauss_jacobi_rule",
-    "gegenbauer_coefficient",
 ]
 
 
@@ -146,40 +145,3 @@ def gauss_jacobi_rule(lam: float, n_nodes: int) -> GaussJacobiRule:
     """Gauss-Jacobi rule with the zonal weight of the (2*lam+1)-sphere."""
     x, w = gauss_gegenbauer(n_nodes, lam - 0.5)
     return GaussJacobiRule(lam=float(lam), nodes=x, weights=w)
-
-
-def _gegenbauer_norm_inv(l: int, lam: float) -> float:
-    # c(l, lam): the constant that inverts the Gegenbauer squared norm.  With
-    # 2 lam = n - 1 an integer, Gamma(l + 1) / Gamma(2 lam + l) is the inverse
-    # rising product (l + 1) ... (l + 2 lam - 1), a short sum of logs that stays
-    # accurate at high degree.
-    if not (2.0 * lam).is_integer():
-        raise ValueError(f"rule order lam must be (n - 1) / 2 for some n, got {lam}")
-    lg = (
-        (2.0 * lam - 1.0) * math.log(2.0)
-        + math.log(lam + l)
-        + 2.0 * math.lgamma(lam)
-        - math.log(math.pi)
-        - float(_log_rising(l + 1, int(2.0 * lam) - 1))
-    )
-    return math.exp(lg)
-
-
-def gegenbauer_coefficient(rule: GaussJacobiRule, f_values, l: int) -> float:
-    """Degree-l Gegenbauer coefficient of a zonal function sampled at the rule's nodes.
-
-    Computes c(l, lam) * integral f(t) C_l(t) (1-t^2)^(lam-1/2) dt by quadrature.
-    The rule must resolve the integrand: it is rejected outright when it cannot
-    even integrate C_l against a constant exactly.  Its lam must be that of a
-    sphere, (n - 1) / 2.
-    """
-    if rule.order < l + 1:
-        raise ValueError(
-            f"quadrature order {rule.order} insufficient for degree {l}; need at least {l + 1} nodes"
-        )
-    f_values = np.asarray(f_values, dtype=float)
-    if f_values.shape != rule.nodes.shape:
-        raise ValueError("f_values must be sampled at the rule's nodes")
-    cl = gegenbauer_batch(rule.lam, l, rule.nodes)[l]
-    integral = float(np.sum(rule.weights * f_values * cl))
-    return _gegenbauer_norm_inv(l, rule.lam) * integral

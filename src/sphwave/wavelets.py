@@ -173,13 +173,24 @@ def poisson_wavelet_closed(spec: WaveletSpec, theta1, theta2):
     theta1 = np.asarray(theta1, dtype=float)
     theta2 = np.asarray(theta2, dtype=float)
     one_minus_r2, den = _poisson_parts(rho, theta1)
+    r = spec.r
+    total = _poisson_term_sum(lp.lam, d, theta1, theta2, den, [r**j for j in range(d + 1)])
+    return rho**d * one_minus_r2 / lp.sigma * total
+
+
+def _poisson_term_sum(lam: float, order: int, theta1, theta2, den, factors) -> np.ndarray:
+    """sum c x1^p x2^q factors[j] den^-(lam+1+j) over the terms (c, p, q, j) of :func:`poisson_wavelet_terms`.
+
+    x1 = cos(theta1), x2 = sin(theta1) cos(theta2).  With den = D and
+    factors[j] = r^j this is the bracketed sum of :func:`poisson_wavelet_closed`;
+    callers that scale D pass the matching factors.
+    """
     x1 = np.cos(theta1)
     x2 = np.sin(theta1) * np.cos(theta2)
-    r = spec.r
-    total = np.zeros(np.broadcast(theta1, theta2).shape)
-    for c, p, q, j in poisson_wavelet_terms(lp.lam, d):
-        total = total + float(c) * x1**p * x2**q * (r**j * den ** -(lp.lam + 1.0 + j))
-    return rho**d * one_minus_r2 / lp.sigma * total
+    total = np.zeros(np.broadcast(x1, x2).shape)
+    for c, p, q, j in poisson_wavelet_terms(lam, order):
+        total = total + float(c) * x1**p * x2**q * (factors[j] * den ** -(lam + 1.0 + j))
+    return total
 
 
 def directional_wavelet_field(spec: WaveletSpec, L: int) -> CoefficientField:

@@ -10,10 +10,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from sphwave.admissibility import _beta_sq_poly, _padd, _pmul
 from sphwave.euclid import EuclideanPoint
+from sphwave.harmonics import GaussJacobiRule
 from sphwave.rotderiv import CoefficientField, _angular, _norm_column
-from sphwave.special import LambdaParam, _check_t, _resolve_order, dim_harmonic, gegenbauer_batch
+from sphwave.special import LambdaParam, _check_t, _log_rising, _resolve_order, dim_harmonic, gegenbauer_batch
 from sphwave.wavelets import KIND_POISSON, TRUNCATION_CAP, TruncationError, WaveletSpec
 
 
@@ -44,6 +44,67 @@ def gegenbauer_weighted_sum_one_row(order, weights, t) -> np.ndarray:
         if w[l + 1] != 0.0:
             acc = acc + w[l + 1] * cur
     return acc
+
+
+def _gegenbauer_norm_inv(l: int, lam: float) -> float:
+    # c(l, lam): the constant that inverts the Gegenbauer squared norm.  With
+    # 2 lam = n - 1 an integer, Gamma(l + 1) / Gamma(2 lam + l) is the inverse
+    # rising product (l + 1) ... (l + 2 lam - 1), a short sum of logs that stays
+    # accurate at high degree.
+    if not (2.0 * lam).is_integer():
+        raise ValueError(f"rule order lam must be (n - 1) / 2 for some n, got {lam}")
+    lg = (
+        (2.0 * lam - 1.0) * math.log(2.0)
+        + math.log(lam + l)
+        + 2.0 * math.lgamma(lam)
+        - math.log(math.pi)
+        - float(_log_rising(l + 1, int(2.0 * lam) - 1))
+    )
+    return math.exp(lg)
+
+
+def gegenbauer_coefficient(rule: GaussJacobiRule, f_values, l: int) -> float:
+    """Degree-l Gegenbauer coefficient of a zonal function sampled at the rule's nodes.
+
+    Computes c(l, lam) * integral f(t) C_l(t) (1-t^2)^(lam-1/2) dt by quadrature.
+    The rule must resolve the integrand: it is rejected outright when it cannot
+    even integrate C_l against a constant exactly.  Its lam must be that of a
+    sphere, (n - 1) / 2.
+    """
+    if rule.order < l + 1:
+        raise ValueError(
+            f"quadrature order {rule.order} insufficient for degree {l}; need at least {l + 1} nodes"
+        )
+    f_values = np.asarray(f_values, dtype=float)
+    if f_values.shape != rule.nodes.shape:
+        raise ValueError("f_values must be sampled at the rule's nodes")
+    cl = gegenbauer_batch(rule.lam, l, rule.nodes)[l]
+    integral = float(np.sum(rule.weights * f_values * cl))
+    return _gegenbauer_norm_inv(l, rule.lam) * integral
+
+
+def _padd(a, b):
+    out = list(a) + [Fraction(0)] * (len(b) - len(a)) if len(b) > len(a) else list(a)
+    for i, x in enumerate(b):
+        out[i] += x
+    return out
+
+
+def _pmul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _beta_sq_poly(lam: Fraction, j: int):
+    """beta_{l,j}^2 as a linear polynomial in u = l(2 lam + l), in Fraction coefficients."""
+    if j == 0:
+        return [Fraction(0), 1 / (2 * lam + 1)]
+    c = Fraction(j + 1) * (2 * lam + j - 1) / ((2 * lam + 2 * j - 1) * (2 * lam + 2 * j + 1))
+    return [-c * j * (2 * lam + j), c]
 
 
 def q_table_all_pairs(lam: Fraction, dfrak: int) -> dict:
@@ -162,3 +223,38 @@ def wigner_d_sum(l: int, m: int, k: int, beta: float) -> float:
             term = c ** (2 * l + k - m - 2 * s) * s_ ** (m - k + 2 * s) / (f(l + k - s) * f(s) * f(m - k + s) * f(l - m - s))
             total += -term if (m - k + s) % 2 else term
         return float(mpmath.sqrt(f(l + m) * f(l - m) * f(l + k) * f(l - k)) * total)
+
+
+def tail_l1_mpmath(n: int, order: int, R: float, L: int, starts, dps: int = 50) -> float:
+    """Spherical L1 norm of the scale tail sum_{l=1..L} c_l C_l^lam, in ``dps``-digit arithmetic.
+
+    c_l = (2 lam)^order Gamma(order, x_l) (lam + l) / (lam sigma_n^2) with
+    x_l = R l (2 lam + l) / (2 lam).  Each sign change a_i is refined by
+    ``findroot`` from one start in ``starts`` (values of t = cos theta);
+    between them the integral of Phi_R (1 - t^2)^(lam - 1/2) is
+    G(a_i+1) - G(a_i), G(a) = (1 - a^2)^(lam + 1/2) sum_l c_l 2 lam / (l (l + 2 lam)) C_{l-1}^{lam+1}(a)
+    (DLMF 18.9), and G(1) = G(-1) = 0.
+    """
+    with mpmath.workdps(dps):
+        lam = mpmath.mpf(n - 1) / 2
+        sigma = lambda m: 2 * mpmath.pi ** (mpmath.mpf(m + 1) / 2) / mpmath.gamma(mpmath.mpf(m + 1) / 2)
+        c = [mpmath.mpf(0)] + [
+            (2 * lam) ** order * mpmath.gammainc(order, R * l * (2 * lam + l) / (2 * lam)) * (lam + l) / lam
+            for l in range(1, L + 1)
+        ]
+        c = [x / sigma(n) ** 2 for x in c]
+
+        def series(order_, weights, t):
+            prev, cur = mpmath.mpf(1), 2 * order_ * t
+            total = weights[0] + weights[1] * cur
+            for l in range(1, len(weights) - 1):
+                prev, cur = cur, (2 * (order_ + l) * t * cur - (2 * order_ + l - 1) * prev) / (l + 1)
+                total += weights[l + 1] * cur
+            return total
+
+        # the residual scales with Phi_R(1), so findroot's absolute check is off; it runs its secant steps
+        roots = [mpmath.findroot(lambda t: series(lam, c, t), mpmath.mpf(float(a)), verify=False) for a in starts]
+        g_weights = [c[l] * 2 * lam / (l * (l + 2 * lam)) for l in range(1, L + 1)] + [mpmath.mpf(0)]
+        G = [(1 - a * a) ** (lam + mpmath.mpf(1) / 2) * series(lam + 1, g_weights, a) for a in roots]
+        ends = [mpmath.mpf(0)] + G + [mpmath.mpf(0)]
+        return float(sigma(n - 1) / sigma(n) * sum(abs(b - a) for a, b in zip(ends, ends[1:])))

@@ -21,7 +21,7 @@ from sphwave.admissibility import (
     verify_pair_condition1,
 )
 from sphwave.euclid import EuclideanPoint, euclidean_limit_eval, limit_convergence_probe
-from sphwave.harmonics import gauss_jacobi_rule, gegenbauer_coefficient
+from sphwave.harmonics import gauss_jacobi_rule
 from sphwave.rotderiv import (
     CoefficientField,
     derivative_order,
@@ -39,6 +39,7 @@ from sphwave.wavelets import (
     truncation_degree,
 )
 
+from reference import gegenbauer_coefficient
 from test_admissibility import tail_l1_oracle
 from test_special import norm_const_product_oracle
 

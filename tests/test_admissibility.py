@@ -18,6 +18,7 @@ from sphwave.admissibility import (
     _q_table,
     _scale_integrals,
     _spectral_coeffs,
+    _sign_changes,
     _tail_weights,
     _upper_gamma_q,
     admissibility_constant,
@@ -34,7 +35,7 @@ from sphwave.harmonics import gauss_jacobi_rule
 from sphwave.special import LambdaParam, dim_harmonic, gegenbauer_weighted_sum, reproducing_kernel
 from sphwave.wavelets import KIND_HEAT, KIND_POISSON, TruncationError, modified_wavelet_field
 
-from reference import gegenbauer_weighted_sum_one_row, q_table_all_pairs
+from reference import gegenbauer_weighted_sum_one_row, q_table_all_pairs, tail_l1_mpmath
 
 
 def qval(lam, d, dp, u):
@@ -79,13 +80,30 @@ def test_q_structural_identity_q13_is_minus_q22():
         assert q13 == tuple(-c for c in q22)
 
 
+def rationals(poly) -> list:
+    """The Fraction coefficients of an exact (numerators, denominator) polynomial."""
+    nums, den = poly
+    return [Fraction(x, den) for x in nums]
+
+
 def test_q_table_matches_q_polynomial():
     # the solver's table holds the diagonal q_{s,s} alone, built by the public builder's prefix-product sum
-    for lam in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
-        qs = _q_table(lam, 6)
+    for mu in (1, 2, 3, 4):
+        qs = _q_table(mu, 6)
         assert len(qs) == 7
         for s, q in enumerate(qs):
-            assert tuple(q) == q_polynomial(lam, s, s)
+            assert tuple(rationals(q)) == q_polynomial(Fraction(mu, 2), s, s)
+
+
+def test_integer_q_table_equals_the_fraction_ladder():
+    # the integer ladder against the Fraction ladder it replaced, as rationals,
+    # each polynomial over the smallest denominator
+    for n in range(2, 13):
+        ref = q_table_all_pairs(Fraction(n - 1, 2), 6)
+        for order in range(7):
+            for s, (nums, den) in enumerate(_q_table(n - 1, order)):
+                assert rationals((nums, den)) == ref[(s, s)], (n, order, s)
+                assert den > 0 and math.gcd(den, *nums) == 1, (n, order, s)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -197,9 +215,10 @@ def test_q_skew_adjoint_identity():
     # work with the diagonal polynomials alone
     for n in range(2, 13):
         lam = Fraction(n - 1, 2)
-        diag = _q_table(lam, 6)
+        table = _q_table(n - 1, 6)
         for order in range(6):
-            assert _q_table(lam, order) == diag[: order + 1], (n, order)
+            assert _q_table(n - 1, order) == table[: order + 1], (n, order)
+        diag = [rationals(q) for q in table]
         for (a, b), q in q_table_all_pairs(lam, 6).items():
             s = (a + b) // 2
             assert q == [(-1) ** ((b - a) // 2) * c for c in diag[s]], (n, a, b)
@@ -214,7 +233,7 @@ def test_collapse_check_catches_any_perturbed_gamma():
                 vec = solve_gamma(lam, order)
             except GammaSolveError:
                 continue
-            qs = _q_table(lam, order)
+            qs = [[x / den for x in nums] for nums, den in _q_table(n - 1, order)]
             _assert_collapse(vec, qs)
             for d, g in enumerate(vec.gammas):
                 if not g:
@@ -231,12 +250,83 @@ def test_sturm_counts_match_sympy():
     sympy = pytest.importorskip("sympy")
     y = sympy.Symbol("y")
     for n in range(2, 13):
-        lam = Fraction(n - 1, 2)
         for order in range(1, 7):
-            c = _spectral_coeffs(order, _q_table(lam, order))
-            k = next(s for s, x in enumerate(c) if x)
-            poly = sympy.Poly([sympy.Rational(x.numerator, x.denominator) for x in reversed(c[k:])], y)
-            assert _positive_root_count(c[k:]) == poly.count_roots(0, None), (n, order)  # c_k != 0: 0 is no root
+            C, E = _spectral_coeffs(order, _q_table(n - 1, order))
+            k = next(s for s, x in enumerate(C) if x)
+            poly = sympy.Poly([sympy.Rational(x, E) for x in reversed(C[k:])], y)
+            assert _positive_root_count(C[k:], E) == poly.count_roots(0, None), (n, order)  # c_k != 0: 0 is no root
+
+
+def test_sturm_count_on_integer_numerators():
+    # (y-1)(y-2)(y-3), (y+1)(y+2)(y+3), and 1/2 - 3/7 y^2 + 1/9 y^4 over 126
+    assert _positive_root_count([-6, 11, -6, 1]) == 3
+    assert _positive_root_count([6, 11, 6, 1]) == 0
+    assert _positive_root_count([63, 0, -54, 0, 14], 126) == 0
+    # (y-1)^2 (y+2) / 3: the certificate prints the rationals, as Fraction does
+    with pytest.raises(GammaSolveError) as info:
+        _positive_root_count([2, -3, 0, 1], 3)
+    assert str(info.value) == "A(y)/y^k with coefficients (2/3, -1, 0, 1/3) has a repeated root; feasibility undecided"
+
+
+# gamma_0..gamma_order (float.hex) of every feasible cell n = 2..6, orders
+# 1..6, and the certificate text of every infeasible one, as the Fraction
+# solver returned them
+GAMMA_CELLS = {
+    (2, 1): ["0x0.0p+0", "0x1.6a09e667f3bcdp+0"],
+    (2, 2): ["0x0.0p+0", "0x1.279a74590331cp+0", "0x1.a20bd700c2c3ep+0"],
+    (2, 3): "order 3 infeasible at lam=1/2: A(y) = sum_s c_s y^s with c = (0, -8/15, 16/3, 16/5) must be >= 0 "
+    "for y > 0 but has 1 simple root(s) there (Sturm count)",
+    (2, 4): ["0x0.0p+0", "0x1.4b700042da3a4p+0", "0x1.a721c6e16a8e5p+1", "0x1.42d36968fdb07p+2", "0x1.e990cdad55ed2p+0"],
+    (2, 5): "order 5 infeasible at lam=1/2: A(y) = sum_s c_s y^s with c = (0, -992/105, 1088/63, -64/15, 512/21, "
+    "256/63) must be >= 0 for y > 0 but has 1 simple root(s) there (Sturm count)",
+    (2, 6): ["0x0.0p+0", "0x1.2750b5acb9192p+3", "0x1.36bb02b185a7ap+4", "0x1.ca572513f4d7ep+4",
+             "0x1.880df59e23687p+4", "0x1.7fc135364b79ap+3", "0x1.0d7f3c53851c3p+1"],
+    (3, 1): ["0x0.0p+0", "0x1.bb67ae8584caap+0"],
+    (3, 2): ["0x0.0p+0", "0x1.0000000000000p+1", "0x1.1e3779b97f4a8p+1"],
+    (3, 3): ["0x0.0p+0", "0x0.0p+0", "0x1.1e3779b97f4a8p+2", "0x1.52a7fa9d2f8eap+1"],
+    (3, 4): ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+2", "0x1.1e3779b97f4a8p+3", "0x1.8000000000000p+1"],
+    (3, 5): ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.52a7fa9d2f8eap+3", "0x1.b9524215c6993p+3", "0x1.a887293fd6f34p+1"],
+    (3, 6): ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+3", "0x1.b8ea77a23d171p+4",
+             "0x1.4766d1fc9e7fdp+4", "0x1.cd82b446159f3p+1"],
+    (4, 1): ["0x0.0p+0", "0x1.0000000000000p+1"],
+    (4, 2): ["0x0.0p+0", "0x1.6a09e667f3bcdp+1", "0x1.6a09e667f3bcdp+1"],
+    (4, 3): ["0x0.0p+0", "0x1.c9f25c5bfedd9p+0", "0x1.f3092ece5bc36p+2", "0x1.c9f25c5bfedd9p+1"],
+    (4, 4): "order 4 infeasible at lam=3/2: A(y) = sum_s c_s y^s with c = (0, -416/35, 96, 768/5, 128/7) must be >= 0 "
+    "for y > 0 but has 1 simple root(s) there (Sturm count)",
+    (4, 5): ["0x0.0p+0", "0x1.e1daff85444ddp+2", "0x1.804642d83455bp+4", "0x1.6168e08593fb8p+5",
+             "0x1.c51b1f7cb0712p+4", "0x1.3c03650e00e03p+2"],
+    (4, 6): "order 6 infeasible at lam=3/2: A(y) = sum_s c_s y^s with c = (0, -30080/77, 4736/7, 1024/3, 18944/7, "
+    "5120/7, 1024/33) must be >= 0 for y > 0 but has 1 simple root(s) there (Sturm count)",
+    (5, 1): ["0x0.0p+0", "0x1.1e3779b97f4a8p+1"],
+    (5, 2): ["0x0.0p+0", "0x1.d363d1848dcbfp+1", "0x1.b534070e9620cp+1"],
+    (5, 3): ["0x0.0p+0", "0x1.a20bd700c2c3ep+1", "0x1.634814a9f1f5bp+3", "0x1.2548eb9151e85p+2"],
+    (5, 4): "order 4 infeasible at lam=2: A(y) = sum_s c_s y^s with c = (0, -128/3, 896/3, 336, 33) must be >= 0 "
+    "for y > 0 but has 1 simple root(s) there (Sturm count)",
+    (5, 5): ["0x0.0p+0", "0x1.a20bd700c2c3ep+3", "0x1.5065ecf7324fap+5", "0x1.2f5b4385e2efap+6",
+             "0x1.5f3306d51226fp+5", "0x1.b9dcdb7736753p+2"],
+    (5, 6): "order 6 infeasible at lam=2: A(y) = sum_s c_s y^s with c = (0, -2048/3, 1024, 3456, 9856, 5720/3, 65) "
+    "must be >= 0 for y > 0 but has 1 simple root(s) there (Sturm count)",
+    (6, 1): ["0x0.0p+0", "0x1.3988e1409212ep+1"],
+    (6, 2): ["0x0.0p+0", "0x1.1e3779b97f4a8p+2", "0x1.0000000000000p+2"],
+    (6, 3): ["0x0.0p+0", "0x1.3988e1409212ep+2", "0x1.d5ad22faab12cp+3", "0x1.6a09e667f3bcdp+2"],
+    (6, 4): "order 4 infeasible at lam=5/2: A(y) = sum_s c_s y^s with c = (0, -720/7, 704, 640, 384/7) must be >= 0 "
+    "for y > 0 but has 1 simple root(s) there (Sturm count)",
+    (6, 5): ["0x0.0p+0", "0x1.1c2a39a443fb8p+4", "0x1.f22d9c31e4e1dp+5", "0x1.ccb58f5fd20edp+6",
+             "0x1.f7349a4958a3dp+5", "0x1.279a74590331cp+3"],
+    (6, 6): ["0x0.0p+0", "0x1.834f76c5aaeddp+4", "0x1.a0726f0b1a104p+6", "0x1.086d59ea8fa9bp+8",
+             "0x1.19d03e15a0848p+8", "0x1.9ac6740bd394bp+6", "0x1.6482d37a5a3d2p+3"],
+}
+
+
+@pytest.mark.parametrize("n,order", sorted(GAMMA_CELLS))
+def test_gamma_cells_are_bit_identical_to_the_fraction_solver(n, order):
+    want = GAMMA_CELLS[(n, order)]
+    if isinstance(want, str):
+        with pytest.raises(GammaSolveError) as info:
+            solve_gamma(Fraction(n - 1, 2), order)
+        assert str(info.value) == want
+    else:
+        assert [g.hex() for g in solve_gamma(Fraction(n - 1, 2), order).gammas] == want
 
 
 @pytest.mark.parametrize("n,dfrak", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (5, 3)])
@@ -441,6 +531,56 @@ def tail_l1_oracle(R: float) -> float:
     anti = legendre.legint(coef, lbnd=-1.0)
     lower, total = legendre.legval(root, anti), legendre.legval(1.0, anti)
     return 0.5 * (abs(lower) + abs(total - lower))
+
+
+TAIL_SWEEP = [1.0, 0.3, 0.1, 0.03, 1e-4]
+
+
+def test_tail_l1_sweep_matches_the_exact_oracle():
+    # the Legendre-antiderivative oracle on S^2, order 2, down to the plateau verify reads
+    norms = tail_l1_sweep(LambdaParam(2), 2, TAIL_SWEEP)
+    assert norms == pytest.approx([tail_l1_oracle(R) for R in TAIL_SWEEP], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n,order", [(4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2), (6, 3)])
+def test_tail_l1_sweep_matches_mpmath(n, order):
+    # the same truncated series in 50 digits, each sign change refined from the library's
+    lp = LambdaParam(n)
+    norms = tail_l1_sweep(lp, order, TAIL_SWEEP)
+    for R, got in zip(TAIL_SWEEP, norms):
+        c = _tail_weights(lp.lam, order, R)
+        starts = np.cos(_sign_changes(lp.lam, c / lp.sigma**2))
+        assert got == pytest.approx(tail_l1_mpmath(n, order, R, c.size - 1, starts), rel=1e-10, abs=0.0), R
+
+
+def test_tail_sign_changes_survive_a_16x_finer_grid(monkeypatch):
+    # 128 samples per period of the top harmonic find the sign changes of 8,
+    # except where |Phi_R| is below the series' own certified accuracy
+    # 1e-12 Phi_R(1): there the sign is undetermined, and such changes move
+    # no norm by more than 1e-12
+    import sphwave.admissibility as adm
+
+    for n in range(2, 7):
+        lp = LambdaParam(n)
+        for order in range(1, 7):
+            coarse = tail_l1_sweep(lp, order, TAIL_SWEEP)
+            for R in TAIL_SWEEP:
+                c = _tail_weights(lp.lam, order, R) / lp.sigma**2
+                monkeypatch.setattr(adm, "_SIGN_CHANGE_SAMPLES", 8)
+                a = _sign_changes(lp.lam, c)
+                monkeypatch.setattr(adm, "_SIGN_CHANGE_SAMPLES", 128)
+                b = _sign_changes(lp.lam, c)
+                theta = np.concatenate((a, b))
+                vals = gegenbauer_weighted_sum(lp.lam, c, np.cos(np.concatenate(([0.0], theta - 1e-4, theta + 1e-4))))
+                # 1e-4 on either side of the change, |Phi_R| is above the floor
+                clear = np.minimum(*np.abs(vals[1:]).reshape(2, -1)) > 1e-12 * vals[0]
+                resolved = theta[clear]
+                for t in resolved:
+                    assert np.min(np.abs(a - t)) < 1e-9 and np.min(np.abs(b - t)) < 1e-9, (n, order, R)
+                assert a.size == b.size or len(resolved) < a.size + b.size, (n, order, R)
+            fine = tail_l1_sweep(lp, order, TAIL_SWEEP)
+            monkeypatch.setattr(adm, "_SIGN_CHANGE_SAMPLES", 8)
+            assert fine == pytest.approx(coarse, rel=1e-12, abs=0.0), (n, order)
 
 
 def test_tail_l1_sweep_per_cutoff_degrees_match_separate_sweeps():

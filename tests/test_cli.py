@@ -205,16 +205,21 @@ def test_verify_tail_row_states_its_criterion(tmp_path):
         assert "non-increasing" in row["identity"]
 
 
-def test_verify_builds_the_tail_rule_once(tmp_path, monkeypatch):
-    # the sweep and its plateau share one 400-node rule; the plateau equals a sweep of its own
+def test_verify_builds_no_gauss_rule(tmp_path, monkeypatch):
+    # the tail norms are exact sums at the kernel's sign changes: no quadrature
+    # rule is built, and the plateau equals a sweep of its own
+    import sphwave
     import sphwave.admissibility as adm
 
-    built = []
-    rule = adm.gauss_jacobi_rule
-    monkeypatch.setattr(adm, "gauss_jacobi_rule", lambda lam, n: built.append(n) or rule(lam, n))
+    def no_rule(*args):
+        raise AssertionError("verify built a Gauss rule")
+
+    for module in vars(sphwave).values():
+        for name in ("gauss_jacobi_rule", "gauss_gegenbauer"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_rule)
     out = tmp_path / "verify.json"
     assert run(["verify", "--n", "2", "--order", "1", "--band", "3", "--out", str(out)]) == 0
-    assert built == [400]
     row = next(c for c in json.loads(out.read_text())["checks"] if c["check"] == "tail_l1_bounded_sweep")
     lp = LambdaParam(2)
     plateau = adm.tail_l1_sweep(lp, 1, [1e-4])[0]
@@ -420,6 +425,24 @@ def test_sphere_without_a_normal_surface_measure_is_a_usage_error(n, argv, tmp_p
     assert code == EXIT_USAGE
     assert "Traceback" not in stderr.getvalue()
     assert stderr.getvalue().startswith("error:")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("n", [150, 260])
+def test_limit_on_large_spheres_writes_strict_json(n, tmp_path):
+    # rho^n is folded into the closed form's terms, so no intermediate overflows
+    out = tmp_path / "lim.json"
+    assert run(["limit", "--n", str(n), "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["failures"] == 0
+
+
+def test_limit_value_beyond_the_float_range_is_a_usage_error(tmp_path):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["limit", "--n", "200", "--rho-max", "50", "--out", str(tmp_path / "lim.json")])
+    assert code == EXIT_USAGE
+    assert stderr.getvalue().startswith("error:") and "does not evaluate to a finite float" in stderr.getvalue()
     assert not list(tmp_path.iterdir())
 
 

@@ -16,7 +16,14 @@ from sphwave.euclid import (
 from sphwave.harmonics import to_cartesian
 from sphwave.rotderiv import synthesize
 from sphwave.special import LambdaParam
-from sphwave.wavelets import KIND_POISSON, TruncationError, WaveletSpec, directional_wavelet_field, truncation_degree
+from sphwave.wavelets import (
+    KIND_POISSON,
+    TruncationError,
+    WaveletSpec,
+    directional_wavelet_field,
+    poisson_wavelet_closed,
+    truncation_degree,
+)
 
 from reference import limit_closed_low_order, limit_terms_by_differentiation
 
@@ -214,3 +221,32 @@ def test_scaling_power_is_pinned():
 def test_limit_order_cap():
     with pytest.raises(ValueError):
         euclidean_limit_eval(LambdaParam(3), 7, xi_polar(3, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 30, 100])
+@pytest.mark.parametrize("d", [0, 2, 5])
+def test_folded_scaling_matches_the_closed_form(n, d):
+    # rho^n times the closed-form wavelet, where that product is a finite
+    # float, against the probe's folded form rho^(-1-2j) (D/rho^2)^-(lam+1+j)
+    lp = LambdaParam(n)
+    xi = xi_polar(n, 0.7, 0.9)
+    for rho in (0.4, 0.1, 0.02):
+        spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=d, rho=rho)
+        point = inverse_stereographic(EuclideanPoint(tuple(rho * c for c in xi.coords)), n)
+        unfolded = rho**n * float(poisson_wavelet_closed(spec, point.thetas[0], math.acos(xi.xi2 / xi.radius)))
+        assert wavelet_at_scaled_point(lp, d, xi, rho) == pytest.approx(unfolded, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [150, 200, 260])
+def test_probe_stays_finite_at_large_n(n):
+    # rho^n and D^-(lam+1+j) would each leave the float range; folded, the terms stay near 1
+    lp = LambdaParam(n)
+    rep = limit_convergence_probe(lp, 2, xi_polar(n, 1.0, 0.7), [0.08, 0.04, 0.02, 0.01])
+    assert all(math.isfinite(e) for e in rep["errors"])
+    assert rep["errors"] == sorted(rep["errors"], reverse=True)
+
+
+def test_probe_value_beyond_the_float_range_raises():
+    # at rho = 50 on S^200, rho^n g is about 50^200 / sigma
+    with pytest.raises(ValueError, match="does not evaluate to a finite float"):
+        wavelet_at_scaled_point(LambdaParam(200), 2, xi_polar(200, 1.0, 0.7), 50.0)

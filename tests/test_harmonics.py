@@ -1,4 +1,4 @@
-"""Coordinate charts, sector harmonics, Gegenbauer coefficient extraction."""
+"""Coordinate charts, sector harmonics, the Gauss-Jacobi rule and coefficient extraction against it."""
 
 import math
 
@@ -15,14 +15,14 @@ from sphwave.harmonics import (
     eval_sector_harmonic,
     from_cartesian,
     gauss_jacobi_rule,
-    gegenbauer_coefficient,
     rotate_in_plane,
-    _gegenbauer_norm_inv,
     to_cartesian,
 )
 from sphwave.special import LambdaParam, gegenbauer_batch, reproducing_kernel
 from sphwave.transform import build_sphere_grid, grid_inner
 from sphwave.wavelets import poisson_kernel_closed
+
+from reference import _gegenbauer_norm_inv, gegenbauer_coefficient
 
 try:
     from scipy.special import sph_harm_y

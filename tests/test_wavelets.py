@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sphwave.admissibility import solve_gamma
-from sphwave.harmonics import gauss_jacobi_rule, gegenbauer_coefficient
+from sphwave.harmonics import gauss_jacobi_rule
 from sphwave.rotderiv import derivative_order, synthesize
 from sphwave.special import LambdaParam, reproducing_kernel
 from sphwave.wavelets import (
@@ -25,7 +25,7 @@ from sphwave.wavelets import (
     truncation_degree,
 )
 
-from reference import truncation_degree_scan
+from reference import gegenbauer_coefficient, truncation_degree_scan
 
 THETA1 = np.linspace(0.05, np.pi - 0.05, 12)
 THETA2 = np.linspace(0.0, 2 * np.pi, 9, endpoint=False)
