@@ -60,6 +60,7 @@ from .admissibility import (
     zonal_product_series,
     tail_integral,
     tail_l1_sweep,
+    tail_l1_plateau,
 )
 from .transform import (
     SphereGrid,

@@ -27,7 +27,15 @@ import numpy as np
 
 from .rotderiv import CoefficientField, sector_pair_sum, sector_weights
 from .special import LambdaParam, dim_harmonic, gegenbauer_weighted_sum, surface_measure
-from .wavelets import KIND_HEAT, KIND_POISSON, TRUNCATION_CAP, certified_degree, modified_wavelet_table, scale_weights
+from .wavelets import (
+    KIND_HEAT,
+    KIND_POISSON,
+    TRUNCATION_CAP,
+    TruncationError,
+    certified_degree,
+    modified_wavelet_table,
+    scale_weights,
+)
 
 __all__ = [
     "GammaVector",
@@ -40,6 +48,7 @@ __all__ = [
     "pair_coefficient_sum",
     "tail_integral",
     "tail_l1_sweep",
+    "tail_l1_plateau",
 ]
 
 
@@ -210,28 +219,48 @@ def _negated_prem(a: list, b: list) -> list:
     return _primitive([-x for x in a])
 
 
-def _positive_root_count(p: list, den: int = 1) -> int:
-    """Distinct roots of p in (0, inf) by Sturm's theorem; needs p(0) != 0.
+def _sturm_sequence(p: list) -> list:
+    """Sturm sequence of the integer polynomial p, each member in primitive integer form.
 
-    p holds integer numerators over the positive ``den``; the sequence runs on
-    its primitive integer form with sign-preserving pseudo-remainders.  The
-    last Sturm remainder is gcd(p, p'); a non-constant one (a repeated root)
-    raises rather than leaving the sign question undecided.
+    Runs on sign-preserving pseudo-remainders; the last member is gcd(p, p')
+    (the zero polynomial is dropped), non-constant when p has a repeated root.
     """
     seq = [_primitive(p), _primitive([k * x for k, x in enumerate(p)][1:])]
     while len(seq[-1]) > 1:
         seq.append(_negated_prem(seq[-2], seq[-1]))
     if not seq[-1]:
         seq.pop()
+    return seq
+
+
+def _sign_variations(vals) -> int:
+    nz = [v for v in vals if v]
+    return sum(x * y < 0 for x, y in zip(nz, nz[1:]))
+
+
+def _scaled_value(q: list, x: Fraction) -> int:
+    """q(x) times den(x)^degree: an integer with the sign of q(x), for integer coefficients q."""
+    a, b = x.numerator, x.denominator
+    return sum(c * a**i * b ** (len(q) - 1 - i) for i, c in enumerate(q))
+
+
+def _variations_at(seq: list, x: Fraction) -> int:
+    """Sign variations of the Sturm sequence at the rational x."""
+    return _sign_variations([_scaled_value(q, x) for q in seq])
+
+
+def _positive_root_count(p: list, den: int = 1) -> int:
+    """Distinct roots of p in (0, inf) by Sturm's theorem; needs p(0) != 0.
+
+    p holds integer numerators over the positive ``den``.  A repeated root
+    (a non-constant gcd(p, p')) raises rather than leaving the sign question
+    undecided.
+    """
+    seq = _sturm_sequence(p)
     if len(seq[-1]) > 1:
         coeffs = ", ".join(str(Fraction(x, den)) for x in p)
         raise GammaSolveError(f"A(y)/y^k with coefficients ({coeffs}) has a repeated root; feasibility undecided")
-
-    def changes(vals):
-        nz = [v for v in vals if v]
-        return sum(x * y < 0 for x, y in zip(nz, nz[1:]))
-
-    return changes([q[0] for q in seq]) - changes([q[-1] for q in seq])
+    return _sign_variations([q[0] for q in seq]) - _sign_variations([q[-1] for q in seq])
 
 
 def solve_gamma(lam, dfrak: int) -> GammaVector:
@@ -303,14 +332,32 @@ def _assert_collapse(vec: GammaVector, qs: list, l_max: int = 30, tol: float = 1
 
 def admissibility_constant(lp: LambdaParam, dfrak: int) -> float:
     """C = sigma^2 / ((n-1)^dfrak Gamma(dfrak)); requires dfrak >= 1."""
+    return _scaled_constant(lp, dfrak, 0)
+
+
+def _scaled_constant(lp: LambdaParam, dfrak: int, p: int) -> float:
+    """C 2^p, with 2^p applied to sigma^2 before the division, so no subnormal C is formed on the way."""
     if dfrak < 1:
         raise ValueError("the admissible pair needs order >= 1")
-    return lp.sigma**2 / ((lp.n - 1) ** dfrak * math.gamma(dfrak))
+    return math.ldexp(lp.sigma**2, p) / ((lp.n - 1) ** dfrak * math.gamma(dfrak))
 
 
-def _pair_energy(lp: LambdaParam, gamma: GammaVector, L: int) -> np.ndarray:
-    """E_l = sum_k w_k B_{l,k}^2, l = 0..L: the rho-free factor of every pair sum."""
-    return modified_wavelet_table(lp, gamma, L) ** 2 @ sector_weights(lp.n, gamma.order)
+def _pair_energy(lp: LambdaParam, gamma: GammaVector, L: int, factor) -> tuple:
+    """(E, p) with E_l 2^p = sum_k w_k B_{l,k}^2, l = 0..L: the rho-free factor of every pair sum.
+
+    p = 0 whenever every factor_l E_l is a finite float; callers pass the
+    per-degree factor they multiply E by.  On large spheres B grows past
+    1e154 (B ~ 1/sigma_n), so its squares overflow; B is then scaled by the
+    exact power of two just above its largest entry, and p carries that power.
+    """
+    B = modified_wavelet_table(lp, gamma, L)
+    w = sector_weights(lp.n, gamma.order)
+    with np.errstate(over="ignore"):
+        E = B**2 @ w
+        if np.isfinite(factor * E).all():
+            return E, 0
+    e = math.frexp(np.max(np.abs(B)))[1]
+    return np.ldexp(B, -e) ** 2 @ w, 2 * e
 
 
 def pair_coefficient_sum(lp: LambdaParam, gamma: GammaVector, rho: float, l: int) -> float:
@@ -320,7 +367,8 @@ def pair_coefficient_sum(lp: LambdaParam, gamma: GammaVector, rho: float, l: int
     sum is s^P_l(rho) s^H_l(rho) E_l.
     """
     s = scale_weights(lp, KIND_POISSON, gamma.order, [rho], l) * scale_weights(lp, KIND_HEAT, gamma.order, [rho], l)
-    return float(s[0, l] * _pair_energy(lp, gamma, l)[l])
+    E, p = _pair_energy(lp, gamma, l, s[0])
+    return float(np.ldexp(s[0, l] * E[l], p))
 
 
 # Trapezoid in x = log rho for the scale integrals.  With a = u / (2 lam) the
@@ -331,16 +379,17 @@ def pair_coefficient_sum(lp: LambdaParam, gamma: GammaVector, rho: float, l: int
 _TRAPEZOID_STEP = 1.0 / 7.0
 
 
-def _scale_integrals(lp: LambdaParam, gamma: GammaVector, degrees) -> list:
-    """Per degree l >= 1, the integral over rho > 0 of s^P_l s^H_l E_l = rho^order exp(-rho u / 2 lam) E_l.
+def _scale_integrals(lp: LambdaParam, gamma: GammaVector, degrees) -> tuple:
+    """(vals, p): per degree l >= 1, 2^p vals = the integral over rho > 0 of s^P_l s^H_l E_l = rho^order exp(-rho u / 2 lam) E_l.
 
     One trapezoid rule in x = log rho serves every degree: the products of the
     two :func:`scale_weights` tables are summed over its nodes, and one table
-    gives every E_l.  Independent of the closed form Gamma(order) (2 lam / u)^order.
+    gives every E_l, with the exponent p of :func:`_pair_energy`.  Independent
+    of the closed form Gamma(order) (2 lam / u)^order.
     """
     degrees = list(degrees)
     if not degrees:
-        return []
+        return [], 0
     dfrak, lam = gamma.order, lp.lam
     L = max(degrees)
     a_lo, a_hi = (l * (2.0 * lam + l) / (2.0 * lam) for l in (min(degrees), L))
@@ -348,8 +397,10 @@ def _scale_integrals(lp: LambdaParam, gamma: GammaVector, degrees) -> list:
     x = x_lo + _TRAPEZOID_STEP * np.arange(math.ceil((x_hi - x_lo) / _TRAPEZOID_STEP) + 1)
     rho = np.exp(x)
     s = scale_weights(lp, KIND_POISSON, dfrak, rho, L) * scale_weights(lp, KIND_HEAT, dfrak, rho, L)
-    vals = _TRAPEZOID_STEP * s.sum(axis=0) * _pair_energy(lp, gamma, L)
-    return [float(vals[l]) for l in degrees]
+    factor = _TRAPEZOID_STEP * s.sum(axis=0)
+    E, p = _pair_energy(lp, gamma, L, factor)
+    vals = factor * E
+    return [float(vals[l]) for l in degrees], p
 
 
 def verify_pair_condition1(
@@ -364,17 +415,21 @@ def verify_pair_condition1(
     table of :func:`modified_wavelet_table`; after scaling by C both must
     equal the harmonic dimension N(n, l): the ratio to ``tol_identity``, the
     two paths to 1e-8 relative of each other.  Returns one report dict per
-    degree; failures are recorded, not raised.
+    degree; failures are recorded, not raised.  The integrals' power of two
+    2^p (:func:`_pair_energy`) is folded into C and sigma^2, so the rows stay
+    finite where E_l alone overflows.
     """
     if gamma is None:
         gamma = solve_gamma(Fraction(lp.n - 1, 2), dfrak)
     lam = lp.lam
-    C = admissibility_constant(lp, dfrak)
+    vals, p = _scale_integrals(lp, gamma, range(1, l_max + 1))
+    C = _scaled_constant(lp, dfrak, p)
+    sigma_sq = math.ldexp(lp.sigma**2, p)
     rows = []
-    for l, val in enumerate(_scale_integrals(lp, gamma, range(1, l_max + 1)), start=1):
+    for l, val in enumerate(vals, start=1):
         u = l * (2.0 * lam + l)
         nl = dim_harmonic(lp.n, l)
-        closed = nl / lp.sigma**2 * u**dfrak * math.gamma(dfrak) * (2.0 * lam / u) ** dfrak
+        closed = nl / sigma_sq * u**dfrak * math.gamma(dfrak) * (2.0 * lam / u) ** dfrak
         paths = abs(val / closed - 1.0)
         ratio = C * val / nl
         rows.append(
@@ -402,14 +457,31 @@ def zonal_product_series(lp: LambdaParam, field_f: CoefficientField, field_g: Co
     return s / nl
 
 
-def _upper_gamma_q(d: int, x):
-    """Regularized upper incomplete gamma Q(d, x) = e^-x sum_{k<d} x^k / k! for integer d >= 1."""
+def _upper_gamma_q(d, x):
+    """Regularized upper incomplete gamma Q(d, x) for d >= 1/2 an integer or a half-integer.
+
+    The recursion Q(s + 1, x) = Q(s, x) + x^s e^-x / Gamma(s + 1) starts at
+    Q(1, x) = e^-x, so integer d gives e^-x sum_{k<d} x^k / k!, or at
+    Q(1/2, x) = erfc(sqrt x) for half-integer d.
+    """
+    if d % 1:
+        root = np.sqrt(x)
+        total = np.vectorize(math.erfc, otypes=[float])(root)
+        term = np.exp(-x) * root / math.gamma(1.5)
+        for k in range(1, int(d + 0.5)):
+            total = total + term
+            term = term * x / (k + 0.5)
+        return total
     term = np.exp(-x)
     total = term
-    for k in range(1, d):
+    for k in range(1, int(d)):
         term = term * x / k
         total = total + term
     return total
+
+
+# Degrees in the first prefix that _tail_weights certifies; each retry doubles it up to the cap.
+_TAIL_PREFIX = 64
 
 
 def _tail_weights(lam: float, dfrak: int, R: float) -> np.ndarray:
@@ -420,22 +492,33 @@ def _tail_weights(lam: float, dfrak: int, R: float) -> np.ndarray:
     L is the first degree whose remainder has a geometric majorant
     (:func:`certified_degree`) below 1e-12 S_L; each term is bounded through
     Gamma(d, x) <= x^(d-1) e^-x / (1 - (d-1)/x) for x > d - 1.  Terms and
-    bounds up to the cap are formed in logs, so no C_l(1) overflows.
+    bounds are formed in logs, so no C_l(1) overflows.  They are formed on a
+    prefix of degrees that doubles until it holds a certified L, up to the
+    cap: the cumulative sums and the scan are prefix-stable, so the first
+    prefix with a hit gives the degree and weights of the whole range.
     """
-    ls = np.arange(TRUNCATION_CAP + 3)
-    x = R * ls * (2.0 * lam + ls) / (2.0 * lam)
-    weights = (2.0 * lam) ** dfrak * _upper_gamma_q(dfrak, x) * math.gamma(dfrak) * (lam + ls) / lam
-    weights[0] = 0.0
-    # log C_l(1), with C_l(1) = prod_{i<=l} (2 lam + i - 1)/i
-    log_c = np.concatenate(([0.0], np.cumsum(np.log1p((2.0 * lam - 1.0) / ls[1:]))))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        terms = np.exp(np.log(weights) + log_c)
-        bound = np.exp(dfrak * math.log(2.0 * lam) + (dfrak - 1) * np.log(x) - x - np.log1p((1 - dfrak) / x)
-                       + np.log((lam + ls) / lam) + log_c)
-    bound[x <= dfrak] = np.inf
     failure = f"scale tail at R={R:g} not certified below degree cap {TRUNCATION_CAP}"
-    L = certified_degree(bound, 1e-12 * np.cumsum(terms)[: TRUNCATION_CAP + 1], failure)
-    return weights[: L + 1]
+    top = _TAIL_PREFIX
+    while True:
+        ls = np.arange(top + 3)
+        x = R * ls * (2.0 * lam + ls) / (2.0 * lam)
+        weights = (2.0 * lam) ** dfrak * _upper_gamma_q(dfrak, x) * math.gamma(dfrak) * (lam + ls) / lam
+        weights[0] = 0.0
+        # log C_l(1), with C_l(1) = prod_{i<=l} (2 lam + i - 1)/i
+        log_c = np.concatenate(([0.0], np.cumsum(np.log1p((2.0 * lam - 1.0) / ls[1:]))))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            terms = np.exp(np.log(weights) + log_c)
+            bound = np.exp(dfrak * math.log(2.0 * lam) + (dfrak - 1) * np.log(x) - x - np.log1p((1 - dfrak) / x)
+                           + np.log((lam + ls) / lam) + log_c)
+        bound[x <= dfrak] = np.inf
+        try:
+            L = certified_degree(bound, 1e-12 * np.cumsum(terms)[: top + 1], failure)
+        except TruncationError:
+            if top == TRUNCATION_CAP:
+                raise
+            top = min(2 * top, TRUNCATION_CAP)
+            continue
+        return weights[: L + 1]
 
 
 def tail_integral(lp: LambdaParam, dfrak: int, R: float, t):
@@ -536,3 +619,93 @@ def tail_l1_sweep(lp: LambdaParam, dfrak: int, R_values) -> list:
         G = (1.0 - a * a) ** (lam + 0.5) * sums
         norms.append(float(ratio * np.sum(np.abs(np.diff(np.concatenate(([0.0], G, [0.0])))))))
     return norms
+
+
+def _isolated_positive_roots(p: list) -> list:
+    """Intervals (lo, hi], Fractions, each holding one distinct root of the integer polynomial p in (0, inf); needs p(0) != 0.
+
+    Bisects [0, B], B a Cauchy bound 1 + max |p_i / p_top|, rounded up to an
+    integer, counting roots in each half by Sturm's theorem in exact integers.
+    """
+    seq = _sturm_sequence(p)
+    lo, hi = Fraction(0), Fraction(2 + max((abs(x) for x in p[:-1]), default=0) // abs(p[-1]))
+    todo, out = [(lo, hi, _variations_at(seq, lo), _variations_at(seq, hi))], []
+    while todo:
+        lo, hi, v_lo, v_hi = todo.pop()
+        if v_lo - v_hi == 1:
+            out.append((lo, hi))
+        elif v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            v_mid = _variations_at(seq, mid)
+            todo += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+    return sorted(out)
+
+
+def _polished_root(p: list, lo: Fraction, hi: Fraction) -> float:
+    """The one root of the integer polynomial p in (lo, hi]: Newton steps kept inside a shrinking bracket.
+
+    Accurate to the float values of p near the root: a few ulps for the
+    Laguerre polynomials at n <= 6, 3e-13 relative at n = 260.  The sign of
+    p on (root, hi] is read exactly at hi, so the bracket never needs p at
+    lo, which may be a root of its own.
+    """
+    right = _scaled_value(p, hi)
+    if not right:
+        return float(hi)
+    coeffs = [float(c) for c in reversed(p)]
+    a, b = float(lo), float(hi)
+    x = 0.5 * (a + b)
+    for _ in range(100):
+        v = dv = 0.0
+        for c in coeffs:
+            dv = dv * x + v
+            v = v * x + c
+        if v == 0.0:
+            return x
+        if (v > 0.0) == (right > 0):
+            b = x
+        else:
+            a = x
+        step = v / dv
+        if abs(step) <= 2e-16 * x and a <= x - step <= b:
+            return x - step
+        x = x - step if a < x - step < b else 0.5 * (a + b)
+    return x
+
+
+def tail_l1_plateau(lp: LambdaParam, dfrak: int) -> float:
+    """The R -> 0 limit of the :func:`tail_l1_sweep` norms, from the flat-space kernel, with no series and no quadrature.
+
+    Rescaled by s = theta / sqrt(R), the scale tail tends to the flat-space
+    kernel e^-u L_{dfrak-1}^{(n/2)}(u), u = lam s^2 / 2 (the Gegenbauer-Bessel
+    limit, DLMF 18.11, and Weber's Gaussian Hankel integrals, DLMF 10.22),
+    less the degree-0 term that the tail drops, which comes back as a thin
+    negative floor over the whole sphere.  The norm tends to
+
+        I (1 + integral_0^inf |P| w du / Gamma(n/2)),   I = (2 lam)^dfrak Gamma(dfrak) / sigma_n^2,
+
+    with P = L_{dfrak-1}^{(n/2)} and w = u^(n/2-1) e^-u.  P has the rational
+    coefficients p_i = (-1)^i binom(dfrak-1+n/2, dfrak-1-i) / i!, and
+    integral_0^inf P w = Gamma(n/2), so with c_i = p_i (n/2)_i the integral
+    from x to infinity is Gamma(n/2) G(x), G(x) = sum_i c_i Q(n/2 + i, x)
+    and G(0) = 1.  The positive roots of P, all simple, are bracketed by a
+    Sturm count in integers and polished in floats; between them the pieces
+    are differences of G.  A root's error enters only quadratically, because
+    G' = -P w / Gamma(n/2) vanishes there.
+    """
+    if dfrak < 1:
+        raise ValueError("tail integral defined for order >= 1")
+    m, alpha = dfrak - 1, Fraction(lp.n, 2)
+    p = [
+        (-1) ** i * math.prod((alpha + t for t in range(i + 1, m + 1)), start=Fraction(1))
+        / (math.factorial(m - i) * math.factorial(i))
+        for i in range(m + 1)
+    ]
+    c = np.array([float(x * math.prod((alpha + t for t in range(i)), start=Fraction(1))) for i, x in enumerate(p)])
+    den = math.lcm(*(x.denominator for x in p))
+    ints = [int(x * den) for x in p]
+    roots = np.array([_polished_root(ints, lo, hi) for lo, hi in _isolated_positive_roots(ints)])
+    G = sum(ci * _upper_gamma_q(lp.n / 2 + i, roots) for i, ci in enumerate(c))
+    ends = np.concatenate(([1.0], G, [0.0]))
+    mass = (2.0 * lp.lam) ** dfrak * math.gamma(dfrak) / lp.sigma**2
+    return float(mass * (1.0 + np.sum(np.abs(np.diff(ends)))))

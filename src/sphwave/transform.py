@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissibility import GammaVector, _scale_integrals, admissibility_constant, solve_gamma
+from .admissibility import GammaVector, _scale_integrals, _scaled_constant, admissibility_constant, solve_gamma
 from .rotderiv import CoefficientField, sector_basis_frame, sector_weights, synthesize, synthesize_frame
 from .special import LambdaParam, dim_harmonic, gauss_gegenbauer, surface_measure
 from .wavelets import KIND_HEAT, KIND_POISSON, modified_wavelet_table, scale_weights
@@ -489,5 +489,5 @@ def per_degree_reconstruction_check(
         return 0.0
     if gamma is None:
         gamma = solve_gamma(lp.lam, dfrak)
-    (val,) = _scale_integrals(lp, gamma, [l])
-    return admissibility_constant(lp, dfrak) * val / dim_harmonic(lp.n, l)
+    (val,), p = _scale_integrals(lp, gamma, [l])
+    return _scaled_constant(lp, dfrak, p) * val / dim_harmonic(lp.n, l)

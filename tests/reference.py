@@ -10,11 +10,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from sphwave.admissibility import _upper_gamma_q
 from sphwave.euclid import EuclideanPoint
 from sphwave.harmonics import GaussJacobiRule
 from sphwave.rotderiv import CoefficientField, _angular, _norm_column
 from sphwave.special import LambdaParam, _check_t, _log_rising, _resolve_order, dim_harmonic, gegenbauer_batch
-from sphwave.wavelets import KIND_POISSON, TRUNCATION_CAP, TruncationError, WaveletSpec
+from sphwave.wavelets import KIND_POISSON, TRUNCATION_CAP, TruncationError, WaveletSpec, certified_degree
 
 
 def gegenbauer_derivative(l: int, order, t):
@@ -258,3 +259,47 @@ def tail_l1_mpmath(n: int, order: int, R: float, L: int, starts, dps: int = 50) 
         G = [(1 - a * a) ** (lam + mpmath.mpf(1) / 2) * series(lam + 1, g_weights, a) for a in roots]
         ends = [mpmath.mpf(0)] + G + [mpmath.mpf(0)]
         return float(sigma(n - 1) / sigma(n) * sum(abs(b - a) for a, b in zip(ends, ends[1:])))
+
+
+def tail_l1_plateau_mpmath(n: int, order: int, dps: int = 40) -> float:
+    """I (1 + integral_0^inf |P| w du / Gamma(n/2)) by mpmath quadrature, in ``dps``-digit arithmetic.
+
+    P = L_{order-1}^{(n/2)} from its exact coefficients
+    (-1)^i binom(order-1+n/2, order-1-i) / i!, w = u^(n/2-1) e^-u and
+    I = (n-1)^order Gamma(order) / sigma_n^2.  The integral is split at the
+    roots of P from ``mpmath.polyroots``, so |P| w is smooth on every piece.
+    """
+    with mpmath.workdps(dps):
+        m, alpha = order - 1, mpmath.mpf(n) / 2
+        p = [(-1) ** i * mpmath.binomial(m + alpha, m - i) / mpmath.factorial(i) for i in range(m + 1)]
+        roots = sorted(mpmath.re(r) for r in mpmath.polyroots(p[::-1], maxsteps=200, extraprec=200)) if m else []
+        ends = [mpmath.mpf(0)] + roots + [mpmath.inf]
+
+        def integrand(u):
+            return mpmath.polyval(p[::-1], u) * u ** (alpha - 1) * mpmath.exp(-u)
+
+        total = sum(abs(mpmath.quad(integrand, [a, b])) for a, b in zip(ends, ends[1:]))
+        sigma = 2 * mpmath.pi ** (mpmath.mpf(n + 1) / 2) / mpmath.gamma(mpmath.mpf(n + 1) / 2)
+        mass = (n - 1) ** order * mpmath.gamma(order) / sigma**2
+        return float(mass * (1 + total / mpmath.gamma(alpha)))
+
+
+def tail_weights_full_cap(lam: float, dfrak: int, R: float) -> np.ndarray:
+    """The scale-tail weights with every degree up to the cap formed at once, then scanned.
+
+    Same terms, bounds and certified degree as ``admissibility._tail_weights``,
+    which forms them on a growing prefix instead.
+    """
+    ls = np.arange(TRUNCATION_CAP + 3)
+    x = R * ls * (2.0 * lam + ls) / (2.0 * lam)
+    weights = (2.0 * lam) ** dfrak * _upper_gamma_q(dfrak, x) * math.gamma(dfrak) * (lam + ls) / lam
+    weights[0] = 0.0
+    log_c = np.concatenate(([0.0], np.cumsum(np.log1p((2.0 * lam - 1.0) / ls[1:]))))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        terms = np.exp(np.log(weights) + log_c)
+        bound = np.exp(dfrak * math.log(2.0 * lam) + (dfrak - 1) * np.log(x) - x - np.log1p((1 - dfrak) / x)
+                       + np.log((lam + ls) / lam) + log_c)
+    bound[x <= dfrak] = np.inf
+    failure = f"scale tail at R={R:g} not certified below degree cap {TRUNCATION_CAP}"
+    L = certified_degree(bound, 1e-12 * np.cumsum(terms)[: TRUNCATION_CAP + 1], failure)
+    return weights[: L + 1]

@@ -13,7 +13,9 @@ from sphwave.admissibility import (
     GammaSolveError,
     GammaVector,
     _assert_collapse,
+    _isolated_positive_roots,
     _pair_energy,
+    _polished_root,
     _positive_root_count,
     _q_table,
     _scale_integrals,
@@ -26,16 +28,23 @@ from sphwave.admissibility import (
     q_polynomial,
     solve_gamma,
     tail_integral,
+    tail_l1_plateau,
     tail_l1_sweep,
     verify_pair_condition1,
     zonal_product_series,
 )
-from sphwave.rotderiv import CoefficientField, derivative_order, sector_pair_sum
+from sphwave.rotderiv import CoefficientField, derivative_order, sector_pair_sum, sector_weights
 from sphwave.harmonics import gauss_jacobi_rule
 from sphwave.special import LambdaParam, dim_harmonic, gegenbauer_weighted_sum, reproducing_kernel
-from sphwave.wavelets import KIND_HEAT, KIND_POISSON, TruncationError, modified_wavelet_field
+from sphwave.wavelets import KIND_HEAT, KIND_POISSON, TruncationError, modified_wavelet_field, modified_wavelet_table
 
-from reference import gegenbauer_weighted_sum_one_row, q_table_all_pairs, tail_l1_mpmath
+from reference import (
+    gegenbauer_weighted_sum_one_row,
+    q_table_all_pairs,
+    tail_l1_mpmath,
+    tail_l1_plateau_mpmath,
+    tail_weights_full_cap,
+)
 
 
 def qval(lam, d, dp, u):
@@ -436,14 +445,43 @@ def test_trapezoid_scale_integrals_match_closed_form(n, dfrak):
     # over a 40-degree sweep and for single degrees (a narrower window)
     lp = LambdaParam(n)
     gamma = solve_gamma(lp.lam, dfrak)
-    energy = _pair_energy(lp, gamma, 40)
-    sweep = _scale_integrals(lp, gamma, range(1, 41))
+    energy, p = _pair_energy(lp, gamma, 40, 1.0)
+    sweep, q = _scale_integrals(lp, gamma, range(1, 41))
+    assert p == q == 0
     for l, val in enumerate(sweep, start=1):
         u = l * (2 * lp.lam + l)
         closed = math.gamma(dfrak) * (2 * lp.lam / u) ** dfrak * energy[l]
         assert val == pytest.approx(closed, rel=1e-13, abs=0.0)
         if l in (1, 7, 40):
-            assert _scale_integrals(lp, gamma, [l])[0] == pytest.approx(closed, rel=1e-13, abs=0.0)
+            assert _scale_integrals(lp, gamma, [l])[0][0] == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [230, 240, 260])
+def test_pair_energy_carries_a_power_of_two_past_the_float_range(n):
+    # B ~ 1/sigma_n: from n = 240 on its squares overflow, so the energies
+    # come scaled by 2^-p; at n = 230 they fit and p = 0
+    lp = LambdaParam(n)
+    gamma = solve_gamma(lp.lam, 2)
+    energy, p = _pair_energy(lp, gamma, 20, 1.0)
+    assert np.isfinite(energy).all()
+    assert (p == 0) is (n == 230)
+    B = modified_wavelet_table(lp, gamma, 20)
+    exact = [sum(w * mpmath.mpf(b) ** 2 for w, b in zip(sector_weights(n, 2), row)) for row in B]
+    for l in range(1, 21):
+        assert float(exact[l] / mpmath.ldexp(energy[l], p)) == pytest.approx(1.0, abs=1e-14)
+    vals, q = _scale_integrals(lp, gamma, range(1, 21))
+    assert q == p
+    sigma = 2 * mpmath.pi ** (mpmath.mpf(n + 1) / 2) / mpmath.gamma(mpmath.mpf(n + 1) / 2)
+    C = sigma**2 / (n - 1) ** 2  # below the normal floats at n = 260
+    for l, val in enumerate(vals, start=1):
+        assert float(mpmath.ldexp(val, p) * C / dim_harmonic(n, l)) == pytest.approx(1.0, rel=1e-9)
+    s = math.exp(-0.3 * 5) * 0.3**2 * math.exp(-0.3 * 5 * (2 * lp.lam + 5) / (2 * lp.lam) + 0.3 * 5)
+    want = mpmath.ldexp(energy[5], p) * s
+    if want < mpmath.mpf(2) ** 1024:
+        assert pair_coefficient_sum(lp, gamma, 0.3, 5) == pytest.approx(float(want), rel=1e-13)
+    else:  # the sum itself is past the float range
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert pair_coefficient_sum(lp, gamma, 0.3, 5) == math.inf
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -457,6 +495,15 @@ def test_upper_gamma_q_matches_scipy(d):
     with mpmath.workdps(30):
         for xv, q in zip(x[::10], _upper_gamma_q(d, x[::10])):
             assert abs(q / mpmath.gammainc(d, xv, mpmath.inf, regularized=True) - 1) <= 2e-15
+
+
+@pytest.mark.parametrize("d", [0.5, 1.5, 2.5, 5.5, 65.5])
+def test_upper_gamma_q_at_half_integer_orders(d):
+    # erfc(sqrt x) plus positive terms; math.erfc itself is 4.7e-14 off near x = 700
+    x = np.concatenate(([0.0], np.logspace(-10, math.log10(700.0), 61)))
+    with mpmath.workdps(30):
+        for xv, q in zip(x, _upper_gamma_q(d, x)):
+            assert abs(q / mpmath.gammainc(d, xv, mpmath.inf, regularized=True) - 1) <= 1e-13
 
 
 def test_tail_single_term_hand_formula():
@@ -480,6 +527,21 @@ def test_tail_single_term_hand_formula():
 def test_tail_vanishes_for_large_cutoff():
     lp = LambdaParam(2)
     assert abs(tail_integral(lp, 2, 40.0, 0.2)) < 1e-15
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_tail_weights_on_a_growing_prefix_keep_their_bits(n):
+    lam = LambdaParam(n).lam
+    for order in range(1, 7):
+        for R in (1.0, 0.3, 0.1, 0.03, 1e-3, 1e-4, 1e-5):
+            got, want = _tail_weights(lam, order, R), tail_weights_full_cap(lam, order, R)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (order, R)
+        # past the cap both raise, with one message
+        with pytest.raises(TruncationError) as prefix:
+            _tail_weights(lam, order, 1e-7)
+        with pytest.raises(TruncationError) as full:
+            tail_weights_full_cap(lam, order, 1e-7)
+        assert str(prefix.value) == str(full.value)
 
 
 def test_tail_cutoff_beyond_the_cap_raises():
@@ -602,6 +664,49 @@ def test_tail_l1_sweep_matches_untrimmed_recurrence_bits(order, monkeypatch):
     trimmed = tail_l1_sweep(lp, order, R_values)
     monkeypatch.setattr(adm, "gegenbauer_weighted_sum", gegenbauer_weighted_sum_one_row)
     assert trimmed == tail_l1_sweep(lp, order, R_values)
+
+
+def test_tail_l1_plateau_closed_forms_on_the_2_sphere():
+    # P = 1 at order 1 and 2 - u at order 2 (one root, at u = 2)
+    lp = LambdaParam(2)
+    assert tail_l1_plateau(lp, 1) == pytest.approx(1 / (8 * math.pi**2), rel=1e-15)
+    assert tail_l1_plateau(lp, 2) == pytest.approx((2 + 2 * math.exp(-2)) / (16 * math.pi**2), rel=1e-15)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_tail_l1_plateau_matches_mpmath(n):
+    for order in range(1, 7):
+        got = tail_l1_plateau(LambdaParam(n), order)
+        assert got == pytest.approx(tail_l1_plateau_mpmath(n, order), rel=1e-12, abs=0.0), order
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_tail_l1_sweep_approaches_the_plateau_from_below(n):
+    # at R = 1e-5 the sweep is within 2e-4 below its R -> 0 limit; the largest
+    # gap, 1.25e-4, is at n = 2, order 1
+    lp = LambdaParam(n)
+    for order in range(1, 7):
+        gap = 1.0 - tail_l1_sweep(lp, order, [1e-5])[0] / tail_l1_plateau(lp, order)
+        assert 0.0 < gap < 2e-4, (order, gap)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 101, 260])
+def test_laguerre_roots_are_isolated_and_polished(n):
+    # the Sturm bisection leaves one root of L_m^(n/2) per interval, and the
+    # float polish lands within a few ulps of the 40-digit root at n <= 6; at
+    # n = 260 the float value of P near its root limits it to 3.3e-13
+    for m in range(1, 6):
+        with mpmath.workdps(40):
+            alpha = mpmath.mpf(n) / 2
+            p = [(-1) ** i * mpmath.binomial(m + alpha, m - i) / mpmath.factorial(i) for i in range(m + 1)]
+            exact = sorted(mpmath.re(r) for r in mpmath.polyroots(p[::-1], maxsteps=200, extraprec=200))
+            den = math.lcm(*(int(mpmath.factorial(i)) * 2**m for i in range(m + 1)))
+            ints = [int(mpmath.nint(x * den)) for x in p]
+        intervals = _isolated_positive_roots(ints)
+        assert len(intervals) == m
+        for (lo, hi), root in zip(intervals, map(float, exact)):
+            assert lo < root <= hi
+            assert abs(_polished_root(ints, lo, hi) / root - 1) < (2e-15 if n <= 6 else 1e-12)
 
 
 def test_tail_l1_sweep_bounded():

@@ -207,7 +207,7 @@ def test_verify_tail_row_states_its_criterion(tmp_path):
 
 def test_verify_builds_no_gauss_rule(tmp_path, monkeypatch):
     # the tail norms are exact sums at the kernel's sign changes: no quadrature
-    # rule is built, and the plateau equals a sweep of its own
+    # rule is built, and the plateau is the exact flat-space limit
     import sphwave
     import sphwave.admissibility as adm
 
@@ -222,8 +222,9 @@ def test_verify_builds_no_gauss_rule(tmp_path, monkeypatch):
     assert run(["verify", "--n", "2", "--order", "1", "--band", "3", "--out", str(out)]) == 0
     row = next(c for c in json.loads(out.read_text())["checks"] if c["check"] == "tail_l1_bounded_sweep")
     lp = LambdaParam(2)
-    plateau = adm.tail_l1_sweep(lp, 1, [1e-4])[0]
+    plateau = adm.tail_l1_plateau(lp, 1)
     assert row["value"] == plateau / adm.tail_l1_sweep(lp, 1, [0.03])[0]
+    assert row["pass"] and row["value"] == pytest.approx(1.150053, abs=5e-7)
 
 
 def _write_csv_per_cell(path, header, rows):
@@ -435,6 +436,22 @@ def test_limit_on_large_spheres_writes_strict_json(n, tmp_path):
     assert run(["limit", "--n", str(n), "--out", str(out)]) == EXIT_OK
     report = json.loads(out.read_text(), parse_constant=_reject_constant)
     assert report["failures"] == 0
+
+
+@pytest.mark.parametrize("n", [240, 260])
+def test_verify_on_large_spheres_writes_strict_json(n, tmp_path):
+    # the wavelet table's squares overflow from n = 240 on; an exact power of
+    # two carried through the pair energies keeps every row finite
+    out = tmp_path / "verify.json"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = run(["verify", "--n", str(n), "--out", str(out)])
+    assert code == EXIT_OK, stderr.getvalue()
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["failures"] == 0
+    rows = [c for c in report["checks"] if c["check"].startswith("pair_condition1")]
+    assert len(rows) == 20
+    assert all(c["value"] == pytest.approx(c["expected"], rel=1e-9) for c in rows)
 
 
 def test_limit_value_beyond_the_float_range_is_a_usage_error(tmp_path):
