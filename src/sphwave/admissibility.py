@@ -43,6 +43,7 @@ __all__ = [
     "q_polynomial",
     "solve_gamma",
     "admissibility_constant",
+    "energy_table",
     "verify_pair_condition1",
     "zonal_product_series",
     "pair_coefficient_sum",
@@ -87,7 +88,8 @@ def _twice_lam(lam) -> int:
 
 
 # Exact polynomials in u are pairs (nums, den): ascending integer numerators
-# over one positive denominator, reduced by their common gcd.
+# over one positive denominator.  Sums and products leave them unreduced; the
+# q_{s,s} of :func:`_q_table` are reduced once, where they are complete.
 
 
 def _reduced(nums: list, den: int) -> tuple:
@@ -102,7 +104,7 @@ def _padd(a: tuple, b: tuple) -> tuple:
     out = [x * fa for x in na] + [0] * (len(nb) - len(na))
     for i, x in enumerate(nb):
         out[i] += x * fb
-    return _reduced(out, da * fa)
+    return out, da * fa
 
 
 def _pmul(a: tuple, b: tuple) -> tuple:
@@ -112,7 +114,7 @@ def _pmul(a: tuple, b: tuple) -> tuple:
         if x:
             for j, y in enumerate(nb):
                 out[i + j] += x * y
-    return _reduced(out, da * db)
+    return out, da * db
 
 
 def _beta_sq(mu: int, j: int) -> tuple:
@@ -168,9 +170,9 @@ def q_polynomial(lam, d: int, dp: int) -> tuple:
 
 
 def _q_table(mu: int, dfrak: int) -> list:
-    """The diagonal q_{s,s}, s = 0..dfrak; q_{a,b} = (-1)^((a-b)/2) q_{s,s} with s = (a+b)/2 gives the rest."""
+    """The diagonal q_{s,s}, s = 0..dfrak, in lowest terms; q_{a,b} = (-1)^((a-b)/2) q_{s,s} with s = (a+b)/2 gives the rest."""
     P, prefix = _ladder(mu, dfrak)
-    return [_q_sum(P, prefix, s, s) for s in range(dfrak + 1)]
+    return [_reduced(*_q_sum(P, prefix, s, s)) for s in range(dfrak + 1)]
 
 
 def _spectral_coeffs(dfrak: int, qs: list) -> tuple:
@@ -316,16 +318,19 @@ def _assert_collapse(vec: GammaVector, qs: list, l_max: int = 30, tol: float = 1
 
     ``qs`` holds the float coefficients of q_{0,0}..q_{order,order}.  The
     weight of q_{s,s} is (-1)^s times the t^(2s) coefficient of h(t) h(-t),
-    h(t) = sum_d gamma_d t^d; each q_{s,s} is evaluated at all six u at once.
+    h(t) = sum_d gamma_d t^d.  The weighted q_{s,s} are summed into one
+    polynomial, which one matrix product evaluates at all six u.
     """
     ls = np.array([1, 2, 3, 5, 11, l_max], dtype=float)
     u = ls * (2.0 * vec.lam + ls)
     g = np.asarray(vec.gammas)
     alt = (-1.0) ** np.arange(vec.order + 1)
     weights = alt * np.convolve(g, alt * g)[::2]
-    total = weights @ [np.polynomial.polynomial.polyval(u, q) for q in qs]
-    target = u**vec.order
-    for l, got, want in zip(ls, total, target):
+    Q = np.zeros((vec.order + 1, vec.order + 1))
+    for s, q in enumerate(qs):
+        Q[s, : len(q)] = q
+    total = (u[:, None] ** np.arange(vec.order + 1)) @ (weights @ Q)
+    for l, got, want in zip(ls.tolist(), total.tolist(), (u**vec.order).tolist()):
         if abs(got - want) > tol * want:
             raise GammaSolveError(f"solved gammas fail the collapse identity at l={int(l)}: {got} vs {want}")
 
@@ -346,9 +351,10 @@ def _pair_energy(lp: LambdaParam, gamma: GammaVector, L: int, factor) -> tuple:
     """(E, p) with E_l 2^p = sum_k w_k B_{l,k}^2, l = 0..L: the rho-free factor of every pair sum.
 
     p = 0 whenever every factor_l E_l is a finite float; callers pass the
-    per-degree factor they multiply E by.  On large spheres B grows past
-    1e154 (B ~ 1/sigma_n), so its squares overflow; B is then scaled by the
-    exact power of two just above its largest entry, and p carries that power.
+    per-degree factor they multiply E by, or a bound on it.  On large spheres
+    B grows past 1e154 (B ~ 1/sigma_n), so its squares overflow; B is then
+    scaled by the exact power of two just above its largest entry, and p
+    carries that power.
     """
     B = modified_wavelet_table(lp, gamma, L)
     w = sector_weights(lp.n, gamma.order)
@@ -360,13 +366,25 @@ def _pair_energy(lp: LambdaParam, gamma: GammaVector, L: int, factor) -> tuple:
     return np.ldexp(B, -e) ** 2 @ w, 2 * e
 
 
+def energy_table(lp: LambdaParam, gamma: GammaVector, L: int) -> tuple:
+    """(E, p) of :func:`_pair_energy` up to degree L, shared by every scale integral up to L.
+
+    The integral of degree l >= 1 is Gamma(order) (2 lam / u)^order E_l, and
+    u = l (2 lam + l) > 2 lam, so Gamma(order) bounds its factor: p = 0
+    whenever every Gamma(order) E_l is finite.  The integrals do not depend
+    on p (2^p is exact), only on whether their products overflow.
+    """
+    return _pair_energy(lp, gamma, L, math.gamma(gamma.order))
+
+
 def pair_coefficient_sum(lp: LambdaParam, gamma: GammaVector, rho: float, l: int) -> float:
     """sum_k w_k a_l^k(G_rho) a_l^k(H_rho) at one degree (Poisson/heat pair).
 
     Both wavelets carry the table B of :func:`modified_wavelet_table`, so the
     sum is s^P_l(rho) s^H_l(rho) E_l.
     """
-    s = scale_weights(lp, KIND_POISSON, gamma.order, [rho], l) * scale_weights(lp, KIND_HEAT, gamma.order, [rho], l)
+    ls = np.arange(l + 1)
+    s = scale_weights(lp, KIND_POISSON, gamma.order, [rho], ls) * scale_weights(lp, KIND_HEAT, gamma.order, [rho], ls)
     E, p = _pair_energy(lp, gamma, l, s[0])
     return float(np.ldexp(s[0, l] * E[l], p))
 
@@ -379,57 +397,60 @@ def pair_coefficient_sum(lp: LambdaParam, gamma: GammaVector, rho: float, l: int
 _TRAPEZOID_STEP = 1.0 / 7.0
 
 
-def _scale_integrals(lp: LambdaParam, gamma: GammaVector, degrees) -> tuple:
+def _scale_integrals(lp: LambdaParam, gamma: GammaVector, degrees, energy: tuple | None = None) -> tuple:
     """(vals, p): per degree l >= 1, 2^p vals = the integral over rho > 0 of s^P_l s^H_l E_l = rho^order exp(-rho u / 2 lam) E_l.
 
-    One trapezoid rule in x = log rho serves every degree: the products of the
-    two :func:`scale_weights` tables are summed over its nodes, and one table
-    gives every E_l, with the exponent p of :func:`_pair_energy`.  Independent
-    of the closed form Gamma(order) (2 lam / u)^order.
+    One trapezoid rule in x = log rho, on the window of the given degrees,
+    serves them all: each degree's column of the two :func:`scale_weights`
+    products is summed node by node, in order (``np.add.accumulate``), so a
+    degree's sum does not depend on which other degrees are asked for.  E_l
+    and p come from ``energy``, an :func:`energy_table` up to some L >=
+    max(degrees), or from one built here.  Independent of the closed form
+    Gamma(order) (2 lam / u)^order.
     """
     degrees = list(degrees)
     if not degrees:
         return [], 0
     dfrak, lam = gamma.order, lp.lam
-    L = max(degrees)
-    a_lo, a_hi = (l * (2.0 * lam + l) / (2.0 * lam) for l in (min(degrees), L))
+    a_lo, a_hi = (l * (2.0 * lam + l) / (2.0 * lam) for l in (min(degrees), max(degrees)))
     x_lo, x_hi = -40.0 / dfrak - math.log(a_hi), math.log(60.0 / a_lo)
     x = x_lo + _TRAPEZOID_STEP * np.arange(math.ceil((x_hi - x_lo) / _TRAPEZOID_STEP) + 1)
     rho = np.exp(x)
-    s = scale_weights(lp, KIND_POISSON, dfrak, rho, L) * scale_weights(lp, KIND_HEAT, dfrak, rho, L)
-    factor = _TRAPEZOID_STEP * s.sum(axis=0)
-    E, p = _pair_energy(lp, gamma, L, factor)
-    vals = factor * E
-    return [float(vals[l]) for l in degrees], p
+    s = scale_weights(lp, KIND_POISSON, dfrak, rho, degrees) * scale_weights(lp, KIND_HEAT, dfrak, rho, degrees)
+    factor = _TRAPEZOID_STEP * np.add.accumulate(s)[-1]
+    E, p = energy_table(lp, gamma, max(degrees)) if energy is None else energy
+    return (factor * E[degrees]).tolist(), p
 
 
 def verify_pair_condition1(
-    lp: LambdaParam, dfrak: int, l_max: int, gamma: GammaVector | None = None, *, tol_identity: float = 1e-6
+    lp: LambdaParam, dfrak: int, l_max: int, gamma: GammaVector | None = None, *, tol_identity: float = 1e-6,
+    energy: tuple | None = None,
 ) -> list:
     """Check the per-degree admissibility integral against N(n, l), both ways.
 
     For each degree l <= l_max the scale integral of the coefficient product is
     evaluated (a) in closed form, Gamma(dfrak) (2 lam / u)^dfrak times the
-    degree constants, and (b) by a trapezoid rule in log rho over the
-    coefficient products s^P_l s^H_l E_l, whose energies E_l come from the ladder-built
-    table of :func:`modified_wavelet_table`; after scaling by C both must
-    equal the harmonic dimension N(n, l): the ratio to ``tol_identity``, the
-    two paths to 1e-8 relative of each other.  Returns one report dict per
-    degree; failures are recorded, not raised.  The integrals' power of two
-    2^p (:func:`_pair_energy`) is folded into C and sigma^2, so the rows stay
-    finite where E_l alone overflows.
+    degree constants N(n, l) u^dfrak / sigma^2, whose u^dfrak cancels before
+    it can overflow, and (b) by a trapezoid rule in log rho over the
+    coefficient products s^P_l s^H_l E_l, whose energies E_l come from the
+    ladder-built table of :func:`modified_wavelet_table`: ``energy``, an
+    :func:`energy_table` up to l_max or beyond, or one built here.  After
+    scaling by C both must equal the harmonic dimension N(n, l): the ratio to
+    ``tol_identity``, the two paths to 1e-8 relative of each other.  Returns
+    one report dict per degree; failures are recorded, not raised.  The
+    integrals' power of two 2^p (:func:`_pair_energy`) is folded into C and
+    sigma^2, so the rows stay finite where E_l alone overflows.
     """
     if gamma is None:
         gamma = solve_gamma(Fraction(lp.n - 1, 2), dfrak)
     lam = lp.lam
-    vals, p = _scale_integrals(lp, gamma, range(1, l_max + 1))
+    vals, p = _scale_integrals(lp, gamma, range(1, l_max + 1), energy)
     C = _scaled_constant(lp, dfrak, p)
     sigma_sq = math.ldexp(lp.sigma**2, p)
     rows = []
     for l, val in enumerate(vals, start=1):
-        u = l * (2.0 * lam + l)
         nl = dim_harmonic(lp.n, l)
-        closed = nl / sigma_sq * u**dfrak * math.gamma(dfrak) * (2.0 * lam / u) ** dfrak
+        closed = nl * math.gamma(dfrak) * (2.0 * lam) ** dfrak / sigma_sq
         paths = abs(val / closed - 1.0)
         ratio = C * val / nl
         rows.append(

@@ -14,8 +14,9 @@ are written with shortest round-trip formatting, summation orders are fixed,
 and test signals use fixed seeds.  Every numeric default lands in the report
 metadata.  Exit codes: 0 ok, 2 usage error (also a transform order with no
 real gamma vector, whose certificate goes to stderr, n >= 261, where the
-sphere's squared surface measure is not a normal float, and a limit probe
-value that is not a finite float), 3 verification/tolerance failure
+sphere's squared surface measure is not a normal float, a limit probe
+value that is not a finite float, and a request too large for memory, such
+as an eval grid of 1e5 per angle), 3 verification/tolerance failure
 (suppressed by --report-only).
 """
 
@@ -31,6 +32,7 @@ import numpy as np
 
 from .admissibility import (
     GammaSolveError,
+    energy_table,
     solve_gamma,
     tail_l1_plateau,
     tail_l1_sweep,
@@ -67,12 +69,17 @@ def _cells(values) -> list:
     return list(map(repr, values))
 
 
-def _write_csv(path: str, header: list, columns: list) -> None:
+def _csv_text(header: list, columns: list) -> str:
     """One line per row of the equal-length cell columns (see :func:`_cells`)."""
     lines = [",".join(header)]
     lines += map(",".join, zip(*columns))
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(path: str, header: list, columns: list) -> None:
+    text = _csv_text(header, columns)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -139,8 +146,12 @@ def cmd_eval(args) -> int:
         meta["max_rel_diff"] = max_abs_diff / scale if scale else 0.0
         ok = meta["max_rel_diff"] < args.tol
         meta["pass"] = bool(ok)
-    _write_json(args.out + ".json", meta)  # first: a report that cannot be written leaves no table
-    _write_csv(args.out, header, columns)
+    # the table is built before either file is written, so one too large for
+    # memory leaves no file; a report that cannot be written leaves no table
+    table = _csv_text(header, columns)
+    _write_json(args.out + ".json", meta)
+    with open(args.out, "w") as fh:
+        fh.write(table)
     print(f"wrote {args.out} ({m * m} rows)")
     return EXIT_OK if ok or args.report_only else EXIT_VERIFY
 
@@ -203,7 +214,9 @@ def cmd_verify(args) -> int:
     checks = []
     try:
         gamma = solve_gamma(lp.lam, args.order)
-        rows = verify_pair_condition1(lp, args.order, args.band, gamma, tol_identity=args.tol)
+        # one table E_l up to the band serves the pair-condition and the reconstruction rows
+        energy = energy_table(lp, gamma, args.band)
+        rows = verify_pair_condition1(lp, args.order, args.band, gamma, tol_identity=args.tol, energy=energy)
         for row in rows:
             checks.append(
                 _report_row(
@@ -217,7 +230,7 @@ def cmd_verify(args) -> int:
                 )
             )
         for l in sorted({1, args.band // 2 or 1, args.band}):
-            m = per_degree_reconstruction_check(lp, args.order, l, gamma)
+            m = per_degree_reconstruction_check(lp, args.order, l, gamma, energy=energy)
             checks.append(
                 _report_row(
                     check=f"reconstruction_multiplier[l={l}]",
@@ -455,6 +468,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, TruncationError, GammaSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

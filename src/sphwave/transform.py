@@ -441,8 +441,9 @@ def round_trip(
     rhos, rho_w = log_rho_grid(rho_min, rho_max, rho_steps)
     C = admissibility_constant(lp, dfrak)
     B = modified_wavelet_table(lp, gamma, band)[:, : K + 1]
-    s_p = scale_weights(lp, KIND_POISSON, dfrak, rhos, band)
-    s_h = scale_weights(lp, KIND_HEAT, dfrak, rhos, band)
+    ls = np.arange(band + 1)
+    s_p = scale_weights(lp, KIND_POISSON, dfrak, rhos, ls)
+    s_h = scale_weights(lp, KIND_HEAT, dfrak, rhos, ls)
     W = np.tensordot(s_p[:, :, None] * B, T.reshape(band + 1, K + 1, -1), axes=2)
     V = _scale_rotation_sums(W, C * s_h[:, :, None] * B, rho_w, nu).reshape(T.shape)
     # inversion, the adjoint: f_rec,lm = sum_{k,R} V_{l,k}(R) w_k (-1)^k D^l_{mk}(R), then synthesis
@@ -454,7 +455,6 @@ def round_trip(
     err = f_rec - f_vals
     rel_l2 = math.sqrt(grid_inner(grid, err, err) / grid_inner(grid, f_vals, f_vals))
 
-    ls = np.arange(band + 1)
     multipliers = C * (rho_w @ (s_p * s_h)) * (B**2 @ sector_weights(2, K)) / (2 * ls + 1)
     energy = signal.coeffs**2 @ sector_weights(2, signal.order_bound)
     predicted = math.sqrt(float(np.sum((multipliers - 1.0) ** 2 * energy) / np.sum(energy)))
@@ -476,18 +476,21 @@ def round_trip(
 
 
 def per_degree_reconstruction_check(
-    lp: LambdaParam, dfrak: int, l: int, gamma: GammaVector | None = None
+    lp: LambdaParam, dfrak: int, l: int, gamma: GammaVector | None = None, *, energy: tuple | None = None
 ) -> float:
     """Fourier-side reconstruction multiplier for one degree; 1 after C-scaling.
 
     The general-n stand-in for full inversion: integrates the pair's
     coefficient products over all scales, through the same helper as
-    :func:`verify_pair_condition1`, and scales by C/N(n, l).  Degree 0 is
-    annihilated (returns 0) for dfrak >= 1.
+    :func:`verify_pair_condition1`, on a window of its own degree, and scales
+    by C/N(n, l).  ``energy`` is an :func:`energy_table` up to l or beyond,
+    such as the one a verify report builds for its pair-condition rows;
+    without it, one up to l is built.  Degree 0 is annihilated (returns 0)
+    for dfrak >= 1.
     """
     if l == 0:
         return 0.0
     if gamma is None:
         gamma = solve_gamma(lp.lam, dfrak)
-    (val,), p = _scale_integrals(lp, gamma, [l])
+    (val,), p = _scale_integrals(lp, gamma, [l], energy)
     return _scaled_constant(lp, dfrak, p) * val / dim_harmonic(lp.n, l)

@@ -85,15 +85,16 @@ class WaveletSpec:
         return math.exp(-self.rho)
 
 
-def scale_weights(lp: LambdaParam, kind: str, order: int, rhos, L: int) -> np.ndarray:
-    """Per-degree scale weights s_l(rho) of an order-``order`` family, shape (len(rhos), L+1).
+def scale_weights(lp: LambdaParam, kind: str, order: int, rhos, degrees) -> np.ndarray:
+    """Per-degree scale weights s_l(rho) of an order-``order`` family, shape (len(rhos), len(degrees)).
 
     Poisson kind: exp(-rho l) rho^order; heat kind: exp(-rho l^2 / (2 lam)).
     The ladder never mixes degrees, so a family member at scale rho has the
-    coefficients s_l(rho) B_{l,k} of one rho-free table B.
+    coefficients s_l(rho) B_{l,k} of one rho-free table B, and each degree's
+    weights are formed alone.
     """
     rho = np.asarray(rhos, dtype=float)[:, None]
-    ls = np.arange(L + 1, dtype=float)
+    ls = np.asarray(degrees, dtype=float)
     if kind == KIND_POISSON:
         return np.exp(-rho * ls) * rho**order
     return np.exp(-rho * ls**2 / (2.0 * lp.lam))
@@ -113,7 +114,7 @@ def kernel_zonal_coeffs(spec: WaveletSpec, L: int) -> np.ndarray:
     a_l^0 = (1/sigma) (lam+l)/lam * w_l / A_l^0 with w_l the kind-specific
     degree weight.
     """
-    return scale_weights(spec.lp, spec.kind, 0, [spec.rho], L)[0] * _zonal_seed(spec.lp, L)
+    return scale_weights(spec.lp, spec.kind, 0, [spec.rho], np.arange(L + 1))[0] * _zonal_seed(spec.lp, L)
 
 
 def _poisson_parts(rho: float, theta1):
@@ -232,7 +233,7 @@ def modified_wavelet_field(lp: LambdaParam, gamma: GammaVector, kind: str, rho: 
     family does not.
     """
     WaveletSpec(lp=lp, kind=kind, order=gamma.order, rho=rho)  # validates kind and rho
-    weights = scale_weights(lp, kind, gamma.order, [rho], L)[0]
+    weights = scale_weights(lp, kind, gamma.order, [rho], np.arange(L + 1))[0]
     return CoefficientField(lp, weights[:, None] * modified_wavelet_table(lp, gamma, L))
 
 

@@ -10,12 +10,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from sphwave.admissibility import _upper_gamma_q
+from sphwave.admissibility import _TRAPEZOID_STEP, _pair_energy, _scaled_constant, _upper_gamma_q
 from sphwave.euclid import EuclideanPoint
 from sphwave.harmonics import GaussJacobiRule
 from sphwave.rotderiv import CoefficientField, _angular, _norm_column
 from sphwave.special import LambdaParam, _check_t, _log_rising, _resolve_order, dim_harmonic, gegenbauer_batch
-from sphwave.wavelets import KIND_POISSON, TRUNCATION_CAP, TruncationError, WaveletSpec, certified_degree
+from sphwave.wavelets import KIND_HEAT, KIND_POISSON, TRUNCATION_CAP, TruncationError, WaveletSpec, certified_degree, scale_weights
 
 
 def gegenbauer_derivative(l: int, order, t):
@@ -130,6 +130,25 @@ def q_table_all_pairs(lam: Fraction, dfrak: int) -> dict:
                 prefix = _pmul(prefix, _beta_sq_poly(lam, j))
             table[(d, dp)] = q
     return table
+
+
+def per_degree_reconstruction_check(lp: LambdaParam, dfrak: int, l: int, gamma) -> float:
+    """The degree-l reconstruction multiplier as a one-degree sweep of its own.
+
+    The full (nodes x (l+1)) scale-weight table on the degree's trapezoid
+    window, its column sums over axis 0, and a table B up to degree l whose
+    power of two is fixed by those sums; the package reads E_l from a shared
+    table and sums only column l.
+    """
+    lam = lp.lam
+    a = l * (2.0 * lam + l) / (2.0 * lam)
+    x_lo, x_hi = -40.0 / dfrak - math.log(a), math.log(60.0 / a)
+    x = x_lo + _TRAPEZOID_STEP * np.arange(math.ceil((x_hi - x_lo) / _TRAPEZOID_STEP) + 1)
+    rho, ls = np.exp(x), np.arange(l + 1)
+    s = scale_weights(lp, KIND_POISSON, dfrak, rho, ls) * scale_weights(lp, KIND_HEAT, dfrak, rho, ls)
+    factor = _TRAPEZOID_STEP * s.sum(axis=0)
+    E, p = _pair_energy(lp, gamma, l, factor)
+    return _scaled_constant(lp, dfrak, p) * float((factor * E)[l]) / dim_harmonic(lp.n, l)
 
 
 def synthesize_frame_per_column(field: CoefficientField, cos_theta1, sin_theta1, theta2) -> np.ndarray:

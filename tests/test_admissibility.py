@@ -24,6 +24,7 @@ from sphwave.admissibility import (
     _tail_weights,
     _upper_gamma_q,
     admissibility_constant,
+    energy_table,
     pair_coefficient_sum,
     q_polynomial,
     solve_gamma,
@@ -113,6 +114,40 @@ def test_integer_q_table_equals_the_fraction_ladder():
             for s, (nums, den) in enumerate(_q_table(n - 1, order)):
                 assert rationals((nums, den)) == ref[(s, s)], (n, order, s)
                 assert den > 0 and math.gcd(den, *nums) == 1, (n, order, s)
+
+
+def test_q_table_is_in_lowest_terms():
+    # the ladder's sums and products are left unreduced; each q_{s,s} is reduced once
+    for mu in range(1, 260):
+        for s, (nums, den) in enumerate(_q_table(mu, 6)):
+            assert den > 0 and math.gcd(den, *nums) == 1, (mu, s)
+
+
+def test_q_polynomial_matches_a_sympy_ladder():
+    # a_l^j(f^(d)) = (prod_{i<j} beta_{l,i}) P_{d,j}(u) a_l^0(f) with
+    # P_{d+1,j} = beta_j^2 P_{d,j+1} - P_{d,j-1}, and q_{d,d'} = sum_j prod_{i<j} beta_i^2 P_{d,j} P_{d',j},
+    # in sympy's rational polynomials; every pair, either order, any parity
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+    for n in range(2, 13):
+        mu = n - 1
+        beta_sq = [u / (mu + 1)] + [
+            sympy.Rational((j + 1) * (mu + j - 1), (mu + 2 * j - 1) * (mu + 2 * j + 1)) * (u - j * (mu + j))
+            for j in range(1, 7)
+        ]
+        P = {(0, 0): sympy.Integer(1)}
+        for d in range(6):
+            for j in range(d + 2):
+                P[(d + 1, j)] = sympy.expand(beta_sq[j] * P.get((d, j + 1), 0) - P.get((d, j - 1), 0))
+        for d in range(7):
+            for dp in range(7):
+                q, prefix = sympy.Integer(0), sympy.Integer(1)
+                for j in range(min(d, dp) + 1):
+                    q += prefix * P.get((d, j), 0) * P.get((dp, j), 0)
+                    prefix *= beta_sq[j]
+                coeffs = sympy.Poly(sympy.expand(q), u).all_coeffs()[::-1]
+                want = tuple(Fraction(int(c.p), int(c.q)) for c in coeffs)
+                assert q_polynomial(Fraction(mu, 2), d, dp) == want, (n, d, dp)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -363,6 +398,18 @@ def test_pair_condition_small_sweep(n, dfrak):
         assert row["pass"], row
         assert row["paths_rel_diff"] < 1e-8
         assert abs(row["ratio"] - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize(("n", "l_max"), [(227, 21), (235, 12), (244, 4), (260, 21)])
+def test_pair_condition_closed_path_is_finite_on_large_spheres(n, l_max):
+    # C times the closed path is N(n, l) exactly, since 2 lam = n - 1; with
+    # u^order formed before (2 lam / u)^order cancels it, the path read inf
+    # at order 6 on these spheres
+    lp = LambdaParam(n)
+    energy = energy_table(lp, solve_gamma(lp.lam, 6), l_max)
+    for row in verify_pair_condition1(lp, 6, l_max, energy=energy):
+        assert row["closed_scaled"] == pytest.approx(row["expected"], rel=1e-13), row
+        assert row["paths_rel_diff"] < 1e-8 and row["pass"], row
 
 
 # quadrature_scaled of verify_pair_condition1(LambdaParam(3), 2, 20), l = 1..20, as

@@ -470,3 +470,35 @@ def test_verify_check_names_are_unique(tmp_path):
         assert run(["verify", "--n", "3", "--order", "1", "--band", str(band), "--out", str(out)]) == 0
         names = [c["check"] for c in json.loads(out.read_text())["checks"]]
         assert len(names) == len(set(names)), names
+
+
+@pytest.mark.parametrize(("n", "band"), [(235, 12), (244, 4)])
+def test_verify_closed_path_stays_finite_at_order_6(n, band, tmp_path):
+    # the closed path's u^order cancels against (2 lam / u)^order; formed
+    # before that, it overflowed to inf here and failed rows whose
+    # quadrature matched N(n, l)
+    out = tmp_path / "verify.json"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = run(["verify", "--n", str(n), "--order", "6", "--band", str(band), "--out", str(out)])
+    assert code == EXIT_OK, stderr.getvalue()
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["failures"] == 0 and len(report["checks"]) == band + 3
+
+
+@pytest.mark.parametrize("stage", ["synthesize", "_csv_text"])
+def test_eval_out_of_memory_is_a_usage_error_that_writes_nothing(stage, tmp_path, monkeypatch):
+    # a grid too large for memory (eval --grid 100000 asks numpy for 74.5 GiB)
+    # ends like any usage error; the failure is simulated, nothing large is allocated
+    import sphwave.cli as cli_module
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr(cli_module, stage, no_memory)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["eval", "--grid", "7", "--out", str(tmp_path / "eval.csv")])
+    assert code == EXIT_USAGE
+    assert stderr.getvalue() == "error: out of memory: Unable to allocate 74.5 GiB for an array with shape (100000, 100000)\n"
+    assert not list(tmp_path.iterdir())

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from sphwave.admissibility import (
+    GammaSolveError,
     admissibility_constant,
+    energy_table,
     pair_coefficient_sum,
     solve_gamma,
     zonal_product_series,
@@ -31,6 +33,7 @@ from sphwave.transform import (
 )
 from sphwave.wavelets import KIND_POISSON, WaveletSpec, directional_wavelet_field
 
+import reference
 from reference import wigner_d_sum
 
 
@@ -187,6 +190,24 @@ def test_transform_covariance():
     f_rot = synthesize_frame(signal, np.clip(rx[0], -1, 1), np.hypot(rx[1], rx[2]), np.arctan2(rx[2], rx[1]))
     rhs = wavelet_transform(psi, f_rot, grid, rotated_sector_frame(mats, grid))
     assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-13)
+
+
+def test_reconstruction_multipliers_match_the_one_degree_sweep_bit_for_bit():
+    # one column summed in order, E_l read from a shared table up to degree 30,
+    # against the full table, its 2-D column sums and a table B of its own
+    for n in [*range(2, 13), 150, 235, 240, 260]:
+        lp = LambdaParam(n)
+        for order in range(1, 7):
+            try:
+                gamma = solve_gamma(lp.lam, order)
+            except GammaSolveError:
+                continue
+            energy = energy_table(lp, gamma, 30)
+            for l in range(1, 31):
+                want = reference.per_degree_reconstruction_check(lp, order, l, gamma)
+                assert math.isfinite(want), (n, order, l)
+                assert per_degree_reconstruction_check(lp, order, l, gamma) == want, (n, order, l)
+                assert per_degree_reconstruction_check(lp, order, l, gamma, energy=energy) == want, (n, order, l)
 
 
 def test_per_degree_multiplier_examples():
