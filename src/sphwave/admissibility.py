@@ -374,6 +374,8 @@ def energy_table(lp: LambdaParam, gamma: GammaVector, L: int) -> tuple:
     whenever every Gamma(order) E_l is finite.  The integrals do not depend
     on p (2^p is exact), only on whether their products overflow.
     """
+    if gamma.order < 1:
+        raise ValueError("the admissible pair needs order >= 1")
     return _pair_energy(lp, gamma, L, math.gamma(gamma.order))
 
 

@@ -40,7 +40,7 @@ from .admissibility import (
 )
 from .euclid import EuclideanPoint, limit_convergence_probe
 from .rotderiv import synthesize
-from .special import LambdaParam
+from .special import LambdaParam, surface_measure
 from .transform import (
     DEFAULT_RHO_MAX,
     DEFAULT_RHO_MIN,
@@ -103,6 +103,7 @@ def _report_row(check: str, identity: str, value, expected, tol: float | None, o
 
 def cmd_eval(args) -> int:
     lp = LambdaParam(args.n)
+    surface_measure(lp.n)  # n >= 261 is a usage error, which truncation_degree would report as an overflow
     spec = WaveletSpec(lp=lp, kind=args.kind, order=args.order, rho=args.rho)
     try:
         L = truncation_degree(spec, args.tol_series)
@@ -242,7 +243,7 @@ def cmd_verify(args) -> int:
                     operation="transform.per_degree_reconstruction_check",
                 )
             )
-        if lp.n == 2 and args.order >= 1:
+        if lp.n == 2:
             norms = tail_l1_sweep(lp, args.order, [1.0, 0.3, 0.1, 0.03])
             plateau = tail_l1_plateau(lp, args.order)
             ratio = plateau / norms[-1]

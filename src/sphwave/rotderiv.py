@@ -149,8 +149,8 @@ def synthesize(field: CoefficientField, theta1, theta2) -> np.ndarray:
     """Evaluate the field's function at angles (theta1, theta2).
 
     Sector fields depend on the first two angles only; theta2 is phi on S^2.
-    Broadcasts over array inputs; summation runs in fixed l-ascending order per
-    order column, so results are bit-reproducible.  The radial recurrence runs
+    Broadcasts over array inputs; each order column is summed in a fixed
+    order, so results are bit-reproducible.  The radial recurrence runs
     on theta1's own shape: a theta1 column against a theta2 row evaluates a
     tensor grid with one recurrence per distinct theta1, and gives the same
     bits as the full meshgrid.
@@ -164,9 +164,10 @@ def synthesize_frame(field: CoefficientField, cos_theta1, sin_theta1, theta2) ->
 
     Preferred when the point comes from Cartesian data: sin(theta1) computed
     as a vector norm keeps full relative accuracy near the poles, where
-    reconstructing it through arccos would lose half the digits.  Streams one
-    recurrence for all nonzero order columns, so high degrees on many points
-    stay cheap in memory; :func:`sector_basis_frame` keeps every basis
+    reconstructing it through arccos would lose half the digits.  Sums all
+    nonzero order columns in one :func:`gegenbauer_weighted_sum` call, which
+    holds O(sqrt(L)) values per point and column, so high degrees on many
+    points stay cheap in memory; :func:`sector_basis_frame` keeps every basis
     function instead.
     """
     lp = field.lp

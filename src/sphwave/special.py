@@ -126,19 +126,30 @@ def gegenbauer_value(order: "float | LambdaParam", l: int, t):
 
 
 def gegenbauer_weighted_sum(order: "float | LambdaParam | list", weights, t) -> np.ndarray:
-    """Streaming evaluation of sum_l weights[l] * C_l(t).
+    """Evaluate sum_l weights[l] * C_l(t) in about 2 sqrt(L) vectorized steps.
 
-    Keeps only two recurrence levels in memory; intended for large point sets
-    where materializing the full (L+1, ...) batch would be wasteful.  ``order``
-    may also be a sequence of orders with one weight row each, rows ordered by
-    non-increasing length: all rows then advance in one recurrence loop, each
-    with its own order, and the result stacks their sums on a leading axis.
-    Each row's sum has the bits of its own single-row call.
+    ``order`` may also be a sequence of orders with one weight row each, rows
+    ordered by non-increasing length; the result stacks the rows' sums on a
+    leading axis.  Each row's sum has the bits of its own single-row call.
 
-    A row's recurrence ends at its last nonzero weight, but never before
-    degree 1 (where the row has one) nor before a later row's end, so
-    trailing zero weights cost nothing.  Zero weights add nothing, so the
-    sums keep the bits of the full-length rows.
+    A row ends at its last nonzero weight, but never before degree 1 where it
+    has one, so trailing zero weights cost nothing.  A row that ends by
+    degree 1 is w_0 + w_1 C_1(t) with no recurrence; an all-zero row thus
+    keeps the sign of its zero.
+
+    Longer rows are summed at |t|, even and odd degrees apart, since
+    C_l(-t) = (-1)^l C_l(t).  The recurrence runs in Reinsch's difference
+    form on the pair (C_l, D_l = C_l - C_{l-1}),
+
+        D_{l+1} = (2 (lam + l) (t - 1) C_l + (2 lam + l - 1) D_l) / (l + 1),
+        C_{l+1} = C_l + D_{l+1},
+
+    which keeps its accuracy near t = 1, where t - 1 is exact.  The degrees
+    are cut into J blocks of B, the largest power of two not above sqrt(L + 1)
+    and at least 2: the row's own length sets B.  All blocks run at once for B
+    steps from the two basis states (1, 0) and (0, 1), each summing its
+    weighted even and odd degrees.  Then J steps chain the blocks from
+    (C_0, D_0) = (1, 1), through one 2x2 transfer per point and block.
     """
     if np.ndim(order) == 0:
         return _weighted_sums([_resolve_order(order)], [weights], t)[0]
@@ -151,55 +162,54 @@ def _weighted_sums(lams: list, rows, t) -> np.ndarray:
     sizes = [w.shape[0] for w in rows]
     if len(rows) != len(lams) or sizes != sorted(sizes, reverse=True):
         raise ValueError("need one weight row per order, in non-increasing length")
-    # each row ends at its last nonzero weight, but keeps degrees 0 and 1 (always
-    # added: they carry the sign of a zero sum) and never ends below a later row
-    end = 0
-    for r in range(len(rows) - 1, -1, -1):
-        nz = np.flatnonzero(rows[r])
-        end = max(end, min(sizes[r], 2), int(nz[-1]) + 1 if nz.size else 0)
-        sizes[r] = end
-        rows[r] = rows[r][:end]
-    out = np.zeros((len(rows), t.size))
-    m = sum(size > 0 for size in sizes)
-    if m == 0:
-        return out.reshape((len(rows),) + t.shape)
-    L = sizes[0] - 1
-    ls = np.arange(L + 1)
-    lam = np.array(lams[:m])[:, None]
-    w = np.zeros((m, L + 1))
-    for r in range(m):
-        w[r, : sizes[r]] = rows[r]
-    running = ls < np.array(sizes[:m])[:, None]
-    active = running.sum(axis=0).tolist()  # rows that reach degree l: a prefix
-    nonzero = ((w != 0.0) & running).sum(axis=0).tolist()  # zero weights add nothing, not even a signed zero
-
-    def per_degree(table):
-        # one (m, 1) column per degree; a single row takes Python floats, same bits, less overhead
-        return list(table.T[:, :, None]) if m > 1 else table[0].tolist()
-
-    a, b, wl = per_degree(2.0 * (lam + ls)), per_degree(2.0 * lam + ls - 1.0), per_degree(w)
-    x = t.reshape(1, -1)
-    acc = out[:m]
-    prev = np.ones((m, t.size))
-    acc[...] = wl[0] * prev
-    if L == 0:
-        return out.reshape((len(rows),) + t.shape)
-    k = active[1]
-    prev, acc = prev[:k], acc[:k]
-    cur = 2.0 * lam[:k] * x
-    acc += (wl[1][:k] if m > 1 else wl[1]) * cur
-    for l in range(1, L):
-        k = active[l + 1]
-        al, bl, wv = a[l], b[l], wl[l + 1]
-        if k < m:
-            al, bl, wv = al[:k], bl[:k], wv[:k]
-            prev, cur, acc = prev[:k], cur[:k], acc[:k]
-        prev, cur = cur, (al * x * cur - bl * prev) / (l + 1)
-        if nonzero[l + 1] == k:
-            acc += wv * cur
-        elif nonzero[l + 1]:
-            np.add(acc, wv * cur, out=acc, where=wv != 0.0)
+    x = t.reshape(-1)
+    out = np.zeros((len(rows), x.size))
+    groups = {}  # block length -> rows that run the recurrence
+    for r, w in enumerate(rows):
+        nz = np.flatnonzero(w)
+        rows[r] = w = w[: max(min(w.shape[0], 2), int(nz[-1]) + 1 if nz.size else 0)]
+        if w.shape[0] > 2:
+            # the largest power of two not above sqrt(len(w)), and at least 2
+            groups.setdefault(1 << max(1, (w.shape[0].bit_length() - 1) // 2), []).append(r)
+        elif w.shape[0]:
+            out[r] = w[0]
+            if w.shape[0] == 2:
+                out[r] += w[1] * (2.0 * lams[r] * x)
+    for B, idx in groups.items():
+        idx.sort(key=lambda r: -rows[r].shape[0])
+        out[idx] = _blocked_sums(B, [lams[r] for r in idx], [rows[r] for r in idx], x)
     return out.reshape((len(rows),) + t.shape)
+
+
+def _blocked_sums(B: int, lams: list, rows: list, t: np.ndarray) -> np.ndarray:
+    """Sums of ``rows`` (non-increasing lengths) at the points ``t`` in blocks of B degrees."""
+    blocks = [-(-w.shape[0] // B) for w in rows]  # each row's block count
+    R, J = len(rows), blocks[0]
+    w = np.zeros((R, J * B))
+    for r, row in enumerate(rows):
+        w[r, : row.shape[0]] = row
+    w = w.reshape(R, J, B).T[..., None]  # w[i, j, r] weighs degree j B + i of row r
+    l = np.arange(B)[:, None, None, None] + B * np.arange(J)[:, None, None]
+    lam = np.array(lams)[:, None]
+    a, b = 2.0 * (lam + l) / (l + 1.0), (2.0 * lam + l - 1.0) / (l + 1.0)
+    xm1 = np.abs(t) - 1.0
+    # per basis state (1, 0) or (0, 1) of each block: its even and odd degree sums, then C and D
+    transfer = np.zeros((4, 2, J, R, t.size))
+    sums, C, D = transfer[:2], transfer[2], transfer[3]
+    C[0], D[1] = 1.0, 1.0
+    for i in range(B):
+        sums[i % 2] += w[i] * C  # B even: step i has the parity of i in every block
+        D *= b[i]
+        D += a[i] * xm1 * C
+        C += D
+    state = np.ones((2, R, t.size))  # (C_0, D_0)
+    acc = np.zeros_like(state)
+    for j in range(J):
+        k = sum(n > j for n in blocks)  # rows still running: a prefix
+        y = transfer[:, 0, j, :k] * state[0, :k] + transfer[:, 1, j, :k] * state[1, :k]
+        acc[:, :k] += y[:2]
+        state = y[2:]
+    return acc[0] + np.sign(t) * acc[1]  # odd degrees vanish at t = 0
 
 
 def gauss_gegenbauer(m: int, alpha: float) -> tuple:

@@ -48,10 +48,15 @@ Grid design notes
 * The scale integral is discretized log-uniformly (trapezoid in log rho),
   natural for the d(rho)/rho measure.  The default range [1e-6, 8] with 60
   nodes keeps every per-degree multiplier within ~1e-4 of 1 for band-8
-  signals at order 1.  The fine-scale cutoff dominates the error budget: at
-  band 8, 1 - m_8 = 7.24e-5 matches the deficit
-  1 - exp(-rho_min u_8 / 2 lam) = 7.2e-5 (u_l = l(2 lam + l)), while the
-  coarse-scale cutoff costs about 1.1e-7.
+  signals at order 1.  Both cutoffs cost a deficit that depends on the
+  order d.  With u_l = l(2 lam + l), the fine cutoff costs degree l the
+  regularized lower incomplete gamma P(d, rho_min u_l / 2 lam), which is
+  1 - exp(-rho_min u_l / 2 lam) only at order 1, and the coarse cutoff the
+  upper one, Q(d, rho_max u_l / 2 lam).  On S^2 at order 1 the fine cutoff
+  dominates: 1 - m_8 = 7.24e-5 against P(1, .) = 7.2e-5, while the coarse
+  cutoff costs Q(1, .) = 1.1e-7 at degree 1.  The coarse end grows with the
+  order: 1 - m_1 reads 4.0e-6 at order 2 and 1.7e-4 at order 4, against
+  Q(2, .) = 1.9e-6 and Q(4, .) = 9.3e-5, the rest being trapezoid error.
   The round trip multiplies degree l by a known discrete multiplier m_l, so
   its error is predicted exactly from the signal's per-degree energies.
 

@@ -47,6 +47,59 @@ def gegenbauer_weighted_sum_one_row(order, weights, t) -> np.ndarray:
     return acc
 
 
+def loop_error_bound(order, weights) -> float:
+    """A priori bound on the rounding error of :func:`gegenbauer_weighted_sum_one_row` at any t.
+
+    Near t = +-1 the three-term recurrence's rounding error grows like l^2 eps
+    relative to C_l(1), so (L + 1)^2 eps sum_l |w_l| C_l(1) bounds the loop's
+    error, and with it the distance to any sum at least as accurate.
+    """
+    w = np.abs(np.asarray(weights, dtype=float))
+    return np.finfo(float).eps * w.shape[0] ** 2 * float(gegenbauer_weighted_sum_one_row(order, w, 1.0))
+
+
+_FIXED_POINT_BITS = 256
+
+
+def gegenbauer_weighted_sum_exact(order, weights, t) -> np.ndarray:
+    """sum_l weights[l] C_l(t) by the three-term recurrence in 256-bit fixed point, rounded once to a float.
+
+    Float inputs are dyadic rationals and the order is taken as a fraction
+    p / q, so each step (l + 1) C_{l+1} = 2 (lam + l) t C_l - (2 lam + l - 1) C_{l-1}
+    is one integer expression and one floor division, a 2^-256 error.  The
+    weighted sum itself is exact.  At degrees up to 5000 and orders up to 10
+    the result is exact to far beyond double precision; it matches a 50-digit
+    mpmath recurrence to the last bit.  The points run side by side in numpy
+    object arrays of Python integers.
+    """
+    lam = Fraction(_resolve_order(order))
+    p, q = lam.numerator, lam.denominator
+    w = [Fraction(v) for v in np.asarray(weights, dtype=float).tolist()]
+    t = _check_t(np.asarray(t, dtype=float))
+    if not w:
+        return np.zeros_like(t)
+    ratios = [Fraction(v) for v in t.ravel().tolist()]
+    tm = np.empty(len(ratios), dtype=object)
+    shift = np.empty(len(ratios), dtype=object)
+    tm[:] = [r.numerator for r in ratios]
+    shift[:] = [r.denominator.bit_length() - 1 for r in ratios]  # t = tm / 2^shift
+    den = max(v.denominator for v in w)  # a power of two: sum w_l C_l = sum W_l C_l / den
+    W = [v.numerator * (den // v.denominator) for v in w]
+    prev = np.empty(len(ratios), dtype=object)
+    prev[:] = 1 << _FIXED_POINT_BITS
+    acc = W[0] * prev
+    if len(W) > 1:
+        cur = 2 * p * tm * prev // (q << shift)
+        acc = acc + W[1] * cur
+        for l in range(1, len(W) - 1):
+            num = 2 * (p + l * q) * tm * cur - ((2 * p + (l - 1) * q) * prev << shift)
+            prev, cur = cur, num // (q * (l + 1) << shift)
+            if W[l + 1]:
+                acc = acc + W[l + 1] * cur
+    scale = den << _FIXED_POINT_BITS
+    return np.array([float(Fraction(a, scale)) for a in acc]).reshape(t.shape)
+
+
 def _gegenbauer_norm_inv(l: int, lam: float) -> float:
     # c(l, lam): the constant that inverts the Gegenbauer squared norm.  With
     # 2 lam = n - 1 an integer, Gamma(l + 1) / Gamma(2 lam + l) is the inverse

@@ -126,6 +126,14 @@ def test_transform_round_trip_report(tmp_path):
     assert code == 0
 
 
+def test_verify_rejects_order_zero(tmp_path, capsys):
+    # the pair's scale integrals need Gamma(order): order 0 is a usage error, not a math domain error
+    out = tmp_path / "v.json"
+    assert run(["verify", "--order", "0", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: the admissible pair needs order >= 1\n"
+    assert not out.exists()
+
+
 def test_transform_rejects_higher_dimensions(tmp_path):
     assert run(["transform", "--n", "3", "--order", "1", "--out", str(tmp_path / "x.json")]) == 2
 
@@ -417,7 +425,9 @@ def test_fuzzed_arguments_exit_cleanly(argv, tmp_path_factory):
 
 
 @pytest.mark.parametrize("n", [261, 300, 400])
-@pytest.mark.parametrize("argv", [["limit"], ["coeffs"], ["verify", "--order", "1", "--band", "4"]], ids=lambda a: a[0])
+@pytest.mark.parametrize(
+    "argv", [["limit"], ["coeffs"], ["verify", "--order", "1", "--band", "4"], ["eval", "--grid", "3"]], ids=lambda a: a[0]
+)
 def test_sphere_without_a_normal_surface_measure_is_a_usage_error(n, argv, tmp_path):
     # from n = 261 on, sigma^2 is below the smallest normal float (and Gamma overflows by n = 400)
     stderr = io.StringIO()

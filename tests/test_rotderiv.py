@@ -5,6 +5,8 @@ import pytest
 
 from sphwave.rotderiv import (
     CoefficientField,
+    _angular,
+    _norm_column,
     beta,
     beta_ladder,
     derivative_order,
@@ -18,7 +20,8 @@ from sphwave.rotderiv import (
 from sphwave.special import LambdaParam, gegenbauer_batch, gegenbauer_weighted_sum
 from sphwave.wavelets import KIND_HEAT, KIND_POISSON, WaveletSpec, directional_wavelet_field, truncation_degree
 
-from reference import synthesize_frame_per_column
+import reference
+from reference import loop_error_bound, synthesize_frame_per_column
 
 
 def rotated_zonal_value(coeffs, lam, theta1, theta2, angle):
@@ -186,15 +189,27 @@ def test_synthesize_column_by_row_matches_meshgrid_bits(n, d):
         (5, KIND_HEAT, 0, 0.5),
     ],
 )
-def test_synthesize_one_recurrence_matches_per_column_bits(n, kind, order, rho):
+def test_synthesize_one_recurrence_matches_per_column_bits(n, kind, order, rho, monkeypatch):
     spec = WaveletSpec(lp=LambdaParam(n), kind=kind, order=order, rho=rho)
     field = directional_wavelet_field(spec, truncation_degree(spec, 1e-10))
     theta1 = np.linspace(0.0, np.pi, 14)[:, None]  # the poles included
     theta2 = np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False)[None, :]
     args = (field, np.cos(theta1), np.sin(theta1), theta2)
-    got, expect = synthesize_frame(*args), synthesize_frame_per_column(*args)
-    assert np.array_equal(got, expect)
-    assert np.array_equal(np.signbit(got), np.signbit(expect))
+    got = synthesize_frame(*args)
+    # stacking the order rows keeps each row's bits: the same per-column
+    # synthesis through the package's single-row sums
+    with monkeypatch.context() as patch:
+        patch.setattr(reference, "gegenbauer_weighted_sum_one_row", gegenbauer_weighted_sum)
+        per_column = synthesize_frame_per_column(*args)
+    assert np.array_equal(got, per_column)
+    assert np.array_equal(np.signbit(got), np.signbit(per_column))
+    # against the per-degree loop, within its error bound per column
+    lp, L = field.lp, field.degree_max
+    bound = sum(
+        loop_error_bound(lp.lam + k, field.coeffs[k:, k] * _norm_column(lp, L, k)) * np.max(np.abs(_angular(lp, k, theta2)))
+        for k in range(field.order_bound + 1)
+    )
+    assert np.max(np.abs(got - synthesize_frame_per_column(*args))) <= bound
 
 
 @pytest.mark.parametrize("n", [2, 3])

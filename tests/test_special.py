@@ -21,7 +21,15 @@ from sphwave.special import (
     surface_measure,
 )
 
-from reference import gegenbauer_derivative, gegenbauer_weighted_sum_one_row
+from sphwave.rotderiv import _norm_column
+from sphwave.wavelets import KIND_POISSON, WaveletSpec, directional_wavelet_field, truncation_degree
+
+from reference import (
+    gegenbauer_derivative,
+    gegenbauer_weighted_sum_exact,
+    gegenbauer_weighted_sum_one_row,
+    loop_error_bound,
+)
 
 LAMBDAS = [0.5, 1.0, 1.5, 2.0, 3.0]
 TGRID_21 = np.linspace(-1.0, 1.0, 21)
@@ -198,6 +206,12 @@ def _bits(a):
     return a.tobytes(), np.signbit(a).tobytes()
 
 
+def _assert_near_loop(got, lam, w, t):
+    # the blocked sums round differently from the per-degree loop; the loop's
+    # own error bound, set from the dtype and L, covers the difference
+    assert np.max(np.abs(got - gegenbauer_weighted_sum_one_row(lam, w, t)), initial=0.0) <= loop_error_bound(lam, w)
+
+
 def test_weighted_sum_rows_match_single_row_bits():
     rng = np.random.default_rng(5)
     t = np.concatenate((np.linspace(-1, 1, 9), [0.0, -0.0]))
@@ -210,27 +224,37 @@ def test_weighted_sum_rows_match_single_row_bits():
     stacked = gegenbauer_weighted_sum(lams, rows, t)
     assert stacked.shape == (len(rows),) + t.shape
     for lam, w, got in zip(lams, rows, stacked):
-        assert _bits(got) == _bits(gegenbauer_weighted_sum_one_row(lam, w, t))
         assert _bits(got) == _bits(gegenbauer_weighted_sum(lam, w, t))
+        _assert_near_loop(got, lam, w, t)
+    for r in (2, 4, 5):  # no recurrence: the loop's own bits, signs of zero included
+        assert _bits(stacked[r]) == _bits(gegenbauer_weighted_sum_one_row(lams[r], rows[r], t))
     # one row, including a zero weight and the grid's shape
     w = rng.standard_normal(4000) * np.exp(-0.01 * np.arange(4000))
     w[[1, 2, 100]] = 0.0
     grid = np.cos(np.linspace(0.01, 3.1, 12)).reshape(3, 4)
-    assert _bits(gegenbauer_weighted_sum(1.0, w, grid)) == _bits(gegenbauer_weighted_sum_one_row(1.0, w, grid))
+    got = gegenbauer_weighted_sum(1.0, w, grid)
+    assert got.shape == grid.shape
+    _assert_near_loop(got, 1.0, w, grid)
 
 
 def test_weighted_sum_trailing_zeros_match_full_row_bits():
-    # each row's recurrence ends at its last nonzero weight, never before degree 1
-    # nor before a later row's end; the sums keep the bits of the untrimmed rows
+    # each row's recurrence ends at its last nonzero weight, never before degree 1:
+    # a row keeps the bits of its trimmed self, alone or stacked
     rng = np.random.default_rng(11)
     t = np.concatenate((np.linspace(-1, 1, 9), [0.0, -0.0]))
 
     def tail(head, zeros):
         return np.concatenate((head, np.zeros(zeros)))
 
+    def trimmed(w):
+        nz = np.flatnonzero(w)
+        return w[: max(min(w.shape[0], 2), nz[-1] + 1 if nz.size else 0)]
+
     single = [tail(rng.standard_normal(5), 40), tail([0.7], 12), tail([0.0, -1.3], 9), tail([-0.0], 6), tail([], 3)]
     for lam, w in zip((0.5, 1.0, 1.5, 2.5, 3.0), single):
-        assert _bits(gegenbauer_weighted_sum(lam, w, t)) == _bits(gegenbauer_weighted_sum_one_row(lam, w, t))
+        got = gegenbauer_weighted_sum(lam, w, t)
+        assert _bits(got) == _bits(gegenbauer_weighted_sum(lam, trimmed(w), t))
+        _assert_near_loop(got, lam, w, t)
     rows = [
         tail(rng.standard_normal(2), 48),  # trimmed end (2) falls below the next row's
         tail(rng.standard_normal(20), 20),
@@ -243,7 +267,36 @@ def test_weighted_sum_trailing_zeros_match_full_row_bits():
     stacked = gegenbauer_weighted_sum(lams, rows, t)
     assert stacked.shape == (len(rows),) + t.shape
     for lam, w, got in zip(lams, rows, stacked):
-        assert _bits(got) == _bits(gegenbauer_weighted_sum_one_row(lam, w, t))
+        assert _bits(got) == _bits(gegenbauer_weighted_sum(lam, trimmed(w), t))
+        _assert_near_loop(got, lam, w, t)
+    for r in (0, 3, 4, 5):  # no recurrence: the loop's own bits, signs of zero included
+        assert _bits(stacked[r]) == _bits(gegenbauer_weighted_sum_one_row(lams[r], rows[r], t))
+
+
+@pytest.mark.parametrize(
+    "n, order, rho",
+    [(2, 1, 0.01), (3, 2, 0.033), (2, 4, 0.05), (4, 2, 0.05), (5, 3, 0.1), (6, 6, 0.3), (2, 1, 0.5)],
+)
+def test_weighted_sum_matches_exact_recurrence(n, order, rho):
+    # the order rows of eval's wavelet series (L = 3917, 1466, 1027, 1062, 610,
+    # 256 and 62) on eval's 60-point theta1 grid and at theta = 0, 1e-3,
+    # pi - 1e-3 and pi, against the recurrence in exact fixed point; errors are
+    # relative to the row's largest value on the grid.  The per-degree loop
+    # reaches 1.9e-13 on the grid and 1.2e-10 at those four angles.
+    spec = WaveletSpec(lp=LambdaParam(n), kind=KIND_POISSON, order=order, rho=rho)
+    field = directional_wavelet_field(spec, truncation_degree(spec, 1e-10))
+    lp, L = field.lp, field.degree_max
+    ks = [k for k in range(field.order_bound + 1) if np.any(field.coeffs[:, k])]
+    rows = [field.coeffs[k:, k] * _norm_column(lp, L, k) for k in ks]
+    grid = np.cos(np.linspace(0.0, np.pi, 62)[1:-1])
+    ends = np.cos([0.0, 1e-3, np.pi - 1e-3, np.pi])
+    lams = [lp.lam + k for k in ks]
+    on_grid, at_ends = gegenbauer_weighted_sum(lams, rows, grid), gegenbauer_weighted_sum(lams, rows, ends)
+    for k, lam, w, got_grid, got_ends in zip(ks, lams, rows, on_grid, at_ends):
+        exact = gegenbauer_weighted_sum_exact(lam, w, grid)
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(got_grid - exact)) <= 8e-15 * scale, k
+        assert np.max(np.abs(got_ends - gegenbauer_weighted_sum_exact(lam, w, ends))) <= 7e-12 * scale, k
 
 
 def test_weighted_sum_trailing_zeros_run_no_recurrence():
