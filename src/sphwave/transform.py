@@ -40,7 +40,11 @@ Grid design notes
   alpha and gamma; the inversion is the adjoint, ending in synthesis on the
   grid.  The sphere grid's theta rule is the rotation grid's beta rule, so
   the one table serves both: its k = 0 column holds the harmonics at the
-  grid's theta nodes.  Time is O(L^3 d) per round trip plus the scale sums,
+  grid's theta nodes.  The signal's samples are synthesized from its
+  coefficients through that column too, with F_l0 = a_l0, F_lk = (-1)^k a_lk
+  and F_l,-k = a_lk; a rotation Q acts on them as F'_l = D^l(Q) F_l, from a
+  d table at Q's one beta, so no Gegenbauer recurrence runs in the round
+  trip.  Time is O(L^3 d) per round trip plus the scale sums,
   and the table holds (L+1)(2L+1)(d+1)(L+1) values: at band 64, order 2 the
   round trip takes about 0.5 s.  :func:`wavelet_transform` and
   :func:`inverse_transform` take any rotation frame and evaluate the full
@@ -73,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admissibility import GammaVector, _scale_integrals, _scaled_constant, admissibility_constant, solve_gamma
-from .rotderiv import CoefficientField, sector_basis_frame, sector_weights, synthesize, synthesize_frame
+from .rotderiv import CoefficientField, sector_basis_frame, sector_weights
 from .special import LambdaParam, dim_harmonic, gauss_gegenbauer, surface_measure
 from .wavelets import KIND_HEAT, KIND_POISSON, modified_wavelet_table, scale_weights
 
@@ -86,7 +90,6 @@ __all__ = [
     "rotation_matrices",
     "rotated_sector_frame",
     "grid_inner",
-    "synthesize_on_grid",
     "random_bandlimited_field",
     "wavelet_transform",
     "inverse_transform",
@@ -236,19 +239,6 @@ def grid_inner(grid: SphereGrid, f, g) -> float:
     return float(np.dot(grid.weights, np.asarray(f) * np.asarray(g)) / surface_measure(grid.n))
 
 
-def synthesize_on_grid(field: CoefficientField, grid: SphereGrid) -> np.ndarray:
-    """Field values at the grid nodes, bit for bit those of node-by-node synthesis.
-
-    Sector fields depend on (theta1, theta2) alone and the grid is a product
-    rule, so synthesis runs on a theta1 column against a theta2 row (one
-    recurrence per distinct theta1) and is repeated along the other axes.
-    """
-    th1, th2 = (a.reshape(grid.shape) for a in grid.sector_angles())
-    rest = (0,) * (grid.n - 2)
-    vals = synthesize(field, th1[(slice(None), 0) + rest][:, None], th2[(0, slice(None)) + rest][None, :])
-    return np.broadcast_to(vals.reshape(vals.shape + (1,) * len(rest)), grid.shape).ravel()
-
-
 def random_bandlimited_field(lp: LambdaParam, band: int, seed: int = 0) -> CoefficientField:
     """Random mean-free test signal with unit-scale sector coefficients up to the band."""
     rng = np.random.default_rng(seed)
@@ -352,20 +342,68 @@ def wigner_d_table(L: int, K: int, beta) -> np.ndarray:
             top, bottom = top * step, bottom * step
             out[j, L + j, k] = top if (j - k) % 2 == 0 else -top
             out[j, L - j, k] = bottom
+    # the recurrence coefficients stepping degree l to l + 1, over the block |m| <= l, k <= l
+    l = np.arange(L, dtype=float)[:, None, None, None]
+    m = np.arange(-L, L + 1.0)[None, :, None, None]
+    k = np.arange(min(K, L) + 1.0)[None, None, :, None]
+    live = (np.abs(m) <= l) & (k <= l)
+    next_sq = np.where(live, ((l + 1) ** 2 - m * m) * ((l + 1) ** 2 - k * k), 1.0)
+    x = (l + 1) * (2 * l + 1) / np.sqrt(next_sq)
+    y = (l + 1) / np.maximum(l, 1.0) * np.sqrt(np.where(live, (l * l - m * m) * (l * l - k * k), 0.0) / next_sq)
+    mk = m * k / np.maximum(l * (l + 1), 1.0)
     cos_b = np.cos(beta)
     for l in range(L):
         # d^{l+1} on the block |m| <= l, k <= min(l, K), where every column has started
-        m = np.arange(-l, l + 1.0)[:, None, None]
-        k = np.arange(min(l, K) + 1.0)[None, :, None]
-        block = (slice(L - l, L + l + 1), slice(0, k.size))
-        next_sq = ((l + 1) ** 2 - m * m) * ((l + 1) ** 2 - k * k)
-        x = (l + 1) * (2 * l + 1) / np.sqrt(next_sq)
+        block = (slice(L - l, L + l + 1), slice(0, min(l, K) + 1))
         if l == 0:
-            out[1][block] = x * cos_b * out[0][block]
+            out[1][block] = x[0][block] * cos_b * out[0][block]
             continue
-        y = (l + 1) / l * np.sqrt((l * l - m * m) * (l * l - k * k) / next_sq)
-        out[l + 1][block] = x * (cos_b - m * k / (l * (l + 1))) * out[l][block] - y * out[l - 1][block]
+        out[l + 1][block] = x[l][block] * (cos_b - mk[l][block]) * out[l][block] - y[l][block] * out[l - 1][block]
     return np.roll(out, -L, axis=1)  # index L + m to index m mod (2L+1)
+
+
+def _complex_coefficients(coeffs: np.ndarray) -> np.ndarray:
+    """F_{l,m} with f = sum_lm F_lm y_l^m for the 2-sphere sector coefficients a_{l,k}.
+
+    Shape (L+1, 2L+1), m mod 2L+1: F_l0 = a_l0, F_lk = (-1)^k a_lk and F_l,-k = a_lk,
+    since Y_l^k = (-1)^k y_l^k + y_l^{-k} for k >= 1.
+    """
+    L = coeffs.shape[0] - 1
+    a = coeffs[:, : L + 1]
+    F = np.zeros((L + 1, 2 * L + 1), dtype=complex)
+    ks = np.arange(a.shape[1])
+    F[:, ks] = np.where(ks % 2, -1.0, 1.0) * a
+    F[:, -ks[1:]] = a[:, 1:]
+    return F
+
+
+def _rotate_coefficients(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Coefficients of f o Q^-1: F'_{l,m'} = sum_m D^l_{m'm}(Q) F_{l,m}.
+
+    With Q = R_pole(alpha) R_plane(beta) R_pole(gamma), as in
+    :func:`rotation_matrices`, D^l_{m'm} = e^{-i m' alpha} d^l_{m'm}(beta) e^{-i m gamma}.
+    Q's first column is (cos beta, sin beta cos alpha, sin beta sin alpha), and
+    gamma is read from R_plane(beta)^T R_pole(alpha)^T Q = R_pole(gamma), which
+    holds for whatever alpha atan2 returns when sin beta = 0, where only a sum or
+    difference of alpha and gamma is defined.  Negative orders come from
+    d^l_{m',-k} = (-1)^(m'+k) d^l_{-m',k}.
+    """
+    L = F.shape[0] - 1
+    alpha = math.atan2(Q[2, 0], Q[1, 0])
+    beta = math.atan2(math.hypot(Q[1, 0], Q[2, 0]), Q[0, 0])
+    ca, sa, cb, sb = math.cos(alpha), math.sin(alpha), math.cos(beta), math.sin(beta)
+    gamma = math.atan2(ca * Q[2, 1] - sa * Q[1, 1], cb * (ca * Q[1, 1] + sa * Q[2, 1]) - sb * Q[0, 1])
+    d = wigner_d_table(L, L, np.array([beta]))[..., 0]  # (l, m', k)
+    idx = np.arange(2 * L + 1)
+    ms = np.where(idx > L, idx - (2 * L + 1), idx)
+    sign = np.where(ms % 2, -1.0, 1.0)
+    d_full = np.where(ms >= 0, d[:, :, np.abs(ms)], sign[:, None] * sign * d[:, -idx][:, :, np.abs(ms)])
+    return np.exp(-1j * ms * alpha) * np.einsum("lpm,lm->lp", d_full, np.exp(-1j * ms * gamma) * F)
+
+
+def _grid_values(y_theta: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """sum_lm F_lm y_l^m at the round trip's sphere nodes: a theta sum, then an FFT over phi."""
+    return y_theta.shape[1] * np.fft.ifft(np.einsum("lmb,lm->bm", y_theta, F)).real.ravel()
 
 
 def round_trip(
@@ -400,7 +438,9 @@ def round_trip(
     The transform W and the inversion sum V live on every node of the steered
     rotation grid, but no basis is evaluated on it: both go through the
     signal's coefficients f_lm and one Wigner-d table, with FFTs over the
-    Euler twists (see the module notes).
+    Euler twists (see the module notes).  The input samples f_values come from
+    the signal's coefficients through the same table, after D^l(Q) when Q is
+    given.
     """
     if lp.n != 2:
         raise ValueError("full round trip is 2-sphere only")
@@ -414,13 +454,6 @@ def round_trip(
     if gamma is None:
         gamma = solve_gamma(lp.lam, dfrak)
     grid = build_sphere_grid(2, 2 * band)
-    if rotation is None:
-        f_vals = synthesize_on_grid(signal, grid)
-    else:
-        Q = np.asarray(rotation, dtype=float)
-        if Q.shape != (3, 3) or not np.allclose(Q @ Q.T, np.eye(3), atol=1e-12) or np.linalg.det(Q) < 0:
-            raise ValueError("rotation must be a 3x3 rotation matrix")
-        f_vals = synthesize_frame(signal, *rotated_sector_frame(Q[None], grid))[0]
     # the rotation grid of build_rotation_grid(band, dfrak): alpha on the phi nodes, beta on the
     # theta rule, 2K + 1 gamma twists, Haar weight w_theta / (2 n_alpha n_gamma) per node
     n_beta, n_alpha = grid.shape
@@ -433,6 +466,14 @@ def round_trip(
     # y_l^m = sqrt(2l+1) d^l_{m0}(theta) e^{i m phi} are the complex harmonics with
     # (1/sigma)-unit norm, and the sector basis is Y_l^k = (-1)^k y_l^k + y_l^{-k}
     y_theta = np.sqrt(2.0 * np.arange(band + 1) + 1.0)[:, None, None] * d[:, :, 0, :]
+    # the signal's samples, synthesized from its coefficients like f_rec below
+    F = _complex_coefficients(signal.coeffs)
+    if rotation is not None:
+        Q = np.asarray(rotation, dtype=float)
+        if Q.shape != (3, 3) or not np.allclose(Q @ Q.T, np.eye(3), atol=1e-12) or np.linalg.det(Q) < 0:
+            raise ValueError("rotation must be a 3x3 rotation matrix")
+        F = _rotate_coefficients(F, Q)
+    f_vals = _grid_values(y_theta, F)
     g = np.fft.fft((grid.weights * f_vals / lp.sigma).reshape(n_beta, n_alpha))
     f_lm = np.einsum("lmb,bm->lm", y_theta, g)
     # T_{l,k}(R) = (1/sigma) int Y_l^k(R^-1 x) f(x) dx = w_k Re[(-1)^k e^{-ik gamma} G_{l,k}(alpha, beta)],
@@ -455,8 +496,7 @@ def round_trip(
     V_k = np.einsum("lkbag,kg->lkba", V, cos_g) - 1j * np.einsum("lkbag,kg->lkba", V, sin_g)
     V_km = np.fft.fft(V_k, axis=3)  # (l, k, beta, m)
     rec_lm = np.einsum("lmkb,lkbm->lm", d, V_km)
-    rec = np.einsum("lmb,lm->bm", y_theta, rec_lm)
-    f_rec = n_alpha * np.fft.ifft(rec).real.ravel()
+    f_rec = _grid_values(y_theta, rec_lm)
     err = f_rec - f_vals
     rel_l2 = math.sqrt(grid_inner(grid, err, err) / grid_inner(grid, f_vals, f_vals))
 

@@ -13,7 +13,7 @@ import numpy as np
 from sphwave.admissibility import _TRAPEZOID_STEP, _pair_energy, _scaled_constant, _upper_gamma_q
 from sphwave.euclid import EuclideanPoint
 from sphwave.harmonics import GaussJacobiRule
-from sphwave.rotderiv import CoefficientField, _angular, _norm_column
+from sphwave.rotderiv import CoefficientField, _angular, _norm_column, synthesize
 from sphwave.special import LambdaParam, _check_t, _log_rising, _resolve_order, dim_harmonic, gegenbauer_batch
 from sphwave.wavelets import KIND_HEAT, KIND_POISSON, TRUNCATION_CAP, TruncationError, WaveletSpec, certified_degree, scale_weights
 
@@ -375,3 +375,16 @@ def tail_weights_full_cap(lam: float, dfrak: int, R: float) -> np.ndarray:
     failure = f"scale tail at R={R:g} not certified below degree cap {TRUNCATION_CAP}"
     L = certified_degree(bound, 1e-12 * np.cumsum(terms)[: TRUNCATION_CAP + 1], failure)
     return weights[: L + 1]
+
+
+def synthesize_on_grid(field: CoefficientField, grid) -> np.ndarray:
+    """Field values at the nodes of a product sphere grid, bit for bit those of node-by-node synthesis.
+
+    Sector fields depend on (theta1, theta2) alone and the grid is a product
+    rule, so synthesis runs on a theta1 column against a theta2 row (one
+    recurrence per distinct theta1) and is repeated along the other axes.
+    """
+    th1, th2 = (a.reshape(grid.shape) for a in grid.sector_angles())
+    rest = (0,) * (grid.n - 2)
+    vals = synthesize(field, th1[(slice(None), 0) + rest][:, None], th2[(0, slice(None)) + rest][None, :])
+    return np.broadcast_to(vals.reshape(vals.shape + (1,) * len(rest)), grid.shape).ravel()

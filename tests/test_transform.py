@@ -27,14 +27,13 @@ from sphwave.transform import (
     rotated_sector_frame,
     rotation_matrices,
     round_trip,
-    synthesize_on_grid,
     wavelet_transform,
     wigner_d_table,
 )
 from sphwave.wavelets import KIND_POISSON, WaveletSpec, directional_wavelet_field
 
 import reference
-from reference import wigner_d_sum
+from reference import synthesize_on_grid, wigner_d_sum
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -481,7 +480,9 @@ def test_transform_equivariance_random_rotations(order):
 
 
 def test_round_trip_evaluates_no_rotated_basis(monkeypatch):
-    # the round trip goes through coefficients and Wigner-d tables only
+    # the round trip goes through coefficients and Wigner-d tables only, its
+    # input samples included, with and without a rotation Q
+    import sphwave.rotderiv as rotderiv
     import sphwave.transform as transform
 
     def forbidden(*args, **kwargs):
@@ -489,11 +490,60 @@ def test_round_trip_evaluates_no_rotated_basis(monkeypatch):
 
     monkeypatch.setattr(transform, "sector_basis_frame", forbidden)
     monkeypatch.setattr(transform, "rotation_matrices", forbidden)
+    monkeypatch.setattr(transform, "rotated_sector_frame", forbidden)
+    for module in (rotderiv, transform):
+        for name in ("synthesize", "synthesize_frame"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
     lp = LambdaParam(2)
     signal = random_bandlimited_field(lp, 3, seed=1)
     for Q in (None, random_rotation(np.random.default_rng(5))):
         rep = round_trip(lp, signal, 1, rho_steps=10, rotation=Q)
         assert rep["rel_l2_error"] == pytest.approx(rep["predicted_rel_l2"], rel=1e-8)
+
+
+def half_turn(axis) -> np.ndarray:
+    """Rotation by pi about a unit axis: 2 u u^T - I."""
+    u = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    return 2.0 * np.outer(u, u) - np.eye(3)
+
+
+GIMBAL_LOCK = {
+    # a turn about the pole axis x1 has beta = 0, a half-turn about an axis
+    # orthogonal to x1 has beta = pi; alpha and gamma are not separately defined
+    "turn-about-x1": np.array([[1.0, 0.0, 0.0], [0.0, math.cos(0.7), -math.sin(0.7)], [0.0, math.sin(0.7), math.cos(0.7)]]),
+    "pole-flip": half_turn([0.0, math.cos(0.4), math.sin(0.4)]),
+    "identity": np.eye(3),
+}
+
+
+@pytest.mark.parametrize("name", list(GIMBAL_LOCK))
+def test_round_trip_rotations_at_gimbal_lock(name):
+    Q = GIMBAL_LOCK[name]
+    lp = LambdaParam(2)
+    signal = random_bandlimited_field(lp, 6, seed=11)
+    for order in (1, 2):
+        rep = round_trip(lp, signal, order, rho_steps=20, rotation=Q)
+        want = rotated_values(signal, rep["grid"], Q)
+        assert np.max(np.abs(rep["f_values"] - want)) < 1e-13 * np.max(np.abs(want))
+        assert rep["rel_l2_error"] == pytest.approx(rep["predicted_rel_l2"], rel=1e-8)
+
+
+@pytest.mark.parametrize("band", [1, 8, 16, 32])
+def test_round_trip_samples_match_the_reference_synthesis(band):
+    # f_values come from the coefficients through the d table, rotated by D^l(Q);
+    # the reference evaluates the sector basis by Gegenbauer recurrences
+    lp = LambdaParam(2)
+    signal = random_bandlimited_field(lp, band, seed=12)
+    grid = build_sphere_grid(2, 2 * band)
+    unrotated = synthesize_on_grid(signal, grid)
+    rep = round_trip(lp, signal, 1, rho_steps=10)
+    assert np.max(np.abs(rep["f_values"] - unrotated)) < 1e-13 * np.max(np.abs(unrotated))
+    rng = np.random.default_rng(band)
+    for _ in range(2):
+        Q = random_rotation(rng)
+        want = rotated_values(signal, grid, Q)
+        rep = round_trip(lp, signal, 1, rho_steps=10, rotation=Q)
+        assert np.max(np.abs(rep["f_values"] - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_round_trip_requires_theta_rule_on_beta_nodes(monkeypatch):
