@@ -22,7 +22,6 @@ from .special import (
 )
 from .harmonics import (
     SphericalPoint,
-    SectorHarmonicIndex,
     to_cartesian,
     from_cartesian,
     rotate_in_plane,

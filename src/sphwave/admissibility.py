@@ -240,17 +240,6 @@ def _sign_variations(vals) -> int:
     return sum(x * y < 0 for x, y in zip(nz, nz[1:]))
 
 
-def _scaled_value(q: list, x: Fraction) -> int:
-    """q(x) times den(x)^degree: an integer with the sign of q(x), for integer coefficients q."""
-    a, b = x.numerator, x.denominator
-    return sum(c * a**i * b ** (len(q) - 1 - i) for i, c in enumerate(q))
-
-
-def _variations_at(seq: list, x: Fraction) -> int:
-    """Sign variations of the Sturm sequence at the rational x."""
-    return _sign_variations([_scaled_value(q, x) for q in seq])
-
-
 def _positive_root_count(p: list, den: int = 1) -> int:
     """Distinct roots of p in (0, inf) by Sturm's theorem; needs p(0) != 0.
 
@@ -644,56 +633,17 @@ def tail_l1_sweep(lp: LambdaParam, dfrak: int, R_values) -> list:
     return norms
 
 
-def _isolated_positive_roots(p: list) -> list:
-    """Intervals (lo, hi], Fractions, each holding one distinct root of the integer polynomial p in (0, inf); needs p(0) != 0.
+def _laguerre_roots(m: int, alpha: float) -> np.ndarray:
+    """The m zeros of the Laguerre polynomial L_m^(alpha), ascending; needs alpha > -1.
 
-    Bisects [0, B], B a Cauchy bound 1 + max |p_i / p_top|, rounded up to an
-    integer, counting roots in each half by Sturm's theorem in exact integers.
+    They are real, simple and positive (DLMF 18.16(i)) and are the
+    eigenvalues of the symmetric tridiagonal Jacobi matrix of the monic
+    recurrence, diagonal 2i + alpha + 1 and off-diagonal sqrt(i (i + alpha))
+    (Golub-Welsch).
     """
-    seq = _sturm_sequence(p)
-    lo, hi = Fraction(0), Fraction(2 + max((abs(x) for x in p[:-1]), default=0) // abs(p[-1]))
-    todo, out = [(lo, hi, _variations_at(seq, lo), _variations_at(seq, hi))], []
-    while todo:
-        lo, hi, v_lo, v_hi = todo.pop()
-        if v_lo - v_hi == 1:
-            out.append((lo, hi))
-        elif v_lo - v_hi > 1:
-            mid = (lo + hi) / 2
-            v_mid = _variations_at(seq, mid)
-            todo += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
-    return sorted(out)
-
-
-def _polished_root(p: list, lo: Fraction, hi: Fraction) -> float:
-    """The one root of the integer polynomial p in (lo, hi]: Newton steps kept inside a shrinking bracket.
-
-    Accurate to the float values of p near the root: a few ulps for the
-    Laguerre polynomials at n <= 6, 3e-13 relative at n = 260.  The sign of
-    p on (root, hi] is read exactly at hi, so the bracket never needs p at
-    lo, which may be a root of its own.
-    """
-    right = _scaled_value(p, hi)
-    if not right:
-        return float(hi)
-    coeffs = [float(c) for c in reversed(p)]
-    a, b = float(lo), float(hi)
-    x = 0.5 * (a + b)
-    for _ in range(100):
-        v = dv = 0.0
-        for c in coeffs:
-            dv = dv * x + v
-            v = v * x + c
-        if v == 0.0:
-            return x
-        if (v > 0.0) == (right > 0):
-            b = x
-        else:
-            a = x
-        step = v / dv
-        if abs(step) <= 2e-16 * x and a <= x - step <= b:
-            return x - step
-        x = x - step if a < x - step < b else 0.5 * (a + b)
-    return x
+    i = np.arange(m)
+    off = np.sqrt(i[1:] * (i[1:] + alpha))
+    return np.linalg.eigvalsh(np.diag(2.0 * i + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def tail_l1_plateau(lp: LambdaParam, dfrak: int) -> float:
@@ -711,10 +661,10 @@ def tail_l1_plateau(lp: LambdaParam, dfrak: int) -> float:
     coefficients p_i = (-1)^i binom(dfrak-1+n/2, dfrak-1-i) / i!, and
     integral_0^inf P w = Gamma(n/2), so with c_i = p_i (n/2)_i the integral
     from x to infinity is Gamma(n/2) G(x), G(x) = sum_i c_i Q(n/2 + i, x)
-    and G(0) = 1.  The positive roots of P, all simple, are bracketed by a
-    Sturm count in integers and polished in floats; between them the pieces
-    are differences of G.  A root's error enters only quadratically, because
-    G' = -P w / Gamma(n/2) vanishes there.
+    and G(0) = 1.  The roots of P (none at order 1) are the eigenvalues of
+    its Jacobi matrix; between them the pieces are differences of G.  A
+    root's error enters only quadratically, because G' = -P w / Gamma(n/2)
+    vanishes there.
     """
     if dfrak < 1:
         raise ValueError("tail integral defined for order >= 1")
@@ -725,9 +675,7 @@ def tail_l1_plateau(lp: LambdaParam, dfrak: int) -> float:
         for i in range(m + 1)
     ]
     c = np.array([float(x * math.prod((alpha + t for t in range(i)), start=Fraction(1))) for i, x in enumerate(p)])
-    den = math.lcm(*(x.denominator for x in p))
-    ints = [int(x * den) for x in p]
-    roots = np.array([_polished_root(ints, lo, hi) for lo, hi in _isolated_positive_roots(ints)])
+    roots = _laguerre_roots(m, lp.n / 2)
     G = sum(ci * _upper_gamma_q(lp.n / 2 + i, roots) for i, ci in enumerate(c))
     ends = np.concatenate(([1.0], G, [0.0]))
     mass = (2.0 * lp.lam) ** dfrak * math.gamma(dfrak) / lp.sigma**2

@@ -101,6 +101,14 @@ def _report_row(check: str, identity: str, value, expected, tol: float | None, o
     }
 
 
+def _finish(args, payload: dict, checks: list, summary: str) -> int:
+    """Write the report with its checks and failure count, print one line, and choose the exit code."""
+    failures = sum(not c["pass"] for c in checks)
+    _write_json(args.out, {**payload, "checks": checks, "failures": failures})
+    print(f"wrote {args.out}: {summary}")
+    return EXIT_OK if failures == 0 or args.report_only else EXIT_VERIFY
+
+
 def cmd_eval(args) -> int:
     lp = LambdaParam(args.n)
     surface_measure(lp.n)  # n >= 261 is a usage error, which truncation_degree would report as an overflow
@@ -182,29 +190,16 @@ def cmd_coeffs(args) -> int:
 
 def cmd_gamma(args) -> int:
     lp = LambdaParam(args.n)
+    payload = {"subcommand": "gamma", "n": args.n, "lam": lp.lam, "order": args.order}
     try:
         vec = solve_gamma(lp.lam, args.order)
     except GammaSolveError as exc:
-        payload = {
-            "subcommand": "gamma",
-            "n": args.n,
-            "lam": lp.lam,
-            "order": args.order,
-            "solved": False,
-            "reason": str(exc),
-        }
-        _write_json(args.out, payload)
+        _write_json(args.out, {**payload, "solved": False, "reason": str(exc)})
         print(f"no real solution: {exc}")
         return EXIT_OK if args.report_only else EXIT_VERIFY
-    payload = {
-        "subcommand": "gamma",
-        "n": args.n,
-        "lam": lp.lam,
-        "order": args.order,
-        "solved": True,
-        "gammas": [float(g) for g in vec.gammas],
-        "identity": "sector sums collapse to (l(2*lam+l))^order for unit zonal seeds",
-    }
+    payload["solved"] = True
+    payload["gammas"] = [float(g) for g in vec.gammas]
+    payload["identity"] = "sector sums collapse to (l(2*lam+l))^order for unit zonal seeds"
     _write_json(args.out, payload)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -280,19 +275,8 @@ def cmd_verify(args) -> int:
                 operation="admissibility.solve_gamma",
             )
         )
-    n_fail = sum(not c["pass"] for c in checks)
-    payload = {
-        "subcommand": "verify",
-        "n": args.n,
-        "order": args.order,
-        "band": args.band,
-        "tol": args.tol,
-        "checks": checks,
-        "failures": n_fail,
-    }
-    _write_json(args.out, payload)
-    print(f"wrote {args.out}: {len(checks) - n_fail}/{len(checks)} checks passed")
-    return EXIT_OK if n_fail == 0 or args.report_only else EXIT_VERIFY
+    payload = {"subcommand": "verify", "n": args.n, "order": args.order, "band": args.band, "tol": args.tol}
+    return _finish(args, payload, checks, f"{sum(c['pass'] for c in checks)}/{len(checks)} checks passed")
 
 
 def cmd_transform(args) -> int:
@@ -309,7 +293,6 @@ def cmd_transform(args) -> int:
         rho_max=args.rho_max,
         rho_steps=args.rho_steps,
     )
-    ok = rep["rel_l2_error"] < args.tol
     payload = {
         "subcommand": "transform",
         "n": args.n,
@@ -324,22 +307,18 @@ def cmd_transform(args) -> int:
         "sphere_nodes": rep["sphere_nodes"],
         "rel_l2_error": rep["rel_l2_error"],
         "predicted_rel_l2": rep["predicted_rel_l2"],
-        "checks": [
-            _report_row(
-                check="round_trip_rel_l2",
-                identity="analysis + inversion reproduces a mean-free band-limited signal",
-                value=rep["rel_l2_error"],
-                expected=0.0,
-                tol=args.tol,
-                ok=ok,
-                operation="transform.round_trip",
-            )
-        ],
-        "failures": 0 if ok else 1,
     }
-    _write_json(args.out, payload)
-    print(f"wrote {args.out}: rel L2 error {rep['rel_l2_error']:.3e} (predicted {rep['predicted_rel_l2']:.3e})")
-    return EXIT_OK if ok or args.report_only else EXIT_VERIFY
+    check = _report_row(
+        check="round_trip_rel_l2",
+        identity="analysis + inversion reproduces a mean-free band-limited signal",
+        value=rep["rel_l2_error"],
+        expected=0.0,
+        tol=args.tol,
+        ok=rep["rel_l2_error"] < args.tol,
+        operation="transform.round_trip",
+    )
+    summary = f"rel L2 error {rep['rel_l2_error']:.3e} (predicted {rep['predicted_rel_l2']:.3e})"
+    return _finish(args, payload, [check], summary)
 
 
 def cmd_limit(args) -> int:
@@ -349,7 +328,6 @@ def cmd_limit(args) -> int:
     xi = EuclideanPoint(tuple(coords))
     rhos = [args.rho_max / 2**k for k in range(args.rho_steps)]
     rep = limit_convergence_probe(lp, args.order, xi, rhos)
-    decreasing = all(e1 > e2 for e1, e2 in zip(rep["errors"], rep["errors"][1:]))
     payload = {
         "subcommand": "limit",
         "n": args.n,
@@ -361,22 +339,17 @@ def cmd_limit(args) -> int:
         "errors": rep["errors"],
         "ratios": rep["ratios"],
         "empirical_order": rep["empirical_order"],
-        "checks": [
-            _report_row(
-                check="limit_errors_decreasing",
-                identity="scaled wavelet converges pointwise to the flat-space profile",
-                value=rep["errors"][-1],
-                expected=0.0,
-                tol=None,
-                ok=decreasing,
-                operation="euclid.limit_convergence_probe",
-            )
-        ],
-        "failures": 0 if decreasing else 1,
     }
-    _write_json(args.out, payload)
-    print(f"wrote {args.out}: final error {rep['errors'][-1]:.3e}")
-    return EXIT_OK if decreasing or args.report_only else EXIT_VERIFY
+    check = _report_row(
+        check="limit_errors_decreasing",
+        identity="scaled wavelet converges pointwise to the flat-space profile",
+        value=rep["errors"][-1],
+        expected=0.0,
+        tol=None,
+        ok=all(e1 > e2 for e1, e2 in zip(rep["errors"], rep["errors"][1:])),
+        operation="euclid.limit_convergence_probe",
+    )
+    return _finish(args, payload, [check], f"final error {rep['errors'][-1]:.3e}")
 
 
 def _positive_int(text: str) -> int:
@@ -412,26 +385,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sphwave", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, rho=False, band=None, order_default=1):
+    def common(p, *, rho=False, band=None, order_default=1, tol=None, report_only=True):
         p.add_argument("--n", type=int, default=2, help="sphere dimension (default 2)")
         p.add_argument("--order", type=int, default=order_default, help="derivative order")
         if rho:
             p.add_argument("--rho", type=float, default=0.5, help="scale (default 0.5)")
         if band is not None:
             p.add_argument("--band", type=_positive_int, default=band, help=f"degree band (default {band})")
-        p.add_argument("--tol", type=_positive_float, default=1e-6, help="acceptance tolerance")
+        if tol is not None:
+            p.add_argument("--tol", type=_positive_float, default=tol, help=f"acceptance tolerance (default {tol:g})")
         p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--report-only", action="store_true", help="exit 0 even when checks fail")
+        if report_only:
+            p.add_argument("--report-only", action="store_true", help="exit 0 even when checks fail")
 
     p = sub.add_parser("eval", help="wavelet values on a (theta1, theta2) grid")
-    common(p, rho=True)
+    common(p, rho=True, tol=1e-8)
     p.add_argument("--kind", choices=(KIND_POISSON, KIND_HEAT), default=KIND_POISSON)
     p.add_argument("--grid", type=_positive_int, default=15, help="grid resolution per angle (default 15)")
     p.add_argument("--tol-series", type=_positive_float, default=1e-10, help="series truncation tolerance")
-    p.set_defaults(fn=cmd_eval, tol=1e-8)
+    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("coeffs", help="sector coefficient table")
-    common(p, rho=True, band=40)
+    common(p, rho=True, band=40, report_only=False)
     p.add_argument("--kind", choices=(KIND_POISSON, KIND_HEAT), default=KIND_POISSON)
     p.set_defaults(fn=cmd_coeffs)
 
@@ -440,16 +415,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gamma)
 
     p = sub.add_parser("verify", help="admissibility verification sweeps")
-    common(p, band=20)
+    common(p, band=20, tol=1e-6)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("transform", help="round trip on the 2-sphere")
-    common(p, band=8)
+    common(p, band=8, tol=1e-3)
     p.add_argument("--rho-min", type=float, default=DEFAULT_RHO_MIN)
     p.add_argument("--rho-max", type=float, default=DEFAULT_RHO_MAX)
     p.add_argument("--rho-steps", type=_positive_int, default=DEFAULT_RHO_STEPS)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_transform, tol=1e-3)
+    p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("limit", help="flat-space limit convergence probe")
     common(p, order_default=2)

@@ -24,7 +24,6 @@ from .special import LambdaParam, gauss_gegenbauer, gegenbauer_value, norm_const
 
 __all__ = [
     "SphericalPoint",
-    "SectorHarmonicIndex",
     "to_cartesian",
     "from_cartesian",
     "rotate_in_plane",
@@ -44,18 +43,6 @@ class SphericalPoint:
     @property
     def n(self) -> int:
         return len(self.thetas) + 1
-
-
-@dataclass(frozen=True)
-class SectorHarmonicIndex:
-    """Degree/order pair (l, k1) of a sector harmonic, 0 <= k1 <= l."""
-
-    l: int
-    k1: int
-
-    def __post_init__(self) -> None:
-        if self.l < 0 or self.k1 < 0 or self.k1 > self.l:
-            raise ValueError(f"need 0 <= k1 <= l, got l={self.l}, k1={self.k1}")
 
 
 def to_cartesian(p: SphericalPoint) -> np.ndarray:

@@ -13,9 +13,8 @@ from sphwave.admissibility import (
     GammaSolveError,
     GammaVector,
     _assert_collapse,
-    _isolated_positive_roots,
+    _laguerre_roots,
     _pair_energy,
-    _polished_root,
     _positive_root_count,
     _q_table,
     _scale_integrals,
@@ -740,22 +739,18 @@ def test_tail_l1_sweep_approaches_the_plateau_from_below(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 101, 260])
-def test_laguerre_roots_are_isolated_and_polished(n):
-    # the Sturm bisection leaves one root of L_m^(n/2) per interval, and the
-    # float polish lands within a few ulps of the 40-digit root at n <= 6; at
-    # n = 260 the float value of P near its root limits it to 3.3e-13
+def test_laguerre_roots_match_mpmath(n):
+    # the eigenvalues of the Jacobi matrix are the m zeros of L_m^(n/2), each
+    # within 2e-15 relative of its 40-digit value
     for m in range(1, 6):
         with mpmath.workdps(40):
             alpha = mpmath.mpf(n) / 2
             p = [(-1) ** i * mpmath.binomial(m + alpha, m - i) / mpmath.factorial(i) for i in range(m + 1)]
             exact = sorted(mpmath.re(r) for r in mpmath.polyroots(p[::-1], maxsteps=200, extraprec=200))
-            den = math.lcm(*(int(mpmath.factorial(i)) * 2**m for i in range(m + 1)))
-            ints = [int(mpmath.nint(x * den)) for x in p]
-        intervals = _isolated_positive_roots(ints)
-        assert len(intervals) == m
-        for (lo, hi), root in zip(intervals, map(float, exact)):
-            assert lo < root <= hi
-            assert abs(_polished_root(ints, lo, hi) / root - 1) < (2e-15 if n <= 6 else 1e-12)
+        roots = _laguerre_roots(m, n / 2)
+        assert len(roots) == m
+        for root, ref in zip(roots, map(float, exact)):
+            assert abs(root / ref - 1) < 2e-15, (m, root, ref)
 
 
 def test_tail_l1_sweep_bounded():

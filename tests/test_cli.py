@@ -365,6 +365,25 @@ def test_size_arguments_must_be_positive_integers(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--tol", "1e-3"],
+        ["gamma", "--tol", "1e-3"],
+        ["limit", "--tol", "1e-3"],
+        ["coeffs", "--report-only"],
+    ],
+    ids=lambda a: "-".join(a[:2]),
+)
+def test_flags_a_subcommand_never_reads_are_rejected(argv, tmp_path, capsys):
+    # coeffs, gamma and limit apply no tolerance, and coeffs has no check that can fail
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 _SCALES = st.one_of(
     st.sampled_from([0.0, -0.0, -0.5, math.inf, -math.inf, math.nan]),
     st.floats(min_value=0.05, max_value=2.0),

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from sphwave.harmonics import (
     GaussJacobiRule,
     SphericalPoint,
-    SectorHarmonicIndex,
     eval_sector_harmonic,
     from_cartesian,
     gauss_jacobi_rule,
@@ -99,12 +98,6 @@ def test_rotate_group_inverse():
     p = SphericalPoint(thetas=(1.2, 0.4, 2.0), phi=5.1)
     q = rotate_in_plane(rotate_in_plane(p, 0.6), -0.6)
     assert np.linalg.norm(to_cartesian(q) - to_cartesian(p)) < 1e-12
-
-
-def test_sector_index_validation():
-    SectorHarmonicIndex(l=3, k1=3)
-    with pytest.raises(ValueError):
-        SectorHarmonicIndex(l=3, k1=4)
 
 
 def test_harmonic_trivial_constant():
