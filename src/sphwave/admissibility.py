@@ -302,6 +302,15 @@ def solve_gamma(lam, dfrak: int) -> GammaVector:
     return vec
 
 
+def _pair_gamma(lam, dfrak: int, gamma: GammaVector | None) -> GammaVector:
+    """The order-dfrak pair's gamma vector: ``gamma`` when given, else solved for lam."""
+    if gamma is None:
+        return solve_gamma(lam, dfrak)
+    if gamma.order != dfrak:
+        raise ValueError(f"gamma vector has order {gamma.order}, the pair has order {dfrak}")
+    return gamma
+
+
 def _assert_collapse(vec: GammaVector, qs: list, l_max: int = 30, tol: float = 1e-9) -> None:
     """Check sum_{a,b} gamma_a gamma_b (-1)^((a-b)/2) q_{(a+b)/2}(u) = u^order at six degrees.
 
@@ -432,8 +441,7 @@ def verify_pair_condition1(
     integrals' power of two 2^p (:func:`_pair_energy`) is folded into C and
     sigma^2, so the rows stay finite where E_l alone overflows.
     """
-    if gamma is None:
-        gamma = solve_gamma(Fraction(lp.n - 1, 2), dfrak)
+    gamma = _pair_gamma(Fraction(lp.n - 1, 2), dfrak, gamma)
     lam = lp.lam
     vals, p = _scale_integrals(lp, gamma, range(1, l_max + 1), energy)
     C = _scaled_constant(lp, dfrak, p)

@@ -23,30 +23,38 @@ Grid design notes
 * The transform is factored through the sector basis.  A modified wavelet at
   scale rho has coefficients s_l(rho) B_{l,k}: s_l is exp(-rho l) rho^d
   (Poisson) or exp(-rho l^2 / 2 lam) (heat), and the table B is rho-free.
-  Analysis is W = S^P B T with the per-degree transforms
-  T_{l,k}(R) = (1/sigma) sum_x nu_x f(x) Y_l^k(R^-1 x), and inversion is
-  f_rec(x) = sum_{l,k,R} V_{l,k}(R) Y_l^k(R^-1 x) with
-  V = C sum_r w_r s^H_l(rho_r) B_{l,k} W_r(R) nu_R.  No step loops over scales
-  in Python, and the basis work does not depend on the number of scale nodes.
+  With the per-degree transforms T_{l,k}(R) = (1/sigma) sum_x nu_x f(x)
+  Y_l^k(R^-1 x), analysis is W_r(R) = sum_l s^P_l(rho_r) X_l(R) with the
+  scale-free X_l = sum_k B_{l,k} T_{l,k}, and inversion is f_rec(x) =
+  sum_{l,k,R} V_{l,k}(R) Y_l^k(R^-1 x) with V_{l,k}(R) = B_{l,k} nu_R Z_l(R)
+  and Z_l = C sum_r w_r s^H_l(rho_r) W_r.  The scale enters only as a
+  per-degree weight: W = S^P X and Z = (C w S^H)^T W are one matmul each,
+  no step loops over scales in Python, and T and V are never formed.
 * The round trip evaluates no rotated basis: it separates variables through
   Wigner-d matrices (McEwen et al., IEEE TSP 2007; the SO(3) FFT of Kostelec
   & Rockmore, JFAA 2008).  In the frame (x2, x3, x1) the Euler rotation is
   R = R_z(alpha) R_y(beta) R_z(gamma), the unit-norm complex harmonics
   y_l^m(theta, phi) = sqrt(2l+1) d^l_{m0}(theta) e^{i m phi} turn by
   y_l^m(R^-1 x) = sum_m' e^{-i m' alpha} d^l_{m'm}(beta) e^{-i m gamma} y_l^m'(x),
-  and the sector basis is Y_l^k = (-1)^k y_l^k + y_l^{-k}.  So T_{l,k} needs
+  and the sector basis is Y_l^k = (-1)^k y_l^k + y_l^{-k}.  So T_{l,k} =
+  w_k Re[G_{l,k}(alpha, beta) e^{-ik gamma}], with w_k the sector weight
+  times (-1)^k and G_{l,k} = sum_m e^{-im alpha} d^l_{mk}(beta) conj(f_lm):
   the signal's coefficients f_lm (the theta rule times an FFT over phi), one
-  table d^l_{m'k} with k <= d (the wavelet is steerable), and FFTs over
-  alpha and gamma; the inversion is the adjoint, ending in synthesis on the
-  grid.  The sphere grid's theta rule is the rotation grid's beta rule, so
-  the one table serves both: its k = 0 column holds the harmonics at the
-  grid's theta nodes.  The signal's samples are synthesized from its
-  coefficients through that column too, with F_l0 = a_l0, F_lk = (-1)^k a_lk
-  and F_l,-k = a_lk; a rotation Q acts on them as F'_l = D^l(Q) F_l, from a
-  d table at Q's one beta, so no Gegenbauer recurrence runs in the round
-  trip.  Time is O(L^3 d) per round trip plus the scale sums,
-  and the table holds (L+1)(2L+1)(d+1)(L+1) values: at band 64, order 2 the
-  round trip takes about 0.5 s.  :func:`wavelet_transform` and
+  table d^l_{m'k} with k <= d (the wavelet is steerable) and an FFT over m.
+  The gamma twists enter last: X_l = sum_k w_k Re[B_{l,k} G_{l,k}
+  e^{-ik gamma}] is one real matmul over the 2(K+1) modes (cos k gamma,
+  sin k gamma).  The inversion is the adjoint: Z projected onto the twist
+  modes, weighted by B_{l,k} nu_beta, an FFT over alpha, the d-table
+  contraction, then synthesis on the grid.  The sphere grid's theta rule is
+  the rotation grid's beta rule, so the one table serves both: its k = 0
+  column holds the harmonics at the grid's theta nodes.  The signal's
+  samples are synthesized from its coefficients through that column too,
+  with F_l0 = a_l0, F_lk = (-1)^k a_lk and F_l,-k = a_lk; a rotation Q acts
+  on them as F'_l = D^l(Q) F_l, from a d table at Q's one beta, so no
+  Gegenbauer recurrence runs in the round trip.  Time is O(L^3 d) per round
+  trip plus the two scale matmuls; the d table holds (L+1)(2L+1)(d+1)(L+1)
+  values and X and Z (L+1) values per rotation node.  At band 64, order 2
+  the round trip takes about 0.2 s.  :func:`wavelet_transform` and
   :func:`inverse_transform` take any rotation frame and evaluate the full
   basis; they are the reference.
 * The scale integral is discretized log-uniformly (trapezoid in log rho),
@@ -70,13 +78,14 @@ deterministic reduction order; grids are immutable and shareable.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .admissibility import GammaVector, _scale_integrals, _scaled_constant, admissibility_constant, solve_gamma
+from .admissibility import GammaVector, _pair_gamma, _scale_integrals, _scaled_constant, admissibility_constant
 from .rotderiv import CoefficientField, sector_basis_frame, sector_weights
 from .special import LambdaParam, dim_harmonic, gauss_gegenbauer, surface_measure
 from .wavelets import KIND_HEAT, KIND_POISSON, modified_wavelet_table, scale_weights
@@ -150,11 +159,12 @@ def build_sphere_grid(n: int, band: int) -> SphereGrid:
     n_phi = band + 1
     axes_nodes.append(2.0 * np.pi * np.arange(n_phi) / n_phi)
     axes_weights.append(np.full(n_phi, 2.0 * np.pi / n_phi))
-    grids = np.meshgrid(*axes_nodes, indexing="ij")
-    wgrids = np.meshgrid(*axes_weights, indexing="ij")
-    angles = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.prod(np.stack([w.ravel() for w in wgrids], axis=1), axis=1)
-    return SphereGrid(n=n, band=band, angles=angles, weights=weights, shape=grids[0].shape)
+    shape = tuple(len(t) for t in axes_nodes)
+    angles = np.empty(shape + (n,))
+    for i, t in enumerate(axes_nodes):
+        angles[..., i] = t.reshape([-1 if j == i else 1 for j in range(n)])
+    weights = functools.reduce(np.multiply.outer, axes_weights).ravel()
+    return SphereGrid(n=n, band=band, angles=angles.reshape(-1, n), weights=weights, shape=shape)
 
 
 def build_rotation_grid(band: int, order: int | None = None) -> RotationGrid:
@@ -249,14 +259,40 @@ def random_bandlimited_field(lp: LambdaParam, band: int, seed: int = 0) -> Coeff
     return CoefficientField(lp, a)
 
 
-def _scale_rotation_sums(W: np.ndarray, omega_coeffs: np.ndarray, rho_weights, nu: np.ndarray) -> np.ndarray:
-    """V_{l,k}(R) = sum_r rho_w_r omega_r[l, k] W_r(R) nu_R, shape (L+1, K+1, M_rot).
+def _steered_transform(d: np.ndarray, f_lm: np.ndarray, B: np.ndarray, s_p: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """W_r(R) = sum_l s^P_l(rho_r) X_l(R) on the steered rotation grid, shape (n_rho, M_rot).
 
-    ``omega_coeffs`` has shape (n_rho, L+1, K+1) and ``nu`` holds the rotation
-    weights; the scale sum comes first, so no later step grows with the scale count.
+    ``d`` is the round trip's (l, m, k, beta) table, ``f_lm`` the signal's
+    coefficients, ``B`` the wavelet table (L+1, K+1), ``s_p`` the Poisson
+    scale weights (n_rho, L+1) and ``modes`` the interleaved twist modes.  The
+    nodes run in (beta, alpha, gamma) order.  With G_{l,k}(alpha, beta) =
+    sum_m e^{-im alpha} d^l_{mk}(beta) conj(f_lm), an FFT over m, the
+    scale-free X_l(R) = sum_k w_k Re[B_{l,k} G_{l,k} e^{-ik gamma}] is one
+    real matmul over the 2(K+1) twist modes and W = S^P X one more, so the
+    per-degree transforms T are never formed.
     """
-    weighted = np.asarray(rho_weights, dtype=float)[:, None, None] * omega_coeffs
-    return np.tensordot(weighted, W * nu, axes=(0, 0))
+    BG = np.fft.fft(d.transpose(0, 3, 1, 2) * (f_lm.conj()[:, :, None] * B[:, None, :])[:, None], axis=2)  # (l, beta, alpha, k)
+    X = np.ascontiguousarray(BG).view(float).reshape(-1, modes.shape[0]) @ modes
+    return s_p @ X.reshape(d.shape[0], -1)
+
+
+def _steered_inversion(W: np.ndarray, d: np.ndarray, B: np.ndarray, nu: np.ndarray, s_h: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """The reconstructed coefficients f_rec,lm = sum_{k,R} V_{l,k}(R) w_k D^l_{mk}(R), shape (L+1, 2L+1).
+
+    The adjoint of :func:`_steered_transform`, with ``nu`` the Haar weight of
+    a node per beta and ``s_h`` the scale weights C rho_w s^H_l (n_rho, L+1).
+    B factors out of the reconstruction coefficients, so V_{l,k}(R) =
+    B_{l,k} nu_beta Z_l(R) with Z = s_h^T W, one matmul.  V's twist modes are
+    the gamma projection of Z against ``modes`` with its sin rows negated,
+    one more, and an FFT over alpha and the d-table contraction finish; V
+    itself is never formed.
+    """
+    L1, K1, n_beta = d.shape[0], d.shape[2], d.shape[3]
+    adjoint = modes.T * ([1.0, -1.0] * K1)
+    Z = s_h.T @ W
+    V_k = (Z.reshape(-1, modes.shape[1]) @ adjoint).view(complex).reshape(L1, n_beta, -1, K1)
+    V_k *= B[:, None, None, :] * nu[:, None, None]
+    return np.einsum("lmkb,lbmk->lm", d, np.fft.fft(V_k, axis=2))
 
 
 def wavelet_transform(
@@ -302,7 +338,9 @@ def inverse_transform(
     omega = np.stack([field.coeffs for field in omega_fields])
     lp = omega_fields[0].lp
     basis = sector_basis_frame(lp, omega.shape[1] - 1, omega.shape[2] - 1, *rot_frame)
-    return np.tensordot(_scale_rotation_sums(W, omega, rho_weights, rot.weights), basis, axes=3)
+    # V_{l,k}(R) = sum_r rho_w_r omega_r[l, k] W_r(R) nu_R, the scale sum first
+    V = np.tensordot(np.asarray(rho_weights, dtype=float)[:, None, None] * omega, W * rot.weights, axes=(0, 0))
+    return np.tensordot(V, basis, axes=3)
 
 
 def wigner_d_table(L: int, K: int, beta) -> np.ndarray:
@@ -328,37 +366,43 @@ def wigner_d_table(L: int, K: int, beta) -> np.ndarray:
         raise ValueError("beta must be a 1-d array")
     c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
     out = np.zeros((L + 1, 2 * L + 1, K + 1, beta.size))
-    for k in range(min(K, L) + 1):
-        # first degree k >= |m|: d^k_{mk} = sqrt(C(2k, k+m)) c^(k+m) s^(k-m)
-        root = 1.0
-        for m in range(k, -k - 1, -1):
-            out[k, L + m, k] = root * c ** (k + m) * s ** (k - m)
-            root *= math.sqrt((k + m) / (k - m + 1))
-        # first degree j = |m| > k: d^j_{jk} = (-1)^(j-k) r_j c^(j+k) s^(j-k), d^j_{-j,k} = r_j c^(j-k) s^(j+k),
-        # with r_j = sqrt(C(2j, j+k)) grown by sqrt(2j (2j-1) / ((j+k)(j-k))) per degree
-        top, bottom = c ** (2 * k), s ** (2 * k)
-        for j in range(k + 1, L + 1):
-            step = math.sqrt(2 * j * (2 * j - 1) / ((j + k) * (j - k))) * c * s
-            top, bottom = top * step, bottom * step
-            out[j, L + j, k] = top if (j - k) % 2 == 0 else -top
-            out[j, L - j, k] = bottom
+    K = min(K, L)
+    c_pow = np.array([c**p for p in range(2 * K + 1)])
+    s_pow = np.array([s**p for p in range(2 * K + 1)])
+    # first degree j = |m| > k: d^j_{jk} = (-1)^(j-k) r_j c^(j+k) s^(j-k), d^j_{-j,k} = r_j c^(j-k) s^(j+k), where
+    # r_j = sqrt(C(2j, j+k)) grows by sqrt(2j (2j-1) / ((j+k)(j-k))) per degree: cumulative products over
+    # (j, k) at once, 1 below the start and c^(2k) (or s^(2k)) at j = k; negated steps carry (-1)^(j-k)
+    j, k = np.arange(L + 1)[:, None], np.arange(K + 1)
+    above = j > k
+    step = np.sqrt(np.where(above, 2 * j * (2 * j - 1) / np.where(above, (j + k) * (j - k), 1), 1.0))[:, :, None] * c * s
+    start, above = (j == k)[:, :, None], above[:, :, None]
+    top = np.multiply.accumulate(np.where(start, c_pow[::2], np.where(above, -step, 1.0)), axis=0)
+    bottom = np.multiply.accumulate(np.where(start, s_pow[::2], np.where(above, step, 1.0)), axis=0)
+    j = j[:, 0]
+    out[j, L + j, : K + 1] = above * top
+    out[j, L - j, : K + 1] = above * bottom
+    # first degree k >= |m|: d^k_{mk} = sqrt(C(2k, k+m)) c^(k+m) s^(k-m), the root a running product over m
+    for k in range(K + 1):
+        root = np.multiply.accumulate(np.sqrt([1.0] + [(k + m) / (k - m + 1) for m in range(k, -k, -1)]))
+        out[k, L - k : L + k + 1, k] = root[::-1, None] * c_pow[: 2 * k + 1] * s_pow[2 * k :: -1]
     # the recurrence coefficients stepping degree l to l + 1, over the block |m| <= l, k <= l
     l = np.arange(L, dtype=float)[:, None, None, None]
     m = np.arange(-L, L + 1.0)[None, :, None, None]
-    k = np.arange(min(K, L) + 1.0)[None, None, :, None]
+    k = np.arange(K + 1.0)[None, None, :, None]
+    m2, k2 = m * m, k * k
     live = (np.abs(m) <= l) & (k <= l)
-    next_sq = np.where(live, ((l + 1) ** 2 - m * m) * ((l + 1) ** 2 - k * k), 1.0)
+    next_sq = np.where(live, ((l + 1) ** 2 - m2) * ((l + 1) ** 2 - k2), 1.0)
     x = (l + 1) * (2 * l + 1) / np.sqrt(next_sq)
-    y = (l + 1) / np.maximum(l, 1.0) * np.sqrt(np.where(live, (l * l - m * m) * (l * l - k * k), 0.0) / next_sq)
+    y = (l + 1) / np.maximum(l, 1.0) * np.sqrt(np.where(live, (l * l - m2) * (l * l - k2), 0.0) / next_sq)
     mk = m * k / np.maximum(l * (l + 1), 1.0)
     cos_b = np.cos(beta)
     for l in range(L):
         # d^{l+1} on the block |m| <= l, k <= min(l, K), where every column has started
-        block = (slice(L - l, L + l + 1), slice(0, min(l, K) + 1))
-        if l == 0:
-            out[1][block] = x[0][block] * cos_b * out[0][block]
-            continue
-        out[l + 1][block] = x[l][block] * (cos_b - mk[l][block]) * out[l][block] - y[l][block] * out[l - 1][block]
+        rows, cols = slice(L - l, L + l + 1), slice(0, min(l, K) + 1)
+        d_next = x[l, rows, cols] * (cos_b - mk[l, rows, cols]) * out[l, rows, cols]
+        if l:
+            d_next = d_next - y[l, rows, cols] * out[l - 1, rows, cols]
+        out[l + 1, rows, cols] = d_next
     return np.roll(out, -L, axis=1)  # index L + m to index m mod (2L+1)
 
 
@@ -435,12 +479,14 @@ def round_trip(
     ``predicted_rel_l2`` = sqrt(sum_l (m_l - 1)^2 E_l / sum_l E_l).  Rotations
     keep every E_l, so the prediction holds for f o Q^-1 too.
 
-    The transform W and the inversion sum V live on every node of the steered
-    rotation grid, but no basis is evaluated on it: both go through the
-    signal's coefficients f_lm and one Wigner-d table, with FFTs over the
-    Euler twists (see the module notes).  The input samples f_values come from
-    the signal's coefficients through the same table, after D^l(Q) when Q is
-    given.
+    The transform W lives on every node of the steered rotation grid, but no
+    basis is evaluated on it: it goes through the signal's coefficients f_lm
+    and one Wigner-d table, with an FFT over alpha and one matmul over the
+    gamma twist modes, and the inversion runs the adjoint (see the module
+    notes).  The scales enter as per-degree weights, one matmul each way, so
+    neither the per-degree transforms T nor the inversion sum V is formed.
+    The input samples f_values come from the signal's coefficients through
+    the same table, after D^l(Q) when Q is given.
     """
     if lp.n != 2:
         raise ValueError("full round trip is 2-sphere only")
@@ -451,8 +497,7 @@ def round_trip(
         raise ValueError("signal must be mean-free: the pair does not reconstruct degree 0")
     if not np.any(signal.coeffs):
         raise ValueError("signal is zero: its relative reconstruction error is undefined")
-    if gamma is None:
-        gamma = solve_gamma(lp.lam, dfrak)
+    gamma = _pair_gamma(lp.lam, dfrak, gamma)
     grid = build_sphere_grid(2, 2 * band)
     # the rotation grid of build_rotation_grid(band, dfrak): alpha on the phi nodes, beta on the
     # theta rule, 2K + 1 gamma twists, Haar weight w_theta / (2 n_alpha n_gamma) per node
@@ -461,7 +506,6 @@ def round_trip(
         raise ValueError("the sphere grid's theta rule must be the rotation grid's beta rule")
     K = min(dfrak, band)
     n_gamma = 2 * K + 1
-    nu = np.repeat(grid.weights[::n_alpha] / (4.0 * np.pi * n_gamma), n_alpha * n_gamma)
     d = wigner_d_table(band, K, grid.angles[::n_alpha, 0])  # (l, m, k, beta)
     # y_l^m = sqrt(2l+1) d^l_{m0}(theta) e^{i m phi} are the complex harmonics with
     # (1/sigma)-unit norm, and the sector basis is Y_l^k = (-1)^k y_l^k + y_l^{-k}
@@ -476,26 +520,21 @@ def round_trip(
     f_vals = _grid_values(y_theta, F)
     g = np.fft.fft((grid.weights * f_vals / lp.sigma).reshape(n_beta, n_alpha))
     f_lm = np.einsum("lmb,bm->lm", y_theta, g)
-    # T_{l,k}(R) = (1/sigma) int Y_l^k(R^-1 x) f(x) dx = w_k Re[(-1)^k e^{-ik gamma} G_{l,k}(alpha, beta)],
-    # G_{l,k}(alpha, beta) = sum_m e^{-im alpha} d^l_{mk}(beta) conj(f_lm): an FFT over m
-    G = np.fft.fft(d * f_lm.conj()[:, :, None, None], axis=1)  # (l, alpha, k, beta)
-    ks = np.arange(K + 1)
-    twist = ks[:, None] * (2.0 * np.pi * np.arange(n_gamma) / n_gamma)
-    w_k = np.where(ks % 2, -1.0, 1.0) * sector_weights(2, K)
-    cos_g, sin_g = w_k[:, None] * np.cos(twist), w_k[:, None] * np.sin(twist)
-    T = np.einsum("lakb,kg->lkbag", G.real, cos_g) + np.einsum("lakb,kg->lkbag", G.imag, sin_g)
     rhos, rho_w = log_rho_grid(rho_min, rho_max, rho_steps)
     C = admissibility_constant(lp, dfrak)
     B = modified_wavelet_table(lp, gamma, band)[:, : K + 1]
     ls = np.arange(band + 1)
     s_p = scale_weights(lp, KIND_POISSON, dfrak, rhos, ls)
     s_h = scale_weights(lp, KIND_HEAT, dfrak, rhos, ls)
-    W = np.tensordot(s_p[:, :, None] * B, T.reshape(band + 1, K + 1, -1), axes=2)
-    V = _scale_rotation_sums(W, C * s_h[:, :, None] * B, rho_w, nu).reshape(T.shape)
-    # inversion, the adjoint: f_rec,lm = sum_{k,R} V_{l,k}(R) w_k (-1)^k D^l_{mk}(R), then synthesis
-    V_k = np.einsum("lkbag,kg->lkba", V, cos_g) - 1j * np.einsum("lkbag,kg->lkba", V, sin_g)
-    V_km = np.fft.fft(V_k, axis=3)  # (l, k, beta, m)
-    rec_lm = np.einsum("lmkb,lkbm->lm", d, V_km)
+    # the twist modes w_k (cos k gamma, sin k gamma) with w_k = (-1)^k times the sector weight,
+    # their rows interleaved the way a complex array's float view interleaves (Re, Im)
+    ks = np.arange(K + 1)
+    twist = ks[:, None] * (2.0 * np.pi * np.arange(n_gamma) / n_gamma)
+    w_k = (np.where(ks % 2, -1.0, 1.0) * sector_weights(2, K))[:, None]
+    modes = np.stack([w_k * np.cos(twist), w_k * np.sin(twist)], axis=1).reshape(2 * K + 2, n_gamma)
+    W = _steered_transform(d, f_lm, B, s_p, modes)
+    nu = grid.weights[::n_alpha] / (4.0 * np.pi * n_gamma)  # the Haar weight of a node, by beta
+    rec_lm = _steered_inversion(W, d, B, nu, C * rho_w[:, None] * s_h, modes)
     f_rec = _grid_values(y_theta, rec_lm)
     err = f_rec - f_vals
     rel_l2 = math.sqrt(grid_inner(grid, err, err) / grid_inner(grid, f_vals, f_vals))
@@ -533,9 +572,8 @@ def per_degree_reconstruction_check(
     without it, one up to l is built.  Degree 0 is annihilated (returns 0)
     for dfrak >= 1.
     """
+    gamma = _pair_gamma(lp.lam, dfrak, gamma)
     if l == 0:
         return 0.0
-    if gamma is None:
-        gamma = solve_gamma(lp.lam, dfrak)
     (val,), p = _scale_integrals(lp, gamma, [l], energy)
     return _scaled_constant(lp, dfrak, p) * val / dim_harmonic(lp.n, l)

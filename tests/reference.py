@@ -14,7 +14,7 @@ from sphwave.admissibility import _TRAPEZOID_STEP, _pair_energy, _scaled_constan
 from sphwave.euclid import EuclideanPoint
 from sphwave.harmonics import GaussJacobiRule
 from sphwave.rotderiv import CoefficientField, _angular, _norm_column, synthesize
-from sphwave.special import LambdaParam, _check_t, _log_rising, _resolve_order, dim_harmonic, gegenbauer_batch
+from sphwave.special import LambdaParam, _check_t, _log_rising, _resolve_order, dim_harmonic, gauss_gegenbauer, gegenbauer_batch
 from sphwave.wavelets import KIND_HEAT, KIND_POISSON, TRUNCATION_CAP, TruncationError, WaveletSpec, certified_degree, scale_weights
 
 
@@ -296,6 +296,43 @@ def wigner_d_sum(l: int, m: int, k: int, beta: float) -> float:
             term = c ** (2 * l + k - m - 2 * s) * s_ ** (m - k + 2 * s) / (f(l + k - s) * f(s) * f(m - k + s) * f(l - m - s))
             total += -term if (m - k + s) % 2 else term
         return float(mpmath.sqrt(f(l + m) * f(l - m) * f(l + k) * f(l - k)) * total)
+
+
+def wigner_d_column_starts(L: int, K: int, beta) -> dict:
+    """{(l, m, k): d^l_{mk}(beta)} at each column's first degree max(|m|, k), by scalar loops over m and j.
+
+    A binomial root times powers of cos(beta/2) and sin(beta/2), the roots grown
+    as running products, in the order the package's table multiplies them.
+    """
+    c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
+    starts = {}
+    for k in range(min(K, L) + 1):
+        root = 1.0
+        for m in range(k, -k - 1, -1):
+            starts[k, m, k] = root * c ** (k + m) * s ** (k - m)
+            root *= math.sqrt((k + m) / (k - m + 1))
+        top, bottom = c ** (2 * k), s ** (2 * k)
+        for j in range(k + 1, L + 1):
+            step = math.sqrt(2 * j * (2 * j - 1) / ((j + k) * (j - k))) * c * s
+            top, bottom = top * step, bottom * step
+            starts[j, j, k] = top if (j - k) % 2 == 0 else -top
+            starts[j, -j, k] = bottom
+    return starts
+
+
+def sphere_grid_by_meshgrid(n: int, band: int) -> tuple:
+    """(angles, weights, shape) of the product grid, assembled from full meshgrids of the axis rules."""
+    nodes, weights = [], []
+    for tau in range(1, n):
+        t, w = gauss_gegenbauer(band // 2 + 1, (n - tau - 1) / 2.0)
+        nodes.append(np.arccos(t[::-1]))
+        weights.append(w[::-1])
+    nodes.append(2.0 * np.pi * np.arange(band + 1) / (band + 1))
+    weights.append(np.full(band + 1, 2.0 * np.pi / (band + 1)))
+    grids = np.meshgrid(*nodes, indexing="ij")
+    wgrids = np.meshgrid(*weights, indexing="ij")
+    angles = np.stack([g.ravel() for g in grids], axis=1)
+    return angles, np.prod(np.stack([w.ravel() for w in wgrids], axis=1), axis=1), grids[0].shape
 
 
 def tail_l1_mpmath(n: int, order: int, R: float, L: int, starts, dps: int = 50) -> float:

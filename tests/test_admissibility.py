@@ -428,6 +428,12 @@ def test_pair_condition_rows_pinned():
     assert [row["quadrature_scaled"] for row in rows] == pytest.approx(PINNED_N3_ORDER2, rel=1e-14, abs=0.0)
 
 
+def test_pair_condition_rejects_a_gamma_of_another_order():
+    lp = LambdaParam(3)
+    with pytest.raises(ValueError, match="order 1, the pair has order 2"):
+        verify_pair_condition1(lp, 2, 5, solve_gamma(lp.lam, 1))
+
+
 def test_pair_sum_matches_closed_form():
     # N_l rho^order exp(-rho u / 2 lam) u^order / sigma^2, a ladder-free oracle;
     # the worst case is about 3e-14 (n = 5, order 0, l = 40)

@@ -36,6 +36,14 @@ import reference
 from reference import synthesize_on_grid, wigner_d_sum
 
 
+@pytest.mark.parametrize(("n", "band"), [(2, 16), (2, 64), (3, 20), (4, 12)])
+def test_sphere_grid_equals_the_meshgrid_product(n, band):
+    grid = build_sphere_grid(n, band)
+    angles, weights, shape = reference.sphere_grid_by_meshgrid(n, band)
+    assert grid.shape == shape
+    assert grid.angles.tobytes() == angles.tobytes() and grid.weights.tobytes() == weights.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sphere_grid_weight_sum(n):
     grid = build_sphere_grid(n, 10)
@@ -422,19 +430,19 @@ def test_steered_round_trip_equals_full_grid_synthesis(band, order, rotated):
 
 @pytest.mark.parametrize("order", [1, 2, 4])
 def test_round_trip_transform_values_equal_the_reference(monkeypatch, order):
-    # the W that round_trip sums over scales is the wavelet transform on every
-    # node of the steered grid, in (beta, alpha, gamma) order
+    # the W that round_trip hands to its inversion is the wavelet transform on
+    # every node of the steered grid, in (beta, alpha, gamma) order
     import sphwave.transform as transform
     from sphwave.wavelets import modified_wavelet_field
 
     seen = []
-    original = transform._scale_rotation_sums
+    original = transform._steered_inversion
 
     def capture(W, *args):
         seen.append(W)
         return original(W, *args)
 
-    monkeypatch.setattr(transform, "_scale_rotation_sums", capture)
+    monkeypatch.setattr(transform, "_steered_inversion", capture)
     lp = LambdaParam(2)
     band, steps = 4, 5
     signal = random_bandlimited_field(lp, band, seed=9)
@@ -565,12 +573,42 @@ def test_round_trip_order_two_band_32_matches_prediction():
 
 @pytest.mark.parametrize("band", [3, 8, 16, 32])
 def test_round_trip_reconstructs_the_multiplied_signal(band):
-    # f_rec is the exact synthesis of m_l f_l, degree by degree
+    # f_rec is the exact synthesis of m_l f_l, degree by degree, at orders 1, 2
+    # and 4 (k = 0 and k >= 1 take different twist paths); for f o Q^-1 with a
+    # generic Q it is the synthesis of m_l (D(Q) F)_l through the d table.  The
+    # inversion cancels the scale sums' cross-degree terms through the rotation
+    # quadrature, and their rounding grows with band and order: band 32, order
+    # 4 reads 2.0e-14 (2.6e-14 with Q), so that case gets 4e-14
+    from sphwave.transform import _complex_coefficients, _grid_values, _rotate_coefficients
+
     lp = LambdaParam(2)
     signal = random_bandlimited_field(lp, band, seed=6)
-    rep = round_trip(lp, signal, 2)
-    expect = synthesize_on_grid(CoefficientField(lp, rep["multipliers"][:, None] * signal.coeffs), rep["grid"])
-    assert np.max(np.abs(rep["f_reconstructed"] - expect)) < 1e-14 * np.max(np.abs(rep["f_values"]))
+    Q = random_rotation(np.random.default_rng(band))
+    for order in (1, 2, 4):
+        tol = 4e-14 if (band, order) == (32, 4) else 1e-14
+        rep = round_trip(lp, signal, order)
+        multiplied = rep["multipliers"][:, None] * signal.coeffs
+        expect = synthesize_on_grid(CoefficientField(lp, multiplied), rep["grid"])
+        assert np.max(np.abs(rep["f_reconstructed"] - expect)) < tol * np.max(np.abs(rep["f_values"])), order
+        rep = round_trip(lp, signal, order, rotation=Q)
+        d = wigner_d_table(band, 0, rep["grid"].angles[:: 2 * band + 1, 0])
+        y_theta = np.sqrt(2.0 * np.arange(band + 1) + 1.0)[:, None, None] * d[:, :, 0, :]
+        expect = _grid_values(y_theta, _rotate_coefficients(_complex_coefficients(multiplied), Q))
+        assert np.max(np.abs(rep["f_reconstructed"] - expect)) < tol * np.max(np.abs(rep["f_values"])), (order, "Q")
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_round_trip_rejects_a_gamma_of_another_order(order):
+    lp = LambdaParam(2)
+    other = 3 - order
+    with pytest.raises(ValueError, match=f"order {other}, the pair has order {order}"):
+        round_trip(lp, random_bandlimited_field(lp, 4, seed=1), order, gamma=solve_gamma(lp.lam, other))
+
+
+def test_per_degree_reconstruction_check_rejects_a_gamma_of_another_order():
+    lp = LambdaParam(3)
+    with pytest.raises(ValueError, match="order 2, the pair has order 1"):
+        per_degree_reconstruction_check(lp, 1, 5, solve_gamma(lp.lam, 2))
 
 
 def test_wigner_d_matches_the_explicit_sum():
@@ -585,6 +623,16 @@ def test_wigner_d_matches_the_explicit_sum():
         # rows above the degree stay zero
         if l < L:
             assert not np.any(d[l, l + 1 : 2 * L + 1 - l]) and not np.any(d[l, :, l + 1 :])
+
+
+def test_wigner_d_column_starts_keep_the_loop_bits():
+    # the starts, cumulative products over (j, k) at once, carry the bits of the
+    # scalar loops, signed zeros at beta = 0 and pi included
+    betas = np.array([0.0, 1e-9, 0.3, np.pi / 2, np.pi - 1e-9, np.pi])
+    for L, K in [(0, 0), (1, 3), (8, 1), (8, 8), (12, 4), (64, 2), (64, 64)]:
+        d = wigner_d_table(L, K, betas)
+        for (l, m, k), want in reference.wigner_d_column_starts(L, K, betas).items():
+            assert d[l, m, k].tobytes() == want.tobytes(), (L, K, l, m, k)
 
 
 def test_wigner_d_columns_are_orthonormal():
