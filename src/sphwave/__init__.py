@@ -3,8 +3,8 @@
 Modules
 -------
 special        Gegenbauer polynomials, normalization constants, dimensions.
-harmonics      Spherical geometry, sector harmonics, the zonal Gauss-Jacobi rule.
-rotderiv       The rotational derivative ladder on coefficient fields.
+harmonics      Spherical coordinate charts, the zonal Gauss-Jacobi rule.
+rotderiv       The rotational derivative ladder, sector harmonics, synthesis.
 wavelets       Poisson/heat kernels, directional wavelets, closed forms.
 admissibility  Gamma mixing coefficients and the admissible-pair conditions.
 transform      Sphere/SO(3) quadrature, wavelet transform and inversion.
@@ -24,8 +24,6 @@ from .harmonics import (
     SphericalPoint,
     to_cartesian,
     from_cartesian,
-    rotate_in_plane,
-    eval_sector_harmonic,
     gauss_jacobi_rule,
 )
 from .rotderiv import (

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 
-class GammaSolveError(Exception):
+class GammaSolveError(ValueError):
     """No real gamma vector found; message carries the certificate/diagnostics."""
 
 
@@ -302,15 +302,6 @@ def solve_gamma(lam, dfrak: int) -> GammaVector:
     return vec
 
 
-def _pair_gamma(lam, dfrak: int, gamma: GammaVector | None) -> GammaVector:
-    """The order-dfrak pair's gamma vector: ``gamma`` when given, else solved for lam."""
-    if gamma is None:
-        return solve_gamma(lam, dfrak)
-    if gamma.order != dfrak:
-        raise ValueError(f"gamma vector has order {gamma.order}, the pair has order {dfrak}")
-    return gamma
-
-
 def _assert_collapse(vec: GammaVector, qs: list, l_max: int = 30, tol: float = 1e-9) -> None:
     """Check sum_{a,b} gamma_a gamma_b (-1)^((a-b)/2) q_{(a+b)/2}(u) = u^order at six degrees.
 
@@ -411,6 +402,7 @@ def _scale_integrals(lp: LambdaParam, gamma: GammaVector, degrees, energy: tuple
     degrees = list(degrees)
     if not degrees:
         return [], 0
+    E, p = energy_table(lp, gamma, max(degrees)) if energy is None else energy  # rejects an order-0 gamma
     dfrak, lam = gamma.order, lp.lam
     a_lo, a_hi = (l * (2.0 * lam + l) / (2.0 * lam) for l in (min(degrees), max(degrees)))
     x_lo, x_hi = -40.0 / dfrak - math.log(a_hi), math.log(60.0 / a_lo)
@@ -418,17 +410,16 @@ def _scale_integrals(lp: LambdaParam, gamma: GammaVector, degrees, energy: tuple
     rho = np.exp(x)
     s = scale_weights(lp, KIND_POISSON, dfrak, rho, degrees) * scale_weights(lp, KIND_HEAT, dfrak, rho, degrees)
     factor = _TRAPEZOID_STEP * np.add.accumulate(s)[-1]
-    E, p = energy_table(lp, gamma, max(degrees)) if energy is None else energy
     return (factor * E[degrees]).tolist(), p
 
 
 def verify_pair_condition1(
-    lp: LambdaParam, dfrak: int, l_max: int, gamma: GammaVector | None = None, *, tol_identity: float = 1e-6,
-    energy: tuple | None = None,
+    lp: LambdaParam, gamma: GammaVector, l_max: int, *, tol_identity: float = 1e-6, energy: tuple | None = None
 ) -> list:
     """Check the per-degree admissibility integral against N(n, l), both ways.
 
-    For each degree l <= l_max the scale integral of the coefficient product is
+    The pair is the one of ``gamma``, of order dfrak = ``gamma.order``.  For
+    each degree l <= l_max the scale integral of the coefficient product is
     evaluated (a) in closed form, Gamma(dfrak) (2 lam / u)^dfrak times the
     degree constants N(n, l) u^dfrak / sigma^2, whose u^dfrak cancels before
     it can overflow, and (b) by a trapezoid rule in log rho over the
@@ -441,8 +432,7 @@ def verify_pair_condition1(
     integrals' power of two 2^p (:func:`_pair_energy`) is folded into C and
     sigma^2, so the rows stay finite where E_l alone overflows.
     """
-    gamma = _pair_gamma(Fraction(lp.n - 1, 2), dfrak, gamma)
-    lam = lp.lam
+    dfrak, lam = gamma.order, lp.lam
     vals, p = _scale_integrals(lp, gamma, range(1, l_max + 1), energy)
     C = _scaled_constant(lp, dfrak, p)
     sigma_sq = math.ldexp(lp.sigma**2, p)

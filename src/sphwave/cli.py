@@ -17,7 +17,9 @@ real gamma vector, whose certificate goes to stderr, n >= 261, where the
 sphere's squared surface measure is not a normal float, a limit probe
 value that is not a finite float, and a request too large for memory, such
 as an eval grid of 1e5 per angle), 3 verification/tolerance failure
-(suppressed by --report-only).
+(suppressed by --report-only) and an eval series whose truncation degree
+cannot be certified: below the degree cap, or where its bound overflows or
+its weight underflows a float.  Library errors derive from ValueError.
 """
 
 from __future__ import annotations
@@ -212,7 +214,7 @@ def cmd_verify(args) -> int:
         gamma = solve_gamma(lp.lam, args.order)
         # one table E_l up to the band serves the pair-condition and the reconstruction rows
         energy = energy_table(lp, gamma, args.band)
-        rows = verify_pair_condition1(lp, args.order, args.band, gamma, tol_identity=args.tol, energy=energy)
+        rows = verify_pair_condition1(lp, gamma, args.band, tol_identity=args.tol, energy=energy)
         for row in rows:
             checks.append(
                 _report_row(
@@ -226,7 +228,7 @@ def cmd_verify(args) -> int:
                 )
             )
         for l in sorted({1, args.band // 2 or 1, args.band}):
-            m = per_degree_reconstruction_check(lp, args.order, l, gamma, energy=energy)
+            m = per_degree_reconstruction_check(lp, gamma, l, energy=energy)
             checks.append(
                 _report_row(
                     check=f"reconstruction_multiplier[l={l}]",
@@ -442,7 +444,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, TruncationError, GammaSolveError) as exc:
+    except ValueError as exc:  # TruncationError and GammaSolveError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -1,8 +1,8 @@
-"""Spherical geometry, the sector family of hyperspherical harmonics, and the
-Gauss-Jacobi rule of the zonal weight.
+"""Spherical coordinate charts and the Gauss-Jacobi rule of the zonal weight.
 
-Only the sector of harmonics indexed by (l, k1) -- the members depending on the
-first two angles alone -- is represented: rotational derivatives of zonal
+The sector family of hyperspherical harmonics, indexed by (l, k1) -- the
+members depending on the first two angles alone -- is evaluated by
+:func:`sphwave.rotderiv.sector_basis_frame`: rotational derivatives of zonal
 functions never leave it.  On the 2-sphere the basis is the real combination
 ``Yt_l^k = Y_l^{-k} + Y_l^k``; the zonal member is taken as ``Yt_l^0 = Y_l^0``
 (no doubling), so coefficient fields are real in every dimension.  The k >= 1
@@ -20,14 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import LambdaParam, gauss_gegenbauer, gegenbauer_value, norm_const_a
+from .special import gauss_gegenbauer
 
 __all__ = [
     "SphericalPoint",
     "to_cartesian",
     "from_cartesian",
-    "rotate_in_plane",
-    "eval_sector_harmonic",
     "GaussJacobiRule",
     "gauss_jacobi_rule",
 ]
@@ -77,42 +75,6 @@ def from_cartesian(v) -> SphericalPoint:
         thetas.append(math.atan2(tail, v[k]))
     phi = math.atan2(v[n], v[n - 1]) % (2.0 * math.pi)
     return SphericalPoint(thetas=tuple(thetas), phi=phi)
-
-
-def rotate_in_plane(p: SphericalPoint, theta: float) -> SphericalPoint:
-    """Apply the (x1, x2)-plane rotation and return spherical coordinates."""
-    x = to_cartesian(p)
-    y = x.copy()
-    c, s = math.cos(theta), math.sin(theta)
-    y[0] = c * x[0] - s * x[1]
-    y[1] = s * x[0] + c * x[1]
-    return from_cartesian(y)
-
-
-def eval_sector_harmonic(lp: LambdaParam, l: int, k1: int, theta1, theta2):
-    """Real sector harmonic of degree l, order k1 at angles (theta1, theta2).
-
-    For n >= 3 this is A_l^k C_{l-k}^{lam+k}(cos theta1) sin^k(theta1)
-    C_k^{lam-1/2}(cos theta2); for n = 2 the real combination with the phi
-    factor 2 cos(k phi) (theta2 plays the role of phi).  Returns 0 for k1 > l.
-    Accepts scalars or broadcasting arrays.
-    """
-    if k1 < 0:
-        raise ValueError("k1 must be >= 0")
-    theta1 = np.asarray(theta1, dtype=float)
-    theta2 = np.asarray(theta2, dtype=float)
-    if k1 > l:
-        return np.zeros(np.broadcast(theta1, theta2).shape)
-    lam = lp.lam
-    a = norm_const_a(lp, l, k1)
-    c1 = gegenbauer_value(lam + k1, l - k1, np.cos(theta1))
-    radial = a * c1 * np.sin(theta1) ** k1
-    if lp.n == 2:
-        angular = 1.0 if k1 == 0 else 2.0 * np.cos(k1 * theta2)
-    else:
-        angular = gegenbauer_value(lam - 0.5, k1, np.cos(theta2))
-    out = radial * angular
-    return out if out.shape else float(out)
 
 
 @dataclass(frozen=True)

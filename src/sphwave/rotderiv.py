@@ -104,11 +104,6 @@ class CoefficientField:
     def scaled(self, factor: float) -> "CoefficientField":
         return CoefficientField(self.lp, factor * self.coeffs)
 
-    def l2_norm_sq(self) -> float:
-        """Squared coefficient norm with the n = 2 sector weights applied."""
-        w = sector_weights(self.lp.n, self.order_bound)
-        return float(np.sum(self.coeffs**2 * w[None, :]))
-
 
 def zonal_field(lp: LambdaParam, zonal_coeffs) -> CoefficientField:
     """Field with only the k1 = 0 column populated."""
@@ -117,21 +112,19 @@ def zonal_field(lp: LambdaParam, zonal_coeffs) -> CoefficientField:
 
 
 def derivative_step(field: CoefficientField) -> CoefficientField:
-    """One rotational derivative; the order bound grows by one."""
-    lp = field.lp
-    a = field.coeffs
-    L, K = field.degree_max, field.order_bound
-    out = np.zeros((L + 1, K + 2))
-    betas = [beta_ladder(lp.lam, L, k) for k in range(K + 2)]
-    for k in range(K + 2):
-        acc = np.zeros(L + 1)
-        if k + 1 <= K:
-            acc += betas[k] * a[:, k + 1]
-        if k >= 1:
-            acc -= betas[k - 1] * a[:, k - 1]
-        if k == 0 and lp.n == 2 and K >= 1:
-            acc = 2.0 * betas[0] * a[:, 1]
-        out[:, k] = acc
+    """One rotational derivative; the order bound grows by one.
+
+    Column k gains beta_{l,k} a_l^{k+1} and loses beta_{l,k-1} a_l^{k-1}: one
+    (L+1, K+1) table of betas and two slice updates, then the S^2 zonal line.
+    """
+    lp, a = field.lp, field.coeffs
+    K = field.order_bound
+    betas = np.stack([beta_ladder(lp.lam, field.degree_max, k) for k in range(K + 1)], axis=1)
+    out = np.zeros((a.shape[0], K + 2))
+    out[:, :K] += betas[:, :K] * a[:, 1:]
+    out[:, 1:] -= betas * a
+    if lp.n == 2 and K >= 1:
+        out[:, 0] = 2.0 * betas[:, 0] * a[:, 1]
     return CoefficientField(lp, out)
 
 

@@ -85,7 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissibility import GammaVector, _pair_gamma, _scale_integrals, _scaled_constant, admissibility_constant
+from .admissibility import GammaVector, _scale_integrals, _scaled_constant, admissibility_constant, solve_gamma
 from .rotderiv import CoefficientField, sector_basis_frame, sector_weights
 from .special import LambdaParam, dim_harmonic, gauss_gegenbauer, surface_measure
 from .wavelets import KIND_HEAT, KIND_POISSON, modified_wavelet_table, scale_weights
@@ -167,25 +167,18 @@ def build_sphere_grid(n: int, band: int) -> SphereGrid:
     return SphereGrid(n=n, band=band, angles=angles.reshape(-1, n), weights=weights, shape=shape)
 
 
-def build_rotation_grid(band: int, order: int | None = None) -> RotationGrid:
-    """SO(3) grid exact for products of two band-limited functions.
-
-    ``order`` is the azimuthal bandwidth of the analysing family: the
-    order-d wavelets have sector modes k <= d only, so products of two of
-    them need 2 min(d, band) + 1 nodes in the third twist.  Without it the
-    third twist gets the full 2 band + 1 nodes.
-    """
-    if band < 0 or (order is not None and order < 0):
-        raise ValueError("band and order must be >= 0")
+def build_rotation_grid(band: int) -> RotationGrid:
+    """SO(3) grid exact for products of two band-limited functions: 2 band + 1 nodes in either twist."""
+    if band < 0:
+        raise ValueError("band must be >= 0")
     n_twist = 2 * band + 1
-    n_steer = n_twist if order is None else 2 * min(order, band) + 1
     tw = 2.0 * np.pi * np.arange(n_twist) / n_twist
-    tg = 2.0 * np.pi * np.arange(n_steer) / n_steer
     t, w = gauss_gegenbauer(band + 1, 0.0)
     betas = np.arccos(t[::-1])
     wb = w[::-1] / 2.0
-    a, b, g = np.meshgrid(tw, betas, tg, indexing="ij")
-    wa, wbm, wg = np.meshgrid(np.full(n_twist, 1.0 / n_twist), wb, np.full(n_steer, 1.0 / n_steer), indexing="ij")
+    wt = np.full(n_twist, 1.0 / n_twist)
+    a, b, g = np.meshgrid(tw, betas, tw, indexing="ij")
+    wa, wbm, wg = np.meshgrid(wt, wb, wt, indexing="ij")
     euler = np.stack([a.ravel(), b.ravel(), g.ravel()], axis=1)
     weights = (wa * wbm * wg).ravel()
     return RotationGrid(band=band, euler=euler, weights=weights)
@@ -458,7 +451,6 @@ def round_trip(
     rho_min: float = DEFAULT_RHO_MIN,
     rho_max: float = DEFAULT_RHO_MAX,
     rho_steps: int = DEFAULT_RHO_STEPS,
-    gamma: GammaVector | None = None,
     rotation: np.ndarray | None = None,
 ) -> dict:
     """Analyse and reconstruct a band-limited signal on the 2-sphere.
@@ -497,10 +489,10 @@ def round_trip(
         raise ValueError("signal must be mean-free: the pair does not reconstruct degree 0")
     if not np.any(signal.coeffs):
         raise ValueError("signal is zero: its relative reconstruction error is undefined")
-    gamma = _pair_gamma(lp.lam, dfrak, gamma)
+    gamma = solve_gamma(lp.lam, dfrak)
     grid = build_sphere_grid(2, 2 * band)
-    # the rotation grid of build_rotation_grid(band, dfrak): alpha on the phi nodes, beta on the
-    # theta rule, 2K + 1 gamma twists, Haar weight w_theta / (2 n_alpha n_gamma) per node
+    # the steered rotation grid: alpha on the phi nodes, beta on the theta rule,
+    # 2K + 1 gamma twists, Haar weight w_theta / (2 n_alpha n_gamma) per node
     n_beta, n_alpha = grid.shape
     if (n_beta, n_alpha) != (band + 1, 2 * band + 1):
         raise ValueError("the sphere grid's theta rule must be the rotation grid's beta rule")
@@ -559,10 +551,8 @@ def round_trip(
     }
 
 
-def per_degree_reconstruction_check(
-    lp: LambdaParam, dfrak: int, l: int, gamma: GammaVector | None = None, *, energy: tuple | None = None
-) -> float:
-    """Fourier-side reconstruction multiplier for one degree; 1 after C-scaling.
+def per_degree_reconstruction_check(lp: LambdaParam, gamma: GammaVector, l: int, *, energy: tuple | None = None) -> float:
+    """Fourier-side reconstruction multiplier of the pair of ``gamma`` for one degree; 1 after C-scaling.
 
     The general-n stand-in for full inversion: integrates the pair's
     coefficient products over all scales, through the same helper as
@@ -570,10 +560,9 @@ def per_degree_reconstruction_check(
     by C/N(n, l).  ``energy`` is an :func:`energy_table` up to l or beyond,
     such as the one a verify report builds for its pair-condition rows;
     without it, one up to l is built.  Degree 0 is annihilated (returns 0)
-    for dfrak >= 1.
+    for order >= 1.
     """
-    gamma = _pair_gamma(lp.lam, dfrak, gamma)
     if l == 0:
         return 0.0
     (val,), p = _scale_integrals(lp, gamma, [l], energy)
-    return _scaled_constant(lp, dfrak, p) * val / dim_harmonic(lp.n, l)
+    return _scaled_constant(lp, gamma.order, p) * val / dim_harmonic(lp.n, l)

@@ -41,7 +41,6 @@ __all__ = [
     "WaveletSpec",
     "TruncationError",
     "kernel_zonal_coeffs",
-    "poisson_kernel_closed",
     "poisson_wavelet_terms",
     "poisson_wavelet_closed",
     "directional_wavelet_field",
@@ -59,8 +58,8 @@ KIND_HEAT = "heat"
 TRUNCATION_CAP = 5000
 
 
-class TruncationError(Exception):
-    """Requested tolerance unreachable under the degree cap."""
+class TruncationError(ValueError):
+    """Requested tolerance unreachable under the degree cap, or its bound not representable in floats."""
 
 
 @dataclass(frozen=True)
@@ -128,12 +127,6 @@ def _poisson_parts(rho: float, theta1):
     one_minus_r = -math.expm1(-rho)
     den = one_minus_r**2 + 4.0 * math.exp(-rho) * np.sin(0.5 * theta1) ** 2
     return -math.expm1(-2.0 * rho), den
-
-
-def poisson_kernel_closed(lp: LambdaParam, rho: float, theta1):
-    """Poisson kernel value (1/sigma)(1-r^2)/(1-2r cos(theta1)+r^2)^(lam+1)."""
-    one_minus_r2, den = _poisson_parts(rho, theta1)
-    return one_minus_r2 / (lp.sigma * den ** (lp.lam + 1.0))
 
 
 def poisson_wavelet_terms(lam: float, order: int) -> list:
@@ -297,9 +290,10 @@ def truncation_degree(spec: WaveletSpec, eps: float) -> int:
     sums these terms for l > L via a geometric-ratio closed form (the term
     ratio is decreasing, so it majorizes the tail).  All degrees up to the cap
     of 5000 are bounded at once, as one array, and scanned by
-    :func:`certified_degree`.  Scales below the cap's reach, and orders whose
-    bound overflows a float, raise :class:`TruncationError` rather than
-    returning an unreliable degree.
+    :func:`certified_degree`.  Scales below the cap's reach, orders whose
+    bound overflows a float, and series whose weight w_l underflows to 0
+    before a degree is certified raise :class:`TruncationError` rather than
+    returning an unreliable degree; a subnormal w_l still counts.
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
@@ -324,7 +318,12 @@ def truncation_degree(spec: WaveletSpec, eps: float) -> int:
         power = (ls + lp.lam) ** d
         bound = const * power * nl * w / sigma
     failure = f"tolerance {eps:g} unreachable below degree cap {TRUNCATION_CAP} at rho={spec.rho:g}"
-    unbounded = np.flatnonzero(~(np.isfinite(power) & np.isfinite(nl)))
-    if unbounded.size:  # the first degree whose bound overflows ends the scan
-        bound, failure = bound[: unbounded[0]], overflow
+    # the first degree whose bound overflows, or whose weight flushes to 0 and
+    # would read as a zero remainder, ends the scan
+    overflowed = ~(np.isfinite(power) & np.isfinite(nl))
+    cut = np.flatnonzero(overflowed | (w == 0.0))
+    if cut.size:
+        i = cut[0]
+        underflow = f"degree weight underflows a float at l={int(ls[i])} before tolerance {eps:g} is certified at rho={spec.rho:g}"
+        bound, failure = bound[:i], overflow if overflowed[i] else underflow
     return d + certified_degree(bound, eps, failure)

@@ -13,9 +13,19 @@ import numpy as np
 from sphwave.admissibility import _TRAPEZOID_STEP, _pair_energy, _scaled_constant, _upper_gamma_q
 from sphwave.euclid import EuclideanPoint
 from sphwave.harmonics import GaussJacobiRule
-from sphwave.rotderiv import CoefficientField, _angular, _norm_column, synthesize
+from sphwave.rotderiv import CoefficientField, _angular, _norm_column, beta_ladder, sector_basis_frame, synthesize
 from sphwave.special import LambdaParam, _check_t, _log_rising, _resolve_order, dim_harmonic, gauss_gegenbauer, gegenbauer_batch
-from sphwave.wavelets import KIND_HEAT, KIND_POISSON, TRUNCATION_CAP, TruncationError, WaveletSpec, certified_degree, scale_weights
+from sphwave.transform import RotationGrid
+from sphwave.wavelets import (
+    KIND_HEAT,
+    KIND_POISSON,
+    TRUNCATION_CAP,
+    TruncationError,
+    WaveletSpec,
+    _poisson_parts,
+    certified_degree,
+    scale_weights,
+)
 
 
 def gegenbauer_derivative(l: int, order, t):
@@ -185,7 +195,7 @@ def q_table_all_pairs(lam: Fraction, dfrak: int) -> dict:
     return table
 
 
-def per_degree_reconstruction_check(lp: LambdaParam, dfrak: int, l: int, gamma) -> float:
+def per_degree_reconstruction_check(lp: LambdaParam, gamma, l: int) -> float:
     """The degree-l reconstruction multiplier as a one-degree sweep of its own.
 
     The full (nodes x (l+1)) scale-weight table on the degree's trapezoid
@@ -193,7 +203,7 @@ def per_degree_reconstruction_check(lp: LambdaParam, dfrak: int, l: int, gamma) 
     power of two is fixed by those sums; the package reads E_l from a shared
     table and sums only column l.
     """
-    lam = lp.lam
+    lam, dfrak = lp.lam, gamma.order
     a = l * (2.0 * lam + l) / (2.0 * lam)
     x_lo, x_hi = -40.0 / dfrak - math.log(a), math.log(60.0 / a)
     x = x_lo + _TRAPEZOID_STEP * np.arange(math.ceil((x_hi - x_lo) / _TRAPEZOID_STEP) + 1)
@@ -425,3 +435,53 @@ def synthesize_on_grid(field: CoefficientField, grid) -> np.ndarray:
     rest = (0,) * (grid.n - 2)
     vals = synthesize(field, th1[(slice(None), 0) + rest][:, None], th2[(0, slice(None)) + rest][None, :])
     return np.broadcast_to(vals.reshape(vals.shape + (1,) * len(rest)), grid.shape).ravel()
+
+
+def poisson_kernel_closed(lp: LambdaParam, rho: float, theta1):
+    """Poisson kernel value (1/sigma)(1-r^2)/(1-2r cos(theta1)+r^2)^(lam+1), written out by hand."""
+    one_minus_r2, den = _poisson_parts(rho, theta1)
+    return one_minus_r2 / (lp.sigma * den ** (lp.lam + 1.0))
+
+
+def sector_harmonic(lp: LambdaParam, l: int, k: int, theta1, theta2):
+    """The sector harmonic Y_l^k at (theta1, theta2): entry [l, k] of :func:`sector_basis_frame`; 0 for k > l."""
+    theta1 = np.asarray(theta1, dtype=float)
+    return sector_basis_frame(lp, l, k, np.cos(theta1), np.sin(theta1), theta2)[l, k]
+
+
+def derivative_step_loop(field: CoefficientField) -> CoefficientField:
+    """One rotational derivative by a loop over output orders, one ladder column at a time."""
+    lp = field.lp
+    a = field.coeffs
+    L, K = field.degree_max, field.order_bound
+    out = np.zeros((L + 1, K + 2))
+    betas = [beta_ladder(lp.lam, L, k) for k in range(K + 2)]
+    for k in range(K + 2):
+        acc = np.zeros(L + 1)
+        if k + 1 <= K:
+            acc += betas[k] * a[:, k + 1]
+        if k >= 1:
+            acc -= betas[k - 1] * a[:, k - 1]
+        if k == 0 and lp.n == 2 and K >= 1:
+            acc = 2.0 * betas[0] * a[:, 1]
+        out[:, k] = acc
+    return CoefficientField(lp, out)
+
+
+def steered_rotation_grid(band: int, order: int) -> RotationGrid:
+    """The round trip's SO(3) grid: the full grid with 2 min(order, band) + 1 nodes in the third twist.
+
+    The order-d wavelets have sector modes k <= d only, so products of two of
+    them need that many uniform nodes in the twist about their own axis.
+    """
+    if band < 0 or order < 0:
+        raise ValueError("band and order must be >= 0")
+    n_twist = 2 * band + 1
+    n_steer = 2 * min(order, band) + 1
+    tw = 2.0 * np.pi * np.arange(n_twist) / n_twist
+    tg = 2.0 * np.pi * np.arange(n_steer) / n_steer
+    t, w = gauss_gegenbauer(band + 1, 0.0)
+    a, b, g = np.meshgrid(tw, np.arccos(t[::-1]), tg, indexing="ij")
+    wa, wb, wg = np.meshgrid(np.full(n_twist, 1.0 / n_twist), w[::-1] / 2.0, np.full(n_steer, 1.0 / n_steer), indexing="ij")
+    euler = np.stack([a.ravel(), b.ravel(), g.ravel()], axis=1)
+    return RotationGrid(band=band, euler=euler, weights=(wa * wb * wg).ravel())

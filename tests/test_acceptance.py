@@ -114,7 +114,7 @@ def test_criterion_3_pair_condition():
             if n == 2 and dfrak == 3:
                 continue  # no real gamma vector exists (criterion 2 certificate)
             gamma = solve_gamma(lp.lam, dfrak)
-            rows = verify_pair_condition1(lp, dfrak, 20, gamma)
+            rows = verify_pair_condition1(lp, gamma, 20)
             cells += 1
             for row in rows:
                 worst_ratio = max(worst_ratio, abs(row["ratio"] - 1.0))

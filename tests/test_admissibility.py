@@ -36,6 +36,7 @@ from sphwave.admissibility import (
 from sphwave.rotderiv import CoefficientField, derivative_order, sector_pair_sum, sector_weights
 from sphwave.harmonics import gauss_jacobi_rule
 from sphwave.special import LambdaParam, dim_harmonic, gegenbauer_weighted_sum, reproducing_kernel
+from sphwave.transform import per_degree_reconstruction_check
 from sphwave.wavelets import KIND_HEAT, KIND_POISSON, TruncationError, modified_wavelet_field, modified_wavelet_table
 
 from reference import (
@@ -392,7 +393,7 @@ def test_collapse_identity_on_fields(n, dfrak):
 @pytest.mark.parametrize("n,dfrak", [(3, 2), (2, 1)])
 def test_pair_condition_small_sweep(n, dfrak):
     lp = LambdaParam(n)
-    rows = verify_pair_condition1(lp, dfrak, 6)
+    rows = verify_pair_condition1(lp, solve_gamma(lp.lam, dfrak), 6)
     for row in rows:
         assert row["pass"], row
         assert row["paths_rel_diff"] < 1e-8
@@ -405,13 +406,14 @@ def test_pair_condition_closed_path_is_finite_on_large_spheres(n, l_max):
     # u^order formed before (2 lam / u)^order cancels it, the path read inf
     # at order 6 on these spheres
     lp = LambdaParam(n)
-    energy = energy_table(lp, solve_gamma(lp.lam, 6), l_max)
-    for row in verify_pair_condition1(lp, 6, l_max, energy=energy):
+    gamma = solve_gamma(lp.lam, 6)
+    energy = energy_table(lp, gamma, l_max)
+    for row in verify_pair_condition1(lp, gamma, l_max, energy=energy):
         assert row["closed_scaled"] == pytest.approx(row["expected"], rel=1e-13), row
         assert row["paths_rel_diff"] < 1e-8 and row["pass"], row
 
 
-# quadrature_scaled of verify_pair_condition1(LambdaParam(3), 2, 20), l = 1..20, as
+# quadrature_scaled of the order-2 verify_pair_condition1 on LambdaParam(3), l = 1..20, as
 # computed with a per-node sector ladder in the integrand
 PINNED_N3_ORDER2 = [
     4.000000000000001, 9.000000000000002, 16.000000000000014, 24.99999999999999, 35.99999999999996,
@@ -422,16 +424,20 @@ PINNED_N3_ORDER2 = [
 
 
 def test_pair_condition_rows_pinned():
-    rows = verify_pair_condition1(LambdaParam(3), 2, 20)
+    rows = verify_pair_condition1(LambdaParam(3), solve_gamma(1.0, 2), 20)
     assert [row["l"] for row in rows] == list(range(1, 21))
     assert all(row["pass"] for row in rows)
     assert [row["quadrature_scaled"] for row in rows] == pytest.approx(PINNED_N3_ORDER2, rel=1e-14, abs=0.0)
 
 
-def test_pair_condition_rejects_a_gamma_of_another_order():
+def test_pair_checks_reject_an_order_zero_gamma():
+    # an order-0 gamma names no admissible pair: a ValueError, not a division by zero
     lp = LambdaParam(3)
-    with pytest.raises(ValueError, match="order 1, the pair has order 2"):
-        verify_pair_condition1(lp, 2, 5, solve_gamma(lp.lam, 1))
+    gamma = solve_gamma(lp.lam, 0)
+    with pytest.raises(ValueError, match="order >= 1"):
+        verify_pair_condition1(lp, gamma, 4)
+    with pytest.raises(ValueError, match="order >= 1"):
+        per_degree_reconstruction_check(lp, gamma, 2)
 
 
 def test_pair_sum_matches_closed_form():

@@ -70,6 +70,18 @@ def test_eval_truncation_cap_exit_code(tmp_path):
     assert code == 3
 
 
+def test_eval_whose_weight_underflows_before_certification_exits_3(tmp_path, capsys):
+    # at n = 200, rho = 0.5 the weight exp(-rho l) flushes to 0 before the
+    # bound certifies a degree; n = 150 certifies L = 1355 before it does
+    argv = ["eval", "--order", "1", "--rho", "0.5", "--grid", "3"]
+    assert run(argv + ["--n", "200", "--out", str(tmp_path / "big.csv")]) == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert "weight underflows a float" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+    assert run(argv + ["--n", "150", "--out", str(tmp_path / "ok.csv")]) == EXIT_OK
+    assert json.loads((tmp_path / "ok.csv.json").read_text())["truncation_degree"] == 1355
+
+
 def test_coeffs_table(tmp_path):
     out = tmp_path / "c.csv"
     assert run(["coeffs", "--n", "3", "--order", "1", "--rho", "0.5", "--band", "6", "--out", str(out)]) == 0
@@ -435,6 +447,70 @@ def test_fuzzed_arguments_exit_cleanly(argv, tmp_path_factory):
             code = exc.code
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY), (argv, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
+    written = sorted(out_dir.iterdir())
+    if code == EXIT_USAGE:
+        assert not written, (argv, written)
+    for path in written:
+        if path.suffix == ".json" or argv[0] not in ("eval", "coeffs"):  # eval and coeffs write a CSV table at out
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+_BAD_SCALES = st.sampled_from([0.0, -0.0, -0.5, math.inf, -math.inf, math.nan])
+_FUZZ_SCALES = st.one_of(_BAD_SCALES, st.floats(min_value=1e-3, max_value=4.0))
+_FUZZ_RHO_MIN = st.one_of(_BAD_SCALES, st.floats(min_value=1e-6, max_value=0.1))
+_FUZZ_RHO_MAX = st.one_of(_BAD_SCALES, st.floats(min_value=0.5, max_value=8.0))
+_FUZZ_TOLS = st.sampled_from([0.0, -1e-3, math.inf, -math.inf, math.nan, 1e-12, 1e-8, 1e-3, 0.5])
+
+
+@st.composite
+def _subcommand_argv(draw):
+    """Every subcommand over n, order, band, grid, scales and tolerances, bad values included.
+
+    Each option is passed or left at its default by a draw of its own, so a
+    bad value in one option does not shadow every other; small spheres, where
+    every subcommand runs, and S^2, where transform runs, are drawn as often
+    as the whole range.
+    """
+    sub = draw(st.sampled_from(["eval", "coeffs", "gamma", "verify", "transform", "limit"]))
+    n = draw(st.one_of(st.just(2), st.integers(-1, 6), st.integers(-1, 300)))
+    argv = [sub, "--n", str(n), "--order", str(draw(st.integers(-2, 8)))]
+    options = {
+        "eval": {"--kind": st.sampled_from([KIND_POISSON, KIND_HEAT]), "--rho": _FUZZ_SCALES,
+                 "--grid": st.integers(1, 6), "--tol": _FUZZ_TOLS, "--tol-series": _FUZZ_TOLS},
+        "coeffs": {"--kind": st.sampled_from([KIND_POISSON, KIND_HEAT]), "--rho": _FUZZ_SCALES, "--band": st.integers(1, 12)},
+        "gamma": {},
+        "verify": {"--band": st.integers(1, 12), "--tol": _FUZZ_TOLS},
+        "transform": {"--band": st.integers(1, 12), "--tol": _FUZZ_TOLS, "--rho-min": _FUZZ_RHO_MIN,
+                      "--rho-max": _FUZZ_RHO_MAX, "--rho-steps": st.integers(1, 12)},
+        "limit": {"--rho-max": _FUZZ_SCALES, "--rho-steps": st.integers(1, 6)},
+    }[sub]
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            value = draw(values)
+            argv += [flag, value if isinstance(value, str) else repr(value)]
+    if sub != "coeffs" and draw(st.booleans()):
+        argv.append("--report-only")
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=_subcommand_argv())
+@example(argv=["eval", "--n", "200", "--order", "1", "--rho", "0.5", "--grid", "3"])
+@example(argv=["eval", "--n", "160", "--order", "1", "--rho", "0.5", "--grid", "3"])
+@example(argv=["verify", "--n", "260", "--order", "6", "--band", "12"])
+@example(argv=["transform", "--n", "2", "--order", "8", "--band", "12"])
+def test_every_subcommand_exits_cleanly_on_drawn_arguments(argv, tmp_path_factory):
+    # exit 0, 2 or 3, no traceback, strict JSON, and nothing left behind on a usage error
+    out_dir = tmp_path_factory.mktemp("fuzz")
+    out = str(out_dir / "out")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv + ["--out", out])
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue(), argv
     written = sorted(out_dir.iterdir())
     if code == EXIT_USAGE:
         assert not written, (argv, written)

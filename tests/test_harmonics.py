@@ -8,20 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphwave.harmonics import (
-    GaussJacobiRule,
-    SphericalPoint,
-    eval_sector_harmonic,
-    from_cartesian,
-    gauss_jacobi_rule,
-    rotate_in_plane,
-    to_cartesian,
-)
+from sphwave.harmonics import GaussJacobiRule, SphericalPoint, from_cartesian, gauss_jacobi_rule, to_cartesian
+from sphwave.rotderiv import sector_basis_frame
 from sphwave.special import LambdaParam, gegenbauer_batch, reproducing_kernel
 from sphwave.transform import build_sphere_grid, grid_inner
-from sphwave.wavelets import poisson_kernel_closed
 
-from reference import _gegenbauer_norm_inv, gegenbauer_coefficient
+from reference import _gegenbauer_norm_inv, gegenbauer_coefficient, poisson_kernel_closed, sector_harmonic
 
 try:
     from scipy.special import sph_harm_y
@@ -85,40 +77,25 @@ def test_round_trip_from_angles(t1, t2, phi):
     assert np.linalg.norm(to_cartesian(q) - x) < 1e-12
 
 
-def test_rotate_identity_and_quarter_turn():
-    p = SphericalPoint(thetas=(0.7, 1.1), phi=0.3)
-    q = rotate_in_plane(p, 0.0)
-    assert np.allclose(to_cartesian(q), to_cartesian(p), atol=1e-15)
-    pole = SphericalPoint(thetas=(0.0, 0.0), phi=0.0)
-    r = rotate_in_plane(pole, np.pi / 2)
-    assert np.allclose(to_cartesian(r), [0, 1, 0, 0], atol=1e-15)
-
-
-def test_rotate_group_inverse():
-    p = SphericalPoint(thetas=(1.2, 0.4, 2.0), phi=5.1)
-    q = rotate_in_plane(rotate_in_plane(p, 0.6), -0.6)
-    assert np.linalg.norm(to_cartesian(q) - to_cartesian(p)) < 1e-12
-
-
 def test_harmonic_trivial_constant():
     for n in (2, 3, 5):
-        assert eval_sector_harmonic(LambdaParam(n), 0, 0, 0.8, 1.7) == pytest.approx(1.0)
+        assert sector_harmonic(LambdaParam(n), 0, 0, 0.8, 1.7) == pytest.approx(1.0)
 
 
 def test_harmonic_above_degree_is_zero():
-    assert eval_sector_harmonic(LambdaParam(3), 2, 5, 0.8, 1.7) == 0.0
+    assert sector_harmonic(LambdaParam(3), 2, 5, 0.8, 1.7) == 0.0
 
 
 def test_harmonic_n3_degree_one():
     # A_1^0 = 1 on the 3-sphere, so Y_1^0 = C_1^1(cos theta) = 2 cos theta
     lp = LambdaParam(3)
     th = np.linspace(0.1, 3.0, 9)
-    assert np.allclose(eval_sector_harmonic(lp, 1, 0, th, 0.0), 2 * np.cos(th), rtol=1e-13)
+    assert np.allclose(sector_harmonic(lp, 1, 0, th, 0.0), 2 * np.cos(th), rtol=1e-13)
 
 
 def test_harmonic_pole_vanishing_for_positive_order():
     lp = LambdaParam(4)
-    assert eval_sector_harmonic(lp, 3, 2, 0.0, 1.2) == 0.0
+    assert sector_harmonic(lp, 3, 2, 0.0, 1.2) == 0.0
 
 
 def test_s2_harmonics_match_reference_library():
@@ -126,7 +103,7 @@ def test_s2_harmonics_match_reference_library():
     lp = LambdaParam(2)
     th, ph = 1.1, 2.3
     for (l, k) in [(3, 0), (3, 1), (4, 2), (5, 5), (2, 1), (6, 3)]:
-        ours = eval_sector_harmonic(lp, l, k, th, ph)
+        ours = sector_harmonic(lp, l, k, th, ph)
         factor = 1.0 if k == 0 else 2.0
         ref = (-1.0) ** k * math.sqrt(4 * math.pi) * factor * complex(_sph(l, k, th, ph)).real
         assert ours == pytest.approx(ref, rel=1e-11)
@@ -138,10 +115,8 @@ def test_sector_orthonormality(n):
     lmax = 12
     grid = build_sphere_grid(n, 2 * lmax)
     th1, th2 = grid.angles[:, 0], grid.angles[:, 1]
-    basis = {}
-    for l in range(lmax + 1):
-        for k1 in range(l + 1):
-            basis[(l, k1)] = eval_sector_harmonic(lp, l, k1, th1, th2)
+    frame = sector_basis_frame(lp, lmax, lmax, np.cos(th1), np.sin(th1), th2)
+    basis = {(l, k1): frame[l, k1] for l in range(lmax + 1) for k1 in range(l + 1)}
     keys = list(basis)
     rng = np.random.default_rng(0)
     picks = rng.choice(len(keys), size=40, replace=False)
@@ -159,7 +134,7 @@ def test_s2_real_family_norms():
     grid = build_sphere_grid(2, 24)
     th1, th2 = grid.sector_angles()
     for (l, k1) in [(1, 0), (3, 0), (3, 1), (5, 4)]:
-        vals = eval_sector_harmonic(lp, l, k1, th1, th2)
+        vals = sector_harmonic(lp, l, k1, th1, th2)
         expect = 1.0 if k1 == 0 else 2.0
         assert grid_inner(grid, vals, vals) == pytest.approx(expect, abs=1e-10)
 
@@ -172,7 +147,7 @@ def test_addition_theorem_zonal_slice():
         lp = LambdaParam(n)
         for l in range(9):
             lhs = reproducing_kernel(lp, l, np.cos(th))
-            rhs = eval_sector_harmonic(lp, l, 0, th, 0.0) * eval_sector_harmonic(lp, l, 0, 0.0, 0.0)
+            rhs = sector_harmonic(lp, l, 0, th, 0.0) * sector_harmonic(lp, l, 0, 0.0, 0.0)
             assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
 
@@ -258,7 +233,7 @@ def test_funk_hecke_convolution_multiplier():
     lp = LambdaParam(n)
     grid = build_sphere_grid(n, 44)
     th1, th2 = grid.angles[:, 0], grid.angles[:, 1]
-    y_vals = eval_sector_harmonic(lp, l, k1, th1, th2)
+    y_vals = sector_harmonic(lp, l, k1, th1, th2)
     nodes = np.stack(
         [
             np.cos(th1),
@@ -283,7 +258,7 @@ def test_rotation_invariance_of_quadrature():
     grid = build_sphere_grid(3, 20)
     th1, th2 = grid.angles[:, 0], grid.angles[:, 1]
     f = lambda a, b: (
-        eval_sector_harmonic(lp, 3, 1, a, b) * 0.7 + eval_sector_harmonic(lp, 2, 2, a, b) + 0.25
+        sector_harmonic(lp, 3, 1, a, b) * 0.7 + sector_harmonic(lp, 2, 2, a, b) + 0.25
     )
     base = grid.weights @ f(th1, th2)
     theta = 0.83
@@ -298,7 +273,3 @@ def test_rotation_invariance_of_quadrature():
     rotated = grid.weights @ f(th1r, th2r)
     assert rotated == pytest.approx(base, rel=1e-8, abs=1e-8)
 
-
-def test_negative_order_rejected():
-    with pytest.raises(ValueError):
-        eval_sector_harmonic(LambdaParam(3), 2, -1, 0.5, 0.5)

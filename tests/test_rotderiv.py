@@ -90,6 +90,22 @@ def test_step_of_zero_is_zero():
     assert not np.any(out.coeffs)
 
 
+def test_step_keeps_the_bits_of_the_loop_over_orders():
+    # the slice updates against the loop, over seven chained steps from a zonal
+    # seed that carries negative zeros, signed zeros of the output included
+    rng = np.random.default_rng(11)
+    for n in range(2, 31):
+        lp = LambdaParam(n)
+        for L in (0, 1, 2, 7, 40, 300):
+            seed = rng.standard_normal(L + 1)
+            seed[::3] = -0.0
+            field = want = zonal_field(lp, seed)
+            for _ in range(7):
+                field, want = derivative_step(field), reference.derivative_step_loop(want)
+                assert np.array_equal(field.coeffs, want.coeffs), (n, L)
+                assert np.array_equal(np.signbit(field.coeffs), np.signbit(want.coeffs)), (n, L)
+
+
 def test_step_linearity():
     lp = LambdaParam(3)
     rng = np.random.default_rng(5)

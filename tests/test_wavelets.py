@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from sphwave.admissibility import solve_gamma
+from sphwave.admissibility import GammaSolveError, solve_gamma
 from sphwave.harmonics import gauss_jacobi_rule
-from sphwave.rotderiv import derivative_order, synthesize
+from sphwave.rotderiv import derivative_order, sector_pair_sum, synthesize
 from sphwave.special import LambdaParam, reproducing_kernel
 from sphwave.wavelets import (
     KIND_HEAT,
@@ -19,13 +19,12 @@ from sphwave.wavelets import (
     g2_closed,
     kernel_zonal_coeffs,
     modified_wavelet_field,
-    poisson_kernel_closed,
     poisson_wavelet_closed,
     poisson_wavelet_terms,
     truncation_degree,
 )
 
-from reference import gegenbauer_coefficient, truncation_degree_scan
+from reference import gegenbauer_coefficient, poisson_kernel_closed, truncation_degree_scan
 
 THETA1 = np.linspace(0.05, np.pi - 0.05, 12)
 THETA2 = np.linspace(0.0, 2 * np.pi, 9, endpoint=False)
@@ -298,12 +297,38 @@ def test_truncation_rejects_orders_whose_bound_overflows():
         truncation_degree(WaveletSpec(lp=LambdaParam(400), kind=KIND_POISSON, order=1, rho=0.5), 1e-10)
 
 
+def test_truncation_never_certifies_on_an_underflowed_weight():
+    # at rho = 0.5 the weight exp(-rho l) flushes to 0 past l = 1490; a degree
+    # is returned only where the bound's last term still has a nonzero weight
+    # (subnormal ones count), otherwise the error names the float limit
+    outcomes = set()
+    for n in range(150, 261):
+        for order in (1, 2, 4):
+            spec = WaveletSpec(lp=LambdaParam(n), kind=KIND_POISSON, order=order, rho=0.5)
+            try:
+                L = truncation_degree(spec, 1e-10)
+            except TruncationError as exc:
+                assert "underflows" in str(exc) or "overflows" in str(exc), (n, order, str(exc))
+                outcomes.add("raised")
+            else:
+                assert math.exp(-0.5 * (L + 2)) > 0.0, (n, order, L)
+                outcomes.add("certified")
+    assert outcomes == {"raised", "certified"}
+    assert truncation_degree(WaveletSpec(lp=LambdaParam(150), kind=KIND_POISSON, order=1, rho=0.5), 1e-10) == 1355
+    assert truncation_degree(WaveletSpec(lp=LambdaParam(160), kind=KIND_POISSON, order=1, rho=0.5), 1e-10) == 1454
+    with pytest.raises(TruncationError, match="weight underflows a float at l=1491"):
+        truncation_degree(WaveletSpec(lp=LambdaParam(200), kind=KIND_POISSON, order=1, rho=0.5), 1e-10)
+
+
+def test_library_errors_are_value_errors():
+    assert issubclass(TruncationError, ValueError) and issubclass(GammaSolveError, ValueError)
+
+
 def test_l2_norm_stable_under_refinement():
     lp = LambdaParam(3)
     spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=1, rho=0.8)
     L = truncation_degree(spec, 1e-12)
-    a = directional_wavelet_field(spec, L=L).l2_norm_sq()
-    b = directional_wavelet_field(spec, L=2 * L).l2_norm_sq()
+    a, b = (sector_pair_sum(f, f).sum() for f in (directional_wavelet_field(spec, L=M) for M in (L, 2 * L)))
     assert abs(a - b) < 1e-10 * b
 
 
