@@ -3,12 +3,12 @@
 Modules
 -------
 special        Gegenbauer polynomials, normalization constants, dimensions.
-harmonics      Spherical coordinate charts, the zonal Gauss-Jacobi rule.
+harmonics      The Gauss-Jacobi rule of the zonal weight.
 rotderiv       The rotational derivative ladder, sector harmonics, synthesis.
 wavelets       Poisson/heat kernels, directional wavelets, closed forms.
 admissibility  Gamma mixing coefficients and the admissible-pair conditions.
 transform      Sphere/SO(3) quadrature, wavelet transform and inversion.
-euclid         Stereographic parametrization and flat-space limit profiles.
+euclid         Flat-space limit profiles and their convergence probe.
 cli            Command-line front end (evaluation, verification, reports).
 """
 
@@ -20,12 +20,7 @@ from .special import (
     dim_harmonic,
     reproducing_kernel,
 )
-from .harmonics import (
-    SphericalPoint,
-    to_cartesian,
-    from_cartesian,
-    gauss_jacobi_rule,
-)
+from .harmonics import gauss_jacobi_rule
 from .rotderiv import (
     CoefficientField,
     beta,
@@ -71,7 +66,6 @@ from .transform import (
 )
 from .euclid import (
     EuclideanPoint,
-    inverse_stereographic,
     euclidean_limit_eval,
     limit_convergence_probe,
 )

@@ -15,11 +15,12 @@ and test signals use fixed seeds.  Every numeric default lands in the report
 metadata.  Exit codes: 0 ok, 2 usage error (also a transform order with no
 real gamma vector, whose certificate goes to stderr, n >= 261, where the
 sphere's squared surface measure is not a normal float, a limit probe
-value that is not a finite float, and a request too large for memory, such
-as an eval grid of 1e5 per angle), 3 verification/tolerance failure
-(suppressed by --report-only) and an eval series whose truncation degree
-cannot be certified: below the degree cap, or where its bound overflows or
-its weight underflows a float.  Library errors derive from ValueError.
+value or point radius that is not a finite float, and a request too large
+for memory, such as an eval grid of 1e5 per angle), 3 verification/tolerance
+failure (suppressed by --report-only) and an eval series whose truncation
+degree cannot be certified: below the degree cap, or where its bound
+overflows or its weight underflows a float.  Library errors derive from
+ValueError.
 """
 
 from __future__ import annotations
@@ -374,7 +375,7 @@ def _finite_float(text: str) -> float:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type for tolerances: a finite float > 0."""
+    """argparse type for tolerances and scale bounds: a finite float > 0."""
     value = _finite_float(text)
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
@@ -422,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="round trip on the 2-sphere")
     common(p, band=8, tol=1e-3)
-    p.add_argument("--rho-min", type=float, default=DEFAULT_RHO_MIN)
-    p.add_argument("--rho-max", type=float, default=DEFAULT_RHO_MAX)
+    p.add_argument("--rho-min", type=_positive_float, default=DEFAULT_RHO_MIN)
+    p.add_argument("--rho-max", type=_positive_float, default=DEFAULT_RHO_MAX)
     p.add_argument("--rho-steps", type=_positive_int, default=DEFAULT_RHO_STEPS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_transform)
@@ -432,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, order_default=2)
     p.add_argument("--xi-radius", type=_finite_float, default=1.0)
     p.add_argument("--xi-angle", type=_finite_float, default=0.7)
-    p.add_argument("--rho-max", type=float, default=0.08)
+    p.add_argument("--rho-max", type=_positive_float, default=0.08)
     p.add_argument("--rho-steps", type=_positive_int, default=4)
     p.set_defaults(fn=cmd_limit)
 

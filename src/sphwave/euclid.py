@@ -23,13 +23,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .harmonics import SphericalPoint, from_cartesian
 from .special import LambdaParam
 from .wavelets import KIND_POISSON, WaveletSpec, _poisson_parts, _poisson_term_sum, poisson_wavelet_terms
 
 __all__ = [
     "EuclideanPoint",
-    "inverse_stereographic",
     "euclidean_limit_eval",
     "wavelet_at_scaled_point",
     "limit_convergence_probe",
@@ -49,21 +47,6 @@ class EuclideanPoint:
     @property
     def xi2(self) -> float:
         return self.coords[0]
-
-
-def inverse_stereographic(xi: EuclideanPoint, n: int) -> SphericalPoint:
-    """Map R^n to the n-sphere: theta_1 = 2 arctan(|xi|/2), direction preserved.
-
-    The origin maps to the pole (all angles zero).
-    """
-    if len(xi.coords) != n:
-        raise ValueError(f"point has {len(xi.coords)} coordinates, expected n={n}")
-    R = xi.radius
-    theta1 = 2.0 * math.atan(R / 2.0)
-    if R == 0.0:
-        return SphericalPoint(thetas=(0.0,) * (n - 1), phi=0.0)
-    direction = from_cartesian(np.asarray(xi.coords) / R)
-    return SphericalPoint(thetas=(theta1,) + direction.thetas, phi=direction.phi)
 
 
 def _limit_terms(lam: float, d: int) -> list:
@@ -96,26 +79,29 @@ def euclidean_limit_eval(lp: LambdaParam, d: int, xi: EuclideanPoint) -> float:
 
 
 def wavelet_at_scaled_point(lp: LambdaParam, d: int, xi: EuclideanPoint, rho: float) -> float:
-    """rho^n * g^[d]_rho evaluated at the inverse stereographic image of rho*xi.
+    """rho^n * g^[d]_rho at the inverse stereographic image of rho*xi, theta1 = 2 arctan(|rho xi|/2).
 
     Sums the exact terms of :func:`sphwave.wavelets.poisson_wavelet_terms`
     at every order, so no degree series is summed and no truncation cap
     limits the scale.  rho^n is folded into each term,
     rho^n D^-(lam+1+j) = rho^(-1-2j) (D/rho^2)^-(lam+1+j) with n = 2 lam + 1,
     and D/rho^2 stays near 1 + |xi|^2, so no intermediate overflows at
-    large n.  Raises ValueError when the value is not a finite float.
+    large n.  Raises ValueError when xi does not have n coordinates or the
+    value is not a finite float.
     """
+    if len(xi.coords) != lp.n:
+        raise ValueError(f"point has {len(xi.coords)} coordinates, expected n={lp.n}")
     spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=d, rho=rho)
-    scaled = EuclideanPoint(tuple(rho * c for c in xi.coords))
-    point = inverse_stereographic(scaled, lp.n)
     R = xi.radius
     # theta2 of the direction: cos(theta2) = xi_2 / |xi|
     theta2 = 0.0 if R == 0.0 else math.acos(max(-1.0, min(1.0, xi.xi2 / R)))
-    one_minus_r2, den = _poisson_parts(rho, point.thetas[0])
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        # theta1 of the inverse stereographic image; |rho xi| = inf lands on the antipode
+        theta1 = 2.0 * math.atan(EuclideanPoint(tuple(rho * c for c in xi.coords)).radius / 2.0)
+        one_minus_r2, den = _poisson_parts(rho, theta1)
         rho_ = np.float64(rho)
         factors = [spec.r**j * rho_ ** (-1.0 - 2 * j) for j in range(d + 1)]
-        total = _poisson_term_sum(lp.lam, d, point.thetas[0], theta2, den / rho_**2, factors)
+        total = _poisson_term_sum(lp.lam, d, theta1, theta2, den / rho_**2, factors)
         value = float(rho_**d * one_minus_r2 / lp.sigma * total)
     if not math.isfinite(value):
         raise ValueError(f"rho^n g^[{d}] at rho={rho!r} does not evaluate to a finite float (n={lp.n})")
@@ -131,6 +117,9 @@ def limit_convergence_probe(lp: LambdaParam, d: int, xi: EuclideanPoint, rho_seq
     rhos = list(rho_sequence)
     if any(r2 >= r1 for r1, r2 in zip(rhos, rhos[1:])):
         raise ValueError("rho sequence must decrease")
+    with np.errstate(over="ignore"):
+        if not math.isfinite(xi.radius):
+            raise ValueError("the probe point's radius |xi| is not a finite float")
     target = euclidean_limit_eval(lp, d, xi)
     errors = [abs(wavelet_at_scaled_point(lp, d, xi, rho) - target) for rho in rhos]
     ratios = [e1 / e2 if e2 > 0.0 else None for e1, e2 in zip(errors, errors[1:])]

@@ -12,6 +12,15 @@ real-basis bookkeeping of the 2-sphere.  The operator never mixes degrees, and
 after d steps from a zonal seed the coefficients of order k with k != d (mod 2)
 vanish identically.
 
+The sector family of hyperspherical harmonics, indexed by (l, k1) -- the
+members depending on the first two angles alone -- is evaluated by
+:func:`sector_basis_frame`: rotational derivatives of zonal functions never
+leave it.  On the 2-sphere the basis is the real combination
+``Yt_l^k = Y_l^{-k} + Y_l^k``; the zonal member is taken as ``Yt_l^0 = Y_l^0``
+(no doubling), so coefficient fields are real in every dimension.  The k >= 1
+members then carry squared norm 2, a weight made explicit in all inner-product
+code (see :func:`sector_weights`).
+
 Fields are immutable once built; every operation allocates its output, so
 evaluating many points or fields concurrently is safe.
 """

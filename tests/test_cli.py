@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -460,6 +461,8 @@ _FUZZ_SCALES = st.one_of(_BAD_SCALES, st.floats(min_value=1e-3, max_value=4.0))
 _FUZZ_RHO_MIN = st.one_of(_BAD_SCALES, st.floats(min_value=1e-6, max_value=0.1))
 _FUZZ_RHO_MAX = st.one_of(_BAD_SCALES, st.floats(min_value=0.5, max_value=8.0))
 _FUZZ_TOLS = st.sampled_from([0.0, -1e-3, math.inf, -math.inf, math.nan, 1e-12, 1e-8, 1e-3, 0.5])
+# the radius of a probe point: the origin, a negative radius, squares that underflow or overflow
+_FUZZ_RADII = st.one_of(st.sampled_from([0.0, -1.0, 1e-300, 1e160, 1e200]), st.floats(min_value=0.05, max_value=4.0))
 
 
 @st.composite
@@ -482,7 +485,8 @@ def _subcommand_argv(draw):
         "verify": {"--band": st.integers(1, 12), "--tol": _FUZZ_TOLS},
         "transform": {"--band": st.integers(1, 12), "--tol": _FUZZ_TOLS, "--rho-min": _FUZZ_RHO_MIN,
                       "--rho-max": _FUZZ_RHO_MAX, "--rho-steps": st.integers(1, 12)},
-        "limit": {"--rho-max": _FUZZ_SCALES, "--rho-steps": st.integers(1, 6)},
+        "limit": {"--rho-max": _FUZZ_SCALES, "--rho-steps": st.integers(1, 6), "--xi-radius": _FUZZ_RADII,
+                  "--xi-angle": st.floats(min_value=-7.0, max_value=7.0)},
     }[sub]
     for flag, values in options.items():
         if draw(st.booleans()):
@@ -499,21 +503,30 @@ def _subcommand_argv(draw):
 @example(argv=["eval", "--n", "160", "--order", "1", "--rho", "0.5", "--grid", "3"])
 @example(argv=["verify", "--n", "260", "--order", "6", "--band", "12"])
 @example(argv=["transform", "--n", "2", "--order", "8", "--band", "12"])
+@example(argv=["limit", "--n", "2", "--order", "2", "--xi-radius", "1e160"])
+@example(argv=["limit", "--n", "3", "--order", "4", "--xi-radius", "1e200", "--xi-angle", "0.3"])
 def test_every_subcommand_exits_cleanly_on_drawn_arguments(argv, tmp_path_factory):
     # exit 0, 2 or 3, no traceback, strict JSON, and nothing left behind on a usage error
     out_dir = tmp_path_factory.mktemp("fuzz")
     out = str(out_dir / "out")
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        try:
-            code = main(argv + ["--out", out])
-        except SystemExit as exc:  # argparse rejects the arguments
-            code = exc.code
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv + ["--out", out])
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY), (argv, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue(), argv
     written = sorted(out_dir.iterdir())
     if code == EXIT_USAGE:
         assert not written, (argv, written)
+    if argv[0] == "limit" and code == EXIT_USAGE:
+        # one error line (after argparse's usage when it rejects a flag) and no warning
+        lines = [line for line in stderr.getvalue().splitlines() if not line.startswith(("usage:", " "))]
+        assert len(lines) == 1 and "error:" in lines[0], (argv, stderr.getvalue())
+        assert not caught, (argv, [str(w.message) for w in caught])
     for path in written:
         if path.suffix == ".json" or argv[0] not in ("eval", "coeffs"):  # eval and coeffs write a CSV table at out
             json.loads(path.read_text(), parse_constant=_reject_constant)

@@ -9,11 +9,9 @@ from sphwave.euclid import (
     EuclideanPoint,
     _limit_terms,
     euclidean_limit_eval,
-    inverse_stereographic,
     limit_convergence_probe,
     wavelet_at_scaled_point,
 )
-from sphwave.harmonics import to_cartesian
 from sphwave.rotderiv import synthesize
 from sphwave.special import LambdaParam
 from sphwave.wavelets import (
@@ -34,28 +32,9 @@ def xi_polar(n, radius, angle):
     return EuclideanPoint(tuple(coords))
 
 
-def test_origin_maps_to_pole():
-    p = inverse_stereographic(EuclideanPoint((0.0, 0.0, 0.0)), 3)
-    assert np.allclose(to_cartesian(p), [1, 0, 0, 0], atol=1e-15)
-
-
-def test_radius_two_maps_to_equator():
-    p = inverse_stereographic(EuclideanPoint((2.0, 0.0)), 2)
-    assert p.thetas[0] == pytest.approx(np.pi / 2, rel=1e-15)
-
-
 def test_dimension_mismatch():
-    with pytest.raises(ValueError):
-        inverse_stereographic(EuclideanPoint((1.0, 0.0)), 3)
-
-
-def test_small_scale_angle_expansion():
-    # theta1(rho xi) = rho R + O(rho^3): the cubic coefficient converges to R^3/12
-    xi = xi_polar(2, 1.7, 0.4)
-    R = xi.radius
-    for rho in (1e-2, 1e-3):
-        theta1 = inverse_stereographic(EuclideanPoint(tuple(rho * c for c in xi.coords)), 2).thetas[0]
-        assert (rho * R - theta1) / rho**3 == pytest.approx(R**3 / 12, rel=2e-4 / rho)
+    with pytest.raises(ValueError, match="expected n=3"):
+        wavelet_at_scaled_point(LambdaParam(3), 1, EuclideanPoint((1.0, 0.0)), 0.01)
 
 
 def test_limit_profile_order_zero_at_origin():
@@ -163,7 +142,7 @@ def test_probe_closed_forms_keep_converging_at_tiny_scales(n, d):
 def series_at_scaled_point(lp, d, xi, rho):
     """rho^n times the degree series of the order-d wavelet at the probe's point."""
     spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=d, rho=rho)
-    theta1 = inverse_stereographic(EuclideanPoint(tuple(rho * c for c in xi.coords)), lp.n).thetas[0]
+    theta1 = 2.0 * math.atan(rho * xi.radius / 2.0)
     theta2 = math.acos(xi.xi2 / xi.radius)
     field = directional_wavelet_field(spec, L=truncation_degree(spec, 1e-10))
     return rho**lp.n * float(synthesize(field, theta1, theta2))
@@ -232,8 +211,8 @@ def test_folded_scaling_matches_the_closed_form(n, d):
     xi = xi_polar(n, 0.7, 0.9)
     for rho in (0.4, 0.1, 0.02):
         spec = WaveletSpec(lp=lp, kind=KIND_POISSON, order=d, rho=rho)
-        point = inverse_stereographic(EuclideanPoint(tuple(rho * c for c in xi.coords)), n)
-        unfolded = rho**n * float(poisson_wavelet_closed(spec, point.thetas[0], math.acos(xi.xi2 / xi.radius)))
+        theta1 = 2.0 * math.atan(rho * xi.radius / 2.0)
+        unfolded = rho**n * float(poisson_wavelet_closed(spec, theta1, math.acos(xi.xi2 / xi.radius)))
         assert wavelet_at_scaled_point(lp, d, xi, rho) == pytest.approx(unfolded, rel=1e-12, abs=0.0)
 
 
@@ -250,3 +229,12 @@ def test_probe_value_beyond_the_float_range_raises():
     # at rho = 50 on S^200, rho^n g is about 50^200 / sigma
     with pytest.raises(ValueError, match="does not evaluate to a finite float"):
         wavelet_at_scaled_point(LambdaParam(200), 2, xi_polar(200, 1.0, 0.7), 50.0)
+
+
+@pytest.mark.parametrize("radius", [1e155, 1e160, 1e200])
+def test_probe_point_whose_squared_radius_overflows_raises(radius, recwarn):
+    # |xi|^2 overflows, so neither the flat profile nor theta2 is defined
+    xi = EuclideanPoint((np.float64(radius) * np.cos(0.7), np.float64(radius) * np.sin(0.7)))
+    with pytest.raises(ValueError, match="radius .* is not a finite float"):
+        limit_convergence_probe(LambdaParam(2), 2, xi, [0.08, 0.04])
+    assert not recwarn.list

@@ -1,14 +1,12 @@
-"""Coordinate charts, sector harmonics, the Gauss-Jacobi rule and coefficient extraction against it."""
+"""Sector harmonics, the Gauss-Jacobi rule and coefficient extraction against it."""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from sphwave.harmonics import GaussJacobiRule, SphericalPoint, from_cartesian, gauss_jacobi_rule, to_cartesian
+from sphwave.harmonics import GaussJacobiRule, gauss_jacobi_rule
 from sphwave.rotderiv import sector_basis_frame
 from sphwave.special import LambdaParam, gegenbauer_batch, reproducing_kernel
 from sphwave.transform import build_sphere_grid, grid_inner
@@ -26,55 +24,6 @@ except ImportError:  # older scipy
 
     def _sph(l, k, theta, phi):
         return sph_harm(k, l, phi, theta)
-
-
-def test_north_pole():
-    p = SphericalPoint(thetas=(0.0, 0.0), phi=0.0)
-    assert np.allclose(to_cartesian(p), [1, 0, 0, 0], atol=1e-15)
-
-
-def test_equator_point_s2():
-    p = SphericalPoint(thetas=(np.pi / 2,), phi=0.0)
-    assert np.allclose(to_cartesian(p), [0, 1, 0], atol=1e-15)
-
-
-def test_zero_vector_rejected():
-    with pytest.raises(ValueError):
-        from_cartesian([0.0, 0.0, 0.0])
-
-
-def test_non_unit_rejected():
-    with pytest.raises(ValueError):
-        from_cartesian([0.9, 0.0, 0.0])
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=5),
-    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=6, max_size=6),
-)
-def test_round_trip_from_random_vectors(n, raw):
-    v = np.array(raw[: n + 1])
-    if np.linalg.norm(v) < 1e-3:
-        v = v + 1.0
-    v = v / np.linalg.norm(v)
-    p = from_cartesian(v)
-    assert len(p.thetas) == n - 1
-    assert np.linalg.norm(to_cartesian(p) - v) < 1e-12
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.floats(min_value=0.0, max_value=np.pi),
-    st.floats(min_value=0.0, max_value=np.pi),
-    st.floats(min_value=0.0, max_value=2 * np.pi - 1e-9),
-)
-def test_round_trip_from_angles(t1, t2, phi):
-    p = SphericalPoint(thetas=(t1, t2), phi=phi)
-    x = to_cartesian(p)
-    assert abs(np.linalg.norm(x) - 1.0) < 1e-12
-    q = from_cartesian(x)
-    assert np.linalg.norm(to_cartesian(q) - x) < 1e-12
 
 
 def test_harmonic_trivial_constant():

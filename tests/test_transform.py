@@ -13,7 +13,6 @@ from sphwave.admissibility import (
     solve_gamma,
     zonal_product_series,
 )
-from sphwave.harmonics import from_cartesian
 from sphwave.rotderiv import CoefficientField, sector_pair_sum, sector_weights, synthesize, synthesize_frame
 from sphwave.special import LambdaParam, dim_harmonic, reproducing_kernel, surface_measure
 from sphwave.transform import (
