@@ -461,8 +461,13 @@ _FUZZ_SCALES = st.one_of(_BAD_SCALES, st.floats(min_value=1e-3, max_value=4.0))
 _FUZZ_RHO_MIN = st.one_of(_BAD_SCALES, st.floats(min_value=1e-6, max_value=0.1))
 _FUZZ_RHO_MAX = st.one_of(_BAD_SCALES, st.floats(min_value=0.5, max_value=8.0))
 _FUZZ_TOLS = st.sampled_from([0.0, -1e-3, math.inf, -math.inf, math.nan, 1e-12, 1e-8, 1e-3, 0.5])
-# the radius of a probe point: the origin, a negative radius, squares that underflow or overflow
-_FUZZ_RADII = st.one_of(st.sampled_from([0.0, -1.0, 1e-300, 1e160, 1e200]), st.floats(min_value=0.05, max_value=4.0))
+# the radius of a probe point: the origin, a negative radius, squares that underflow or overflow,
+# and large finite radii 1e4..1e154, log-uniform, where the profile's xi_2^p overflows at high order
+_FUZZ_RADII = st.one_of(
+    st.sampled_from([0.0, -1.0, 1e-300, 1e160, 1e200]),
+    st.floats(min_value=0.05, max_value=4.0),
+    st.floats(min_value=4.0, max_value=154.0).map(lambda e: 10.0**e),
+)
 
 
 @st.composite
@@ -505,6 +510,8 @@ def _subcommand_argv(draw):
 @example(argv=["transform", "--n", "2", "--order", "8", "--band", "12"])
 @example(argv=["limit", "--n", "2", "--order", "2", "--xi-radius", "1e160"])
 @example(argv=["limit", "--n", "3", "--order", "4", "--xi-radius", "1e200", "--xi-angle", "0.3"])
+@example(argv=["limit", "--n", "2", "--order", "6", "--xi-radius", "1e60"])
+@example(argv=["limit", "--n", "3", "--order", "5", "--xi-radius", "1e100", "--xi-angle", "2.0"])
 def test_every_subcommand_exits_cleanly_on_drawn_arguments(argv, tmp_path_factory):
     # exit 0, 2 or 3, no traceback, strict JSON, and nothing left behind on a usage error
     out_dir = tmp_path_factory.mktemp("fuzz")
@@ -522,11 +529,12 @@ def test_every_subcommand_exits_cleanly_on_drawn_arguments(argv, tmp_path_factor
     written = sorted(out_dir.iterdir())
     if code == EXIT_USAGE:
         assert not written, (argv, written)
+    if argv[0] == "limit":
+        # no warning at any exit; a usage error leaves one error line (after argparse's usage when it rejects a flag)
+        assert not caught, (argv, [str(w.message) for w in caught])
     if argv[0] == "limit" and code == EXIT_USAGE:
-        # one error line (after argparse's usage when it rejects a flag) and no warning
         lines = [line for line in stderr.getvalue().splitlines() if not line.startswith(("usage:", " "))]
         assert len(lines) == 1 and "error:" in lines[0], (argv, stderr.getvalue())
-        assert not caught, (argv, [str(w.message) for w in caught])
     for path in written:
         if path.suffix == ".json" or argv[0] not in ("eval", "coeffs"):  # eval and coeffs write a CSV table at out
             json.loads(path.read_text(), parse_constant=_reject_constant)

@@ -1,7 +1,11 @@
 """Stereographic map and flat-space limit profiles."""
 
 import math
+import sys
+import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,6 +39,44 @@ def xi_polar(n, radius, angle):
 def test_dimension_mismatch():
     with pytest.raises(ValueError, match="expected n=3"):
         wavelet_at_scaled_point(LambdaParam(3), 1, EuclideanPoint((1.0, 0.0)), 0.01)
+
+
+@pytest.mark.parametrize("n", [2, 3, 30, 150, 260])
+def test_limit_profile_is_finite_at_large_radii(n):
+    # every term has q - p/2 = lam + 1 + d/2; where some (1+|xi|^2)^-q leaves
+    # the normal floats (on S^2 from |xi| near 3e20 at order 6, near 15 on
+    # S^260) the profile is formed from xi_2 / sqrt(1+|xi|^2), and it matches
+    # its 40-digit value with no warning
+    lp = LambdaParam(n)
+    for d in range(7):
+        terms = limit_terms_by_differentiation(lp.lam, d)
+        assert all(q - Fraction(p, 2) == Fraction(lp.lam) + 1 + Fraction(d, 2) for _, p, q in terms)
+        for radius in (1e4, 1e8, 1e20, 1e52, 1e60, 1e100, 1e153, 1e154):
+            xi = xi_polar(n, radius, 1.1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = euclidean_limit_eval(lp, d, xi)
+            with mpmath.workdps(40):
+                x2, A = mpmath.mpf(xi.xi2), 1 + mpmath.mpf(xi.radius) ** 2
+                exact = 2 / mpmath.mpf(lp.sigma) * mpmath.fsum(
+                    mpmath.mpf(c.numerator) / c.denominator * x2**p * A ** -(mpmath.mpf(q.numerator) / q.denominator)
+                    for c, p, q in terms
+                )
+                assert abs(value - exact) <= 1e-12 * abs(exact) + 1e-300, (d, radius, value, exact)
+
+
+def test_limit_profile_keeps_the_direct_product_while_its_decay_is_normal():
+    # the bits of the sum of c xi_2^p (1+|xi|^2)^-q wherever every (1+|xi|^2)^-q is a normal float
+    for n in (2, 3, 6):
+        lp = LambdaParam(n)
+        for d in range(7):
+            for radius in (0.0, 0.05, 0.7, 3.0, 1e3, 1e10):
+                xi = xi_polar(n, radius, 2.2)
+                A = 1.0 + xi.radius**2
+                terms = _limit_terms(lp.lam, d)
+                assert all(A ** (-float(q)) >= sys.float_info.min for _, _, q in terms)
+                direct = sum(float(c) * xi.xi2**p * A ** (-float(q)) for c, p, q in terms)
+                assert euclidean_limit_eval(lp, d, xi) == 2.0 / lp.sigma * direct
 
 
 def test_limit_profile_order_zero_at_origin():

@@ -559,9 +559,74 @@ def test_round_trip_requires_theta_rule_on_beta_nodes(monkeypatch):
     import sphwave.transform as transform
 
     monkeypatch.setattr(transform, "build_sphere_grid", lambda n, band: build_sphere_grid(n, band + 2))
+    transform._round_trip_plan.cache_clear()  # a kept plan would skip the patched builder
     lp = LambdaParam(2)
     with pytest.raises(ValueError, match="beta"):
         round_trip(lp, random_bandlimited_field(lp, 3, seed=1), 1)
+
+
+def _round_trip_bytes(rep) -> tuple:
+    keys = ("rel_l2_error", "predicted_rel_l2", "multipliers", "f_values", "f_reconstructed")
+    return tuple(np.asarray(rep[key]).tobytes() for key in keys) + (rep["grid"].angles.tobytes(), rep["grid"].weights.tobytes())
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_round_trip_plan_reuse_keeps_the_bits(rotated):
+    # a warm call (the plan reused) returns a cold call's bits, also after a
+    # call at another configuration evicted the plan; one plan is kept
+    import sphwave.transform as transform
+
+    lp = LambdaParam(2)
+    signal = random_bandlimited_field(lp, 6, seed=3)
+    Q = random_rotation(np.random.default_rng(4)) if rotated else None
+    transform._round_trip_plan.cache_clear()
+    cold = _round_trip_bytes(round_trip(lp, signal, 2, rho_steps=30, rotation=Q))
+    assert _round_trip_bytes(round_trip(lp, signal, 2, rho_steps=30, rotation=Q)) == cold
+    assert transform._round_trip_plan.cache_info().hits == 1
+    other = random_bandlimited_field(lp, 4, seed=5)
+    evicting = _round_trip_bytes(round_trip(lp, other, 1, rho_steps=30, rotation=Q))
+    assert transform._round_trip_plan.cache_info().currsize == 1
+    assert _round_trip_bytes(round_trip(lp, signal, 2, rho_steps=30, rotation=Q)) == cold
+    assert transform._round_trip_plan.cache_info().currsize == 1
+    transform._round_trip_plan.cache_clear()
+    assert _round_trip_bytes(round_trip(lp, other, 1, rho_steps=30, rotation=Q)) == evicting
+
+
+def test_round_trip_plan_is_read_only():
+    # the plan's arrays, the returned grid's included, refuse writes, and what a
+    # caller changes in its report leaves the next call as it was
+    import sphwave.transform as transform
+
+    lp = LambdaParam(2)
+    signal = random_bandlimited_field(lp, 5, seed=2)
+    rep = round_trip(lp, signal, 1, rho_steps=20)
+    want = _round_trip_bytes(rep)
+    plan = transform._round_trip_plan(5, 1, transform.DEFAULT_RHO_MIN, transform.DEFAULT_RHO_MAX, 20)
+    assert plan[0] is rep["grid"]
+    for a in (rep["grid"].angles, rep["grid"].weights) + plan[1:]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    for key in ("multipliers", "f_values", "f_reconstructed"):
+        rep[key][:] = 7.0
+    assert _round_trip_bytes(round_trip(lp, signal, 1, rho_steps=20)) == want
+
+
+def test_round_trip_plan_is_not_kept_for_an_infeasible_order():
+    # order 3 has no real gamma on S^2: it raises on every call, and a feasible
+    # call after it still builds and keeps its plan
+    import sphwave.transform as transform
+
+    lp = LambdaParam(2)
+    signal = random_bandlimited_field(lp, 4, seed=1)
+    transform._round_trip_plan.cache_clear()
+    want = _round_trip_bytes(round_trip(lp, signal, 1, rho_steps=10))
+    for _ in range(2):
+        with pytest.raises(GammaSolveError):
+            round_trip(lp, signal, 3, rho_steps=10)
+        assert transform._round_trip_plan.cache_info().currsize <= 1
+        assert _round_trip_bytes(round_trip(lp, signal, 1, rho_steps=10)) == want
+    with pytest.raises(TypeError):  # a float step count reuses no plan built for an int one
+        round_trip(lp, signal, 1, rho_steps=10.0)
 
 
 def test_round_trip_order_two_band_32_matches_prediction():
