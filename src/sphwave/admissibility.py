@@ -10,7 +10,8 @@ integral exactly, with constant C = sigma^2 / ((n-1)^dfrak Gamma(dfrak)).
 Real gamma vectors exist for some (lam, dfrak) and not for others: order 3 on
 the 2-sphere, for instance, is infeasible.  The solver decides every case in
 exact rational arithmetic (a Sturm count) and reports failure as a
-first-class, certificated outcome.
+first-class, certificated outcome.  It imports the exact ladder (beta^2 and
+P_{d,j} as integer polynomials in u) from :mod:`sphwave.rotderiv`.
 
 The solver is single-threaded and deterministic; verification sweeps are pure
 functions safe to parallelize over degrees.
@@ -18,14 +19,13 @@ functions safe to parallelize over degrees.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .rotderiv import CoefficientField, sector_pair_sum, sector_weights
+from .rotderiv import CoefficientField, _ladder, _padd, _pmul, _reduced, _twice_lam, sector_pair_sum, sector_weights
 from .special import LambdaParam, dim_harmonic, gegenbauer_weighted_sum, surface_measure
 from .wavelets import (
     KIND_HEAT,
@@ -76,77 +76,6 @@ class GammaVector:
             raise ValueError("gamma vector length must be order + 1")
         if self.order >= 1 and not self.gammas[-1] > 0.0:
             raise ValueError("top coefficient must be positive")
-
-
-def _twice_lam(lam) -> int:
-    """mu = 2 lam = n - 1, the integer that carries lam through the exact solver."""
-    mu = 2 * lam
-    if mu != int(mu):
-        # lam = (n-1)/2 is always a half-integer; anything else is a misuse.
-        raise ValueError(f"lam must be a half-integer, got {lam}")
-    return int(mu)
-
-
-# Exact polynomials in u are pairs (nums, den): ascending integer numerators
-# over one positive denominator.  Sums and products leave them unreduced; the
-# q_{s,s} of :func:`_q_table` are reduced once, where they are complete.
-
-
-def _reduced(nums: list, den: int) -> tuple:
-    g = math.gcd(den, *nums)
-    return [x // g for x in nums], den // g
-
-
-def _padd(a: tuple, b: tuple) -> tuple:
-    (na, da), (nb, db) = a, b
-    g = math.gcd(da, db)
-    fa, fb = db // g, da // g
-    out = [x * fa for x in na] + [0] * (len(nb) - len(na))
-    for i, x in enumerate(nb):
-        out[i] += x * fb
-    return out, da * fa
-
-
-def _pmul(a: tuple, b: tuple) -> tuple:
-    (na, da), (nb, db) = a, b
-    out = [0] * (len(na) + len(nb) - 1)
-    for i, x in enumerate(na):
-        if x:
-            for j, y in enumerate(nb):
-                out[i + j] += x * y
-    return out, da * db
-
-
-def _beta_sq(mu: int, j: int) -> tuple:
-    """beta_{l,j}^2 = c_j (u - j (mu + j)), mu = 2 lam, with c_j = (j+1)(mu+j-1)/((mu+2j-1)(mu+2j+1)).
-
-    The j = 0 case carries the (mu + j - 1)/(mu + 2j - 1) cancellation
-    explicitly, c_0 = 1/(mu + 1), which keeps it finite at mu = 1.
-    """
-    if j == 0:
-        return [0, 1], mu + 1
-    c = (j + 1) * (mu + j - 1)
-    return _reduced([-c * j * (mu + j), c], (mu + 2 * j - 1) * (mu + 2 * j + 1))
-
-
-def _ladder(mu: int, dmax: int) -> tuple:
-    """(P, prefix): a_l^j(f^(d)) = (prod_{i<j} beta_{l,i}) P[(d, j)](u) a_l^0(f) for d <= dmax.
-
-    prefix[j] = prod_{i<j} beta_{l,i}^2, j = 0..dmax; each beta_{l,j}^2 is built once.
-    """
-    beta_sq = [_beta_sq(mu, j) for j in range(dmax)]
-    P = {(0, 0): ([1], 1)}
-    for d in range(dmax):
-        for j in range(d + 2):
-            term = ([0], 1)
-            if (d, j + 1) in P:
-                term = _pmul(beta_sq[j], P[(d, j + 1)])
-            if j >= 1 and (d, j - 1) in P:
-                nums, den = P[(d, j - 1)]
-                term = _padd(term, ([-x for x in nums], den))
-            if any(term[0]):
-                P[(d + 1, j)] = term
-    return P, list(itertools.accumulate(beta_sq, _pmul, initial=([1], 1)))
 
 
 def _q_sum(P: dict, prefix: list, d: int, dp: int) -> tuple:

@@ -355,15 +355,20 @@ def cmd_limit(args) -> int:
     return _finish(args, payload, [check], f"final error {rep['errors'][-1]:.3e}")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for sizes (band, grid, scale steps): an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _positive_int(minimum: int = 1):
+    """argparse type for sizes: an integer >= minimum (band and grid 1, scale steps 2)."""
+    expected = "a positive integer" if minimum == 1 else f"a positive integer >= {minimum}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value}")
+        return value
+
+    return parse
 
 
 def _finite_float(text: str) -> float:
@@ -394,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         if rho:
             p.add_argument("--rho", type=float, default=0.5, help="scale (default 0.5)")
         if band is not None:
-            p.add_argument("--band", type=_positive_int, default=band, help=f"degree band (default {band})")
+            p.add_argument("--band", type=_positive_int(), default=band, help=f"degree band (default {band})")
         if tol is not None:
             p.add_argument("--tol", type=_positive_float, default=tol, help=f"acceptance tolerance (default {tol:g})")
         p.add_argument("--out", required=True, help="output file path")
@@ -404,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="wavelet values on a (theta1, theta2) grid")
     common(p, rho=True, tol=1e-8)
     p.add_argument("--kind", choices=(KIND_POISSON, KIND_HEAT), default=KIND_POISSON)
-    p.add_argument("--grid", type=_positive_int, default=15, help="grid resolution per angle (default 15)")
+    p.add_argument("--grid", type=_positive_int(), default=15, help="grid resolution per angle (default 15)")
     p.add_argument("--tol-series", type=_positive_float, default=1e-10, help="series truncation tolerance")
     p.set_defaults(fn=cmd_eval)
 
@@ -425,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, band=8, tol=1e-3)
     p.add_argument("--rho-min", type=_positive_float, default=DEFAULT_RHO_MIN)
     p.add_argument("--rho-max", type=_positive_float, default=DEFAULT_RHO_MAX)
-    p.add_argument("--rho-steps", type=_positive_int, default=DEFAULT_RHO_STEPS)
+    p.add_argument("--rho-steps", type=_positive_int(2), default=DEFAULT_RHO_STEPS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_transform)
 
@@ -434,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-radius", type=_finite_float, default=1.0)
     p.add_argument("--xi-angle", type=_finite_float, default=0.7)
     p.add_argument("--rho-max", type=_positive_float, default=0.08)
-    p.add_argument("--rho-steps", type=_positive_int, default=4)
+    p.add_argument("--rho-steps", type=_positive_int(2), default=4)
     p.set_defaults(fn=cmd_limit)
 
     return parser

@@ -128,9 +128,12 @@ def limit_convergence_probe(lp: LambdaParam, d: int, xi: EuclideanPoint, rho_seq
     """Errors |rho^n g^[d](S^-1(rho xi)) - G_d(xi)| along a decreasing scale sequence.
 
     Reports per-scale errors, consecutive ratios, and the empirical order from
-    the last ratio (log2 of the ratio when scales halve).
+    the last ratio (log2 of the ratio when scales halve).  Raises ValueError
+    for fewer than two scales, which leave nothing to compare.
     """
     rhos = list(rho_sequence)
+    if len(rhos) < 2:
+        raise ValueError("the probe needs at least two scales")
     if any(r2 >= r1 for r1, r2 in zip(rhos, rhos[1:])):
         raise ValueError("rho sequence must decrease")
     with np.errstate(over="ignore"):

@@ -12,6 +12,13 @@ real-basis bookkeeping of the 2-sphere.  The operator never mixes degrees, and
 after d steps from a zonal seed the coefficients of order k with k != d (mod 2)
 vanish identically.
 
+The ladder lives here in both forms.  Exactly, beta_{l,k}^2 is an integer
+polynomial in u = l(2 lam + l) over an integer, and a_l^j(f^(d)) =
+(prod_{i<j} beta_{l,i}) P_{d,j}(u) a_l^0(f) with P_{d,j} exact of degree
+(d - j)/2 (:func:`_ladder`), which the gamma solver and
+:func:`structure_polynomial_check` read; :func:`beta_ladder` is the same
+beta in floats.
+
 The sector family of hyperspherical harmonics, indexed by (l, k1) -- the
 members depending on the first two angles alone -- is evaluated by
 :func:`sector_basis_frame`: rotational derivatives of zonal functions never
@@ -27,6 +34,8 @@ evaluating many points or fields concurrently is safe.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,36 +58,106 @@ __all__ = [
 ]
 
 
-def _beta_sq(lam: float, l, k1: int):
-    """Generic closed form of beta_{l,k1}^2, 0 <= k1 < l; 0/0 at lam = 1/2, k1 = 0."""
-    return (k1 + 1) * (2 * lam + k1 - 1) * (l - k1) * (2 * lam + l + k1) / (
-        (2 * lam + 2 * k1 - 1) * (2 * lam + 2 * k1 + 1)
-    )
+def _twice_lam(lam) -> int:
+    """mu = 2 lam = n - 1, the integer that carries lam through the exact ladder."""
+    mu = 2 * lam
+    if mu != int(mu):
+        # lam = (n-1)/2 is always a half-integer; anything else is a misuse.
+        raise ValueError(f"lam must be a half-integer, got {lam}")
+    return int(mu)
+
+
+# Exact polynomials in u are pairs (nums, den): ascending integer numerators
+# over one positive denominator.  Sums and products leave them unreduced;
+# callers reduce once, where a polynomial is complete.
+
+
+def _reduced(nums: list, den: int) -> tuple:
+    g = math.gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
+def _padd(a: tuple, b: tuple) -> tuple:
+    (na, da), (nb, db) = a, b
+    g = math.gcd(da, db)
+    fa, fb = db // g, da // g
+    out = [x * fa for x in na] + [0] * (len(nb) - len(na))
+    for i, x in enumerate(nb):
+        out[i] += x * fb
+    return out, da * fa
+
+
+def _pmul(a: tuple, b: tuple) -> tuple:
+    (na, da), (nb, db) = a, b
+    out = [0] * (len(na) + len(nb) - 1)
+    for i, x in enumerate(na):
+        if x:
+            for j, y in enumerate(nb):
+                out[i + j] += x * y
+    return out, da * db
+
+
+def _beta_sq(mu: int, j: int) -> tuple:
+    """beta_{l,j}^2 = c_j (u - j (mu + j)), mu = 2 lam, with c_j = (j+1)(mu+j-1)/((mu+2j-1)(mu+2j+1)).
+
+    The j = 0 case carries the (mu + j - 1)/(mu + 2j - 1) cancellation
+    explicitly, c_0 = 1/(mu + 1), which keeps it finite at mu = 1.
+    """
+    if j == 0:
+        return [0, 1], mu + 1
+    c = (j + 1) * (mu + j - 1)
+    return _reduced([-c * j * (mu + j), c], (mu + 2 * j - 1) * (mu + 2 * j + 1))
+
+
+def _ladder(mu: int, dmax: int) -> tuple:
+    """(P, prefix): a_l^j(f^(d)) = (prod_{i<j} beta_{l,i}) P[(d, j)](u) a_l^0(f) for d <= dmax.
+
+    prefix[j] = prod_{i<j} beta_{l,i}^2, j = 0..dmax; each beta_{l,j}^2 is built once.
+    """
+    beta_sq = [_beta_sq(mu, j) for j in range(dmax)]
+    P = {(0, 0): ([1], 1)}
+    for d in range(dmax):
+        for j in range(d + 2):
+            term = ([0], 1)
+            if (d, j + 1) in P:
+                term = _pmul(beta_sq[j], P[(d, j + 1)])
+            if j >= 1 and (d, j - 1) in P:
+                nums, den = P[(d, j - 1)]
+                term = _padd(term, ([-x for x in nums], den))
+            if any(term[0]):
+                P[(d + 1, j)] = term
+    return P, list(itertools.accumulate(beta_sq, _pmul, initial=([1], 1)))
 
 
 def beta(lam: float, l: int, k1: int) -> float:
     """Ladder coefficient beta_{l,k1} coupling sector orders k1 <-> k1+1.
 
     beta_{l,-1} = 0 and beta_{l,k1} = 0 for k1 >= l (the ladder ends).  At
-    lam = 1/2 with k1 = 0 the generic formula is 0/0; the correct 2-sphere
-    value there is sqrt(l(l+1))/2, used together with the factor-2 zonal
-    coupling of :func:`derivative_step`.
+    lam = 1/2 with k1 = 0 the 2-sphere value is sqrt(l(l+1))/2, used together
+    with the factor-2 zonal coupling of :func:`derivative_step`.
     """
     return float(beta_ladder(lam, l, k1)[l])
 
 
 def beta_ladder(lam: float, L: int, k1: int) -> np.ndarray:
-    """Vector of beta_{l,k1} over l = 0..L, equal to :func:`beta` element by element."""
+    """Vector of beta_{l,k1} over l = 0..L, equal to :func:`beta` element by element.
+
+    The exact beta^2 = (c0 + c1 u)/den of :func:`_beta_sq` in floats: each
+    numerator is an integer below 2^53, so each square is one correctly
+    rounded division.  lam must be a multiple of 1/2.
+    """
     if k1 < -1:
         raise ValueError("k1 must be >= -1")
+    mu = _twice_lam(lam)
     out = np.zeros(L + 1)
     if k1 == -1:
         return out
     ls = np.arange(k1 + 1, L + 1, dtype=float)
-    if lam == 0.5 and k1 == 0:
+    if mu == 1 and k1 == 0:
         out[1:] = np.sqrt(ls * (ls + 1)) / 2.0
     else:
-        out[k1 + 1 :] = np.sqrt(_beta_sq(lam, ls, k1))
+        (c0, c1), den = _beta_sq(mu, k1)
+        out[k1 + 1 :] = np.sqrt((c0 + c1 * (ls * (mu + ls))) / den)
     return out
 
 
@@ -247,52 +326,37 @@ def sector_pair_sum(f: CoefficientField, g: CoefficientField) -> np.ndarray:
 
 
 def structure_polynomial_check(lp: LambdaParam, zonal_coeffs, d: int) -> list:
-    """Fit a_l^j(f^(d)) / (prod_{i<j} beta_{l,i} * a_l^0(f)) against polynomials in u = l(2 lam + l).
+    """Compare a_l^j(f^(d)) / (prod_{i<j} beta_{l,i} a_l^0(f)) with the exact P_{d,j}(u), u = l(2 lam + l).
 
-    Returns one report dict per order j of matching parity: the expected degree
-    (d - j)/2, the fitted degree (smallest achieving relative residual below
-    1e-8), the max residual of that fit, and the fitted leading
-    coefficient.  Fit failures are reported, never raised.
+    One report dict per order j of the parity of d, over the degrees
+    l >= max(j, 1) with a nonzero seed: ``expected_degree`` (d - j)/2, the
+    ``degree`` and ``leading_coefficient`` of the exact P_{d,j}, the
+    ``max_residual`` max |ratio - P(u)| / max |ratio|, and ``ok`` when the
+    degrees match and the residual is below 1e-12.  Any band and order.
     """
-    if d > 8:
-        raise ValueError("structure check supports d <= 8")
     zonal = np.asarray(zonal_coeffs, dtype=float)
-    L = zonal.shape[0] - 1
-    if L > 60:
-        raise ValueError("structure check supports L <= 60")
     field = derivative_order(zonal, lp, d)
-    lam = lp.lam
+    mu = _twice_lam(lp.lam)
+    P, _ = _ladder(mu, d)
+    betas = [beta_ladder(lp.lam, zonal.shape[0] - 1, i) for i in range(d)]
+    prods = list(itertools.accumulate(betas, np.multiply, initial=np.ones_like(zonal)))
     reports = []
-    for j in range(d % 2, min(d, field.order_bound) + 1, 2):
-        ls = np.array([l for l in range(max(j, 1), L + 1) if zonal[l] != 0.0])
-        if ls.size == 0:
-            continue
-        u = ls * (2 * lam + ls)
-        denom = np.array(
-            [np.prod([beta(lam, l, i) for i in range(j)]) * zonal[l] for l in ls]
-        )
-        ratio = field.coeffs[ls, j] / denom
-        expected = (d - j) // 2
-        scale = float(np.max(np.abs(ratio))) or 1.0
-        fitted_degree = None
-        residual = np.inf
-        coeffs = None
-        for deg in range(0, expected + 3):
-            if ls.size < deg + 1:
-                break
-            c = np.polynomial.polynomial.polyfit(u, ratio, deg)
-            res = float(np.max(np.abs(np.polynomial.polynomial.polyval(u, c) - ratio)))
-            if res < 1e-8 * scale:
-                fitted_degree, residual, coeffs = deg, res, c
-                break
-        reports.append(
-            {
-                "j": j,
-                "expected_degree": expected,
-                "fitted_degree": fitted_degree,
-                "max_residual": residual,
-                "leading_coefficient": None if coeffs is None else float(coeffs[-1]),
-                "ok": fitted_degree == expected,
-            }
-        )
+    for j in range(d % 2, d + 1, 2):
+        ls = np.flatnonzero(zonal)
+        ls = ls[ls >= max(j, 1)]
+        if ls.size:
+            nums, den = P[(d, j)]
+            ratio = field.coeffs[ls, j] / (prods[j][ls] * zonal[ls])
+            exact = np.polynomial.polynomial.polyval(ls * (mu + ls), [x / den for x in nums])
+            residual = float(np.max(np.abs(ratio - exact)) / np.max(np.abs(ratio)))
+            reports.append(
+                {
+                    "j": j,
+                    "expected_degree": (d - j) // 2,
+                    "degree": len(nums) - 1,
+                    "max_residual": residual,
+                    "leading_coefficient": nums[-1] / den,
+                    "ok": len(nums) - 1 == (d - j) // 2 and residual < 1e-12,
+                }
+            )
     return reports

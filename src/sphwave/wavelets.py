@@ -305,10 +305,7 @@ def truncation_degree(spec: WaveletSpec, eps: float) -> int:
     except (OverflowError, ValueError):
         raise TruncationError(overflow) from None
     ls = np.arange(d, max(TRUNCATION_CAP + 3, d + 2), dtype=float)  # l = L for L = d .. cap, then L+1, L+2
-    if spec.kind == KIND_POISSON:
-        w = np.exp(-spec.rho * ls)
-    else:
-        w = np.exp(-spec.rho * ls * ls / (2.0 * lp.lam))
+    w = scale_weights(lp, spec.kind, 0, [spec.rho], ls)[0]  # the weights kernel_zonal_coeffs multiplies in
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # N(n, l) in floats: each partial product is an integer, exact below 2^53
         nl = np.ones_like(ls)

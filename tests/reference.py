@@ -449,6 +449,23 @@ def sector_harmonic(lp: LambdaParam, l: int, k: int, theta1, theta2):
     return sector_basis_frame(lp, l, k, np.cos(theta1), np.sin(theta1), theta2)[l, k]
 
 
+def beta_ladder_closed_form(lam: float, L: int, k1: int) -> np.ndarray:
+    """beta_{l,k1}, l = 0..L, k1 >= 0, by the generic float closed form, with the 2-sphere line at lam = 1/2, k1 = 0.
+
+    beta^2 = (k1+1)(2 lam+k1-1)(l-k1)(2 lam+l+k1) / ((2 lam+2 k1-1)(2 lam+2 k1+1)),
+    multiplied out left to right; 0 for l <= k1.
+    """
+    out = np.zeros(L + 1)
+    ls = np.arange(k1 + 1, L + 1, dtype=float)
+    if lam == 0.5 and k1 == 0:
+        out[1:] = np.sqrt(ls * (ls + 1)) / 2.0
+    else:
+        out[k1 + 1 :] = np.sqrt(
+            (k1 + 1) * (2 * lam + k1 - 1) * (ls - k1) * (2 * lam + ls + k1) / ((2 * lam + 2 * k1 - 1) * (2 * lam + 2 * k1 + 1))
+        )
+    return out
+
+
 def derivative_step_loop(field: CoefficientField) -> CoefficientField:
     """One rotational derivative by a loop over output orders, one ladder column at a time."""
     lp = field.lp

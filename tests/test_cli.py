@@ -368,13 +368,17 @@ def test_series_beyond_truncation_cap_fails_where_limit_succeeds(order, rho_max,
         ["transform", "--rho-steps", "0"],
         ["limit", "--rho-steps", "-1"],
         ["transform", "--band", "2.5"],
+        ["transform", "--rho-steps", "1"],
+        ["limit", "--rho-steps", "1"],
     ],
 )
 def test_size_arguments_must_be_positive_integers(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "out")])
     assert exc.value.code == EXIT_USAGE
-    assert "expected a positive integer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "expected a positive integer" in err
+    assert f"argument {argv[1]}:" in err
     assert not list(tmp_path.iterdir())
 
 

@@ -221,6 +221,13 @@ def test_probe_requires_decreasing_scales():
         limit_convergence_probe(lp, 1, xi_polar(2, 1.0, 0.0), [0.01, 0.02])
 
 
+@pytest.mark.parametrize("rhos", [[], [0.01]])
+def test_probe_requires_two_scales(rhos):
+    # one scale gives no ratio, and "errors decreasing" would hold vacuously
+    with pytest.raises(ValueError, match="at least two scales"):
+        limit_convergence_probe(LambdaParam(2), 1, xi_polar(2, 1.0, 0.0), rhos)
+
+
 def test_scaling_power_is_pinned():
     # substituting rho^(n±1) for the rho^n prefactor breaks convergence
     lp = LambdaParam(3)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sphwave import rotderiv
 from sphwave.rotderiv import (
     CoefficientField,
     _angular,
@@ -74,6 +75,18 @@ def test_beta_ladder_equals_scalar_beta(lam):
     assert np.array_equal(beta_ladder(0.5, 4, 0)[1:], np.sqrt([2.0, 6.0, 12.0, 20.0]) / 2.0)
     with pytest.raises(ValueError):
         beta_ladder(lam, 5, -2)
+    for k in (-1, 0, 3):
+        with pytest.raises(ValueError, match="half-integer"):
+            beta_ladder(0.77, 10, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 39, 99, 150, 260])
+def test_beta_ladder_keeps_the_bits_of_the_closed_form(n):
+    # the exact beta^2 = (c0 + c1 u)/den in floats against the unreduced float
+    # closed form: both are one correctly rounded division of exact integers
+    lam = LambdaParam(n).lam
+    for k in range(9):
+        assert np.array_equal(beta_ladder(lam, 5000, k), reference.beta_ladder_closed_form(lam, 5000, k)), (n, k)
 
 
 def test_field_validation_rejects_upper_triangle():
@@ -306,24 +319,47 @@ def test_structure_polynomial_degrees(n):
     for d in (1, 2, 3):
         reports = structure_polynomial_check(lp, zonal, d)
         by_j = {r["j"]: r for r in reports}
-        assert by_j[d]["fitted_degree"] == 0
+        assert by_j[d]["degree"] == 0
         if d >= 2:
-            assert by_j[d - 2]["fitted_degree"] == 1
+            assert by_j[d - 2]["degree"] == 1
         if d == 2:
-            assert by_j[0]["leading_coefficient"] == pytest.approx(
-                -1.0 / (2 * lp.lam + 1), rel=1e-10
-            )
+            assert by_j[0]["leading_coefficient"] == -1.0 / (2 * lp.lam + 1)
         assert all(r["ok"] for r in reports)
 
 
-def test_structure_check_limits():
+@pytest.mark.parametrize("n", [2, 3, 7, 30, 100])
+def test_structure_check_holds_at_high_band_and_order(n):
+    # the float ladder against the exact P_{d,j} at any band and order
+    lp = LambdaParam(n)
+    rng = np.random.default_rng(n)
+    for L in (1000, 5000):
+        zonal = rng.standard_normal(L + 1)
+        for d in range(13):
+            reports = structure_polynomial_check(lp, zonal, d)
+            assert [r["j"] for r in reports] == list(range(d % 2, d + 1, 2))
+            for r in reports:
+                assert r["degree"] == r["expected_degree"] == (d - r["j"]) // 2
+                assert r["ok"] and r["max_residual"] < 1e-12, (L, d, r)
+
+
+def test_structure_check_fails_on_a_mutated_ladder(monkeypatch):
     lp = LambdaParam(3)
-    with pytest.raises(ValueError):
-        structure_polynomial_check(lp, np.ones(10), 9)
-    with pytest.raises(ValueError):
-        structure_polynomial_check(lp, np.ones(80), 2)
+    zonal = np.ones(41)
+    assert all(r["ok"] for r in structure_polynomial_check(lp, zonal, 4))
+    exact = rotderiv.beta_ladder
+
+    def mutated(lam, L, k1):
+        out = exact(lam, L, k1)
+        return out * (1.0 + 1e-9) if k1 == 1 else out
+
+    monkeypatch.setattr(rotderiv, "beta_ladder", mutated)
+    reports = structure_polynomial_check(lp, zonal, 4)
+    assert not all(r["ok"] for r in reports)
+    assert max(r["max_residual"] for r in reports) > 1e-10
 
 
 def test_negative_derivative_order_rejected():
     with pytest.raises(ValueError):
         derivative_order(np.ones(3), LambdaParam(3), -1)
+    with pytest.raises(ValueError):
+        structure_polynomial_check(LambdaParam(3), np.ones(10), -1)
