@@ -6,6 +6,9 @@ parities).  A gamma vector of order ``dfrak`` makes the combined quadratic form
 sum_{d,d'} gamma_d gamma_{d'} q_{d,d'}(u) collapse to u^dfrak; the resulting
 wavelet/reconstruction pair then satisfies the per-degree admissibility
 integral exactly, with constant C = sigma^2 / ((n-1)^dfrak Gamma(dfrak)).
+The pair's table is built on the unit seed, so its energies E_l are u^dfrak
+itself and the per-degree multiplier, the scale integral times E_l over
+(n-1)^dfrak Gamma(dfrak), forms neither sigma nor N(n, l).
 
 Real gamma vectors exist for some (lam, dfrak) and not for others: order 3 on
 the 2-sphere, for instance, is infeasible.  The solver decides every case in
@@ -32,6 +35,7 @@ from .wavelets import (
     KIND_POISSON,
     TRUNCATION_CAP,
     TruncationError,
+    _zonal_seed,
     certified_degree,
     modified_wavelet_table,
     scale_weights,
@@ -255,58 +259,35 @@ def _assert_collapse(vec: GammaVector, qs: list, l_max: int = 30, tol: float = 1
 
 def admissibility_constant(lp: LambdaParam, dfrak: int) -> float:
     """C = sigma^2 / ((n-1)^dfrak Gamma(dfrak)); requires dfrak >= 1."""
-    return _scaled_constant(lp, dfrak, 0)
+    return lp.sigma**2 / _unit_pair_norm(lp, dfrak)
 
 
-def _scaled_constant(lp: LambdaParam, dfrak: int, p: int) -> float:
-    """C 2^p, with 2^p applied to sigma^2 before the division, so no subnormal C is formed on the way."""
+def _unit_pair_norm(lp: LambdaParam, dfrak: int) -> float:
+    """(n-1)^dfrak Gamma(dfrak) = sigma^2 / C: a unit-seed scale integral over it is the pair's per-degree multiplier."""
     if dfrak < 1:
         raise ValueError("the admissible pair needs order >= 1")
-    return math.ldexp(lp.sigma**2, p) / ((lp.n - 1) ** dfrak * math.gamma(dfrak))
+    return (lp.n - 1) ** dfrak * math.gamma(dfrak)
 
 
-def _pair_energy(lp: LambdaParam, gamma: GammaVector, L: int, factor) -> tuple:
-    """(E, p) with E_l 2^p = sum_k w_k B_{l,k}^2, l = 0..L: the rho-free factor of every pair sum.
+def energy_table(lp: LambdaParam, gamma: GammaVector, L: int) -> np.ndarray:
+    """E_l = sum_k w_k B_{l,k}^2, l = 0..L, of the unit-seed table B of :func:`modified_wavelet_table`.
 
-    p = 0 whenever every factor_l E_l is a finite float; callers pass the
-    per-degree factor they multiply E by, or a bound on it.  On large spheres
-    B grows past 1e154 (B ~ 1/sigma_n), so its squares overflow; B is then
-    scaled by the exact power of two just above its largest entry, and p
-    carries that power.
+    The rho-free factor of every pair sum, shared by every scale integral up
+    to L: the collapse value u^order, u = l(2 lam + l), built by the ladder,
+    finite at every n (about 3e44 at l = 5000, order 6).
     """
-    B = modified_wavelet_table(lp, gamma, L)
-    w = sector_weights(lp.n, gamma.order)
-    with np.errstate(over="ignore"):
-        E = B**2 @ w
-        if np.isfinite(factor * E).all():
-            return E, 0
-    e = math.frexp(np.max(np.abs(B)))[1]
-    return np.ldexp(B, -e) ** 2 @ w, 2 * e
-
-
-def energy_table(lp: LambdaParam, gamma: GammaVector, L: int) -> tuple:
-    """(E, p) of :func:`_pair_energy` up to degree L, shared by every scale integral up to L.
-
-    The integral of degree l >= 1 is Gamma(order) (2 lam / u)^order E_l, and
-    u = l (2 lam + l) > 2 lam, so Gamma(order) bounds its factor: p = 0
-    whenever every Gamma(order) E_l is finite.  The integrals do not depend
-    on p (2^p is exact), only on whether their products overflow.
-    """
-    if gamma.order < 1:
-        raise ValueError("the admissible pair needs order >= 1")
-    return _pair_energy(lp, gamma, L, math.gamma(gamma.order))
+    return modified_wavelet_table(lp, gamma, L) ** 2 @ sector_weights(lp.n, gamma.order)
 
 
 def pair_coefficient_sum(lp: LambdaParam, gamma: GammaVector, rho: float, l: int) -> float:
     """sum_k w_k a_l^k(G_rho) a_l^k(H_rho) at one degree (Poisson/heat pair).
 
-    Both wavelets carry the table B of :func:`modified_wavelet_table`, so the
-    sum is s^P_l(rho) s^H_l(rho) E_l.
+    Both wavelets carry the table B of :func:`modified_wavelet_table` times
+    the kernel's zonal seed a_l, so the sum is s^P_l(rho) s^H_l(rho) a_l^2 E_l.
     """
-    ls = np.arange(l + 1)
-    s = scale_weights(lp, KIND_POISSON, gamma.order, [rho], ls) * scale_weights(lp, KIND_HEAT, gamma.order, [rho], ls)
-    E, p = _pair_energy(lp, gamma, l, s[0])
-    return float(np.ldexp(s[0, l] * E[l], p))
+    s = scale_weights(lp, KIND_POISSON, gamma.order, [rho], [l]) * scale_weights(lp, KIND_HEAT, gamma.order, [rho], [l])
+    seed = _zonal_seed(lp, l)[l]
+    return float(s[0, 0] * energy_table(lp, gamma, l)[l] * seed * seed)
 
 
 # Trapezoid in x = log rho for the scale integrals.  With a = u / (2 lam) the
@@ -317,21 +298,23 @@ def pair_coefficient_sum(lp: LambdaParam, gamma: GammaVector, rho: float, l: int
 _TRAPEZOID_STEP = 1.0 / 7.0
 
 
-def _scale_integrals(lp: LambdaParam, gamma: GammaVector, degrees, energy: tuple | None = None) -> tuple:
-    """(vals, p): per degree l >= 1, 2^p vals = the integral over rho > 0 of s^P_l s^H_l E_l = rho^order exp(-rho u / 2 lam) E_l.
+def _scale_integrals(lp: LambdaParam, gamma: GammaVector, degrees, energy: np.ndarray | None = None) -> list:
+    """Per degree l >= 1, the integral over rho > 0 of s^P_l s^H_l E_l = rho^order exp(-rho u / 2 lam) E_l.
 
     One trapezoid rule in x = log rho, on the window of the given degrees,
     serves them all: each degree's column of the two :func:`scale_weights`
     products is summed node by node, in order (``np.add.accumulate``), so a
     degree's sum does not depend on which other degrees are asked for.  E_l
-    and p come from ``energy``, an :func:`energy_table` up to some L >=
+    comes from ``energy``, an :func:`energy_table` up to some L >=
     max(degrees), or from one built here.  Independent of the closed form
-    Gamma(order) (2 lam / u)^order.
+    Gamma(order) (2 lam / u)^order E_l.
     """
+    if gamma.order < 1:
+        raise ValueError("the admissible pair needs order >= 1")
     degrees = list(degrees)
     if not degrees:
-        return [], 0
-    E, p = energy_table(lp, gamma, max(degrees)) if energy is None else energy  # rejects an order-0 gamma
+        return []
+    E = energy_table(lp, gamma, max(degrees)) if energy is None else energy
     dfrak, lam = gamma.order, lp.lam
     a_lo, a_hi = (l * (2.0 * lam + l) / (2.0 * lam) for l in (min(degrees), max(degrees)))
     x_lo, x_hi = -40.0 / dfrak - math.log(a_hi), math.log(60.0 / a_lo)
@@ -339,44 +322,46 @@ def _scale_integrals(lp: LambdaParam, gamma: GammaVector, degrees, energy: tuple
     rho = np.exp(x)
     s = scale_weights(lp, KIND_POISSON, dfrak, rho, degrees) * scale_weights(lp, KIND_HEAT, dfrak, rho, degrees)
     factor = _TRAPEZOID_STEP * np.add.accumulate(s)[-1]
-    return (factor * E[degrees]).tolist(), p
+    return (factor * E[degrees]).tolist()
 
 
 def verify_pair_condition1(
-    lp: LambdaParam, gamma: GammaVector, l_max: int, *, tol_identity: float = 1e-6, energy: tuple | None = None
+    lp: LambdaParam, gamma: GammaVector, l_max: int, *, tol_identity: float = 1e-6, energy: np.ndarray | None = None
 ) -> list:
     """Check the per-degree admissibility integral against N(n, l), both ways.
 
     The pair is the one of ``gamma``, of order dfrak = ``gamma.order``.  For
-    each degree l <= l_max the scale integral of the coefficient product is
-    evaluated (a) in closed form, Gamma(dfrak) (2 lam / u)^dfrak times the
-    degree constants N(n, l) u^dfrak / sigma^2, whose u^dfrak cancels before
-    it can overflow, and (b) by a trapezoid rule in log rho over the
-    coefficient products s^P_l s^H_l E_l, whose energies E_l come from the
-    ladder-built table of :func:`modified_wavelet_table`: ``energy``, an
-    :func:`energy_table` up to l_max or beyond, or one built here.  After
-    scaling by C both must equal the harmonic dimension N(n, l): the ratio to
-    ``tol_identity``, the two paths to 1e-8 relative of each other.  Returns
-    one report dict per degree; failures are recorded, not raised.  The
-    integrals' power of two 2^p (:func:`_pair_energy`) is folded into C and
-    sigma^2, so the rows stay finite where E_l alone overflows.
+    each degree l <= l_max the unit-seed scale integral is evaluated (a) in
+    closed form, Gamma(dfrak) (2 lam / u)^dfrak times the collapse value
+    u^dfrak, which cancel, and (b) by a trapezoid rule in log rho over
+    s^P_l s^H_l E_l, with E_l from ``energy``, an :func:`energy_table` up to
+    l_max or beyond, or one built here.  Over (n-1)^dfrak Gamma(dfrak) the
+    quadrature is the multiplier ``ratio``, which must be 1 to
+    ``tol_identity``; the two paths must agree to 1e-8 relative.  The kernel
+    seed's a_l^2 = N(n, l) / sigma^2 and C cancel, so the scaled paths are
+    N(n, l) times each multiplier.  Returns one report dict per degree;
+    failures are recorded, not raised.  Raises ValueError from the first
+    degree whose N(n, l) is past the float range.
     """
-    dfrak, lam = gamma.order, lp.lam
-    vals, p = _scale_integrals(lp, gamma, range(1, l_max + 1), energy)
-    C = _scaled_constant(lp, dfrak, p)
-    sigma_sq = math.ldexp(lp.sigma**2, p)
+    vals = _scale_integrals(lp, gamma, range(1, l_max + 1), energy)
+    norm = _unit_pair_norm(lp, gamma.order)
+    closed = math.gamma(gamma.order) * (2.0 * lp.lam) ** gamma.order
     rows = []
     for l, val in enumerate(vals, start=1):
-        nl = dim_harmonic(lp.n, l)
-        closed = nl * math.gamma(dfrak) * (2.0 * lam) ** dfrak / sigma_sq
+        try:
+            expected = float(dim_harmonic(lp.n, l))
+        except OverflowError:
+            raise ValueError(
+                f"N(n, l) is past the float range from l={l} on at n={lp.n}; verify bands up to {l - 1}"
+            ) from None
         paths = abs(val / closed - 1.0)
-        ratio = C * val / nl
+        ratio = val / norm
         rows.append(
             {
                 "l": l,
-                "expected": float(nl),
-                "closed_scaled": C * closed,
-                "quadrature_scaled": C * val,
+                "expected": expected,
+                "closed_scaled": expected * (closed / norm),
+                "quadrature_scaled": expected * ratio,
                 "paths_rel_diff": paths,
                 "ratio": ratio,
                 "pass": bool(paths < 1e-8 and abs(ratio - 1.0) < tol_identity),

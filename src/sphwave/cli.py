@@ -210,6 +210,7 @@ def cmd_gamma(args) -> int:
 
 def cmd_verify(args) -> int:
     lp = LambdaParam(args.n)
+    surface_measure(lp.n)  # n >= 261 is a usage error, as for eval, though no pair row forms sigma
     checks = []
     try:
         gamma = solve_gamma(lp.lam, args.order)

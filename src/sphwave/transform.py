@@ -22,7 +22,7 @@ Grid design notes
   that steered grid: at band 8, order 1 it has 459 nodes instead of 2601.
 * The transform is factored through the sector basis.  A modified wavelet at
   scale rho has coefficients s_l(rho) B_{l,k}: s_l is exp(-rho l) rho^d
-  (Poisson) or exp(-rho l^2 / 2 lam) (heat), and the table B is rho-free.
+  (Poisson) or exp(-rho l^2 / 2 lam) (heat) times the kernel seed, and B is rho-free.
   With the per-degree transforms T_{l,k}(R) = (1/sigma) sum_x nu_x f(x)
   Y_l^k(R^-1 x), analysis is W_r(R) = sum_l s^P_l(rho_r) X_l(R) with the
   scale-free X_l = sum_k B_{l,k} T_{l,k}, and inversion is f_rec(x) =
@@ -94,10 +94,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissibility import GammaVector, _scale_integrals, _scaled_constant, admissibility_constant, solve_gamma
+from .admissibility import GammaVector, _scale_integrals, _unit_pair_norm, admissibility_constant, solve_gamma
 from .rotderiv import CoefficientField, sector_basis_frame, sector_weights
-from .special import LambdaParam, dim_harmonic, gauss_gegenbauer, surface_measure
-from .wavelets import KIND_HEAT, KIND_POISSON, modified_wavelet_table, scale_weights
+from .special import LambdaParam, gauss_gegenbauer, surface_measure
+from .wavelets import KIND_HEAT, KIND_POISSON, _zonal_seed, modified_wavelet_table, scale_weights
 
 __all__ = [
     "SphereGrid",
@@ -458,9 +458,9 @@ def _round_trip_plan(band: int, dfrak: int, rho_min: float, rho_max: float, rho_
 
     Returns (grid, d, y_theta, B, s_p, s_h, modes, nu, multipliers): the sphere
     grid, the (l, m, k, beta) d table and its k = 0 column as harmonics at the
-    theta nodes, the wavelet table B, the Poisson scale weights, the weighted
-    heat ones C rho_w s^H, the twist modes, the Haar weight per beta and the
-    per-degree multipliers m_l.  Every array, the grid's included, is
+    theta nodes, the unit-seed wavelet table B, the Poisson scale weights and
+    the weighted heat ones C rho_w s^H (both times the kernel seed), the twist
+    modes, the Haar weight per beta and the per-degree multipliers m_l.  Every array, the grid's included, is
     read-only, since the cache hands the same ones to every call.  One plan
     is kept (``maxsize=1``); its d table and y_theta hold (L+1)^2 (2L+1) (K+2)
     floats, about 17.5 MB at band 64, order 2 and 58 MB at band 96.  A solver
@@ -485,8 +485,9 @@ def _round_trip_plan(band: int, dfrak: int, rho_min: float, rho_max: float, rho_
     C = admissibility_constant(lp, dfrak)
     B = modified_wavelet_table(lp, gamma, band)[:, : K + 1]
     ls = np.arange(band + 1)
-    s_p = scale_weights(lp, KIND_POISSON, dfrak, rhos, ls)
-    s_h = scale_weights(lp, KIND_HEAT, dfrak, rhos, ls)
+    seed = _zonal_seed(lp, band)  # B is per unit seed
+    s_p = scale_weights(lp, KIND_POISSON, dfrak, rhos, ls) * seed
+    s_h = scale_weights(lp, KIND_HEAT, dfrak, rhos, ls) * seed
     # the twist modes w_k (cos k gamma, sin k gamma) with w_k = (-1)^k times the sector weight,
     # their rows interleaved the way a complex array's float view interleaves (Re, Im)
     ks = np.arange(K + 1)
@@ -524,8 +525,8 @@ def round_trip(
     a generic Q fills the sin(k phi) modes that sector fields never hold.
 
     The round trip multiplies degree l by m_l = (C / N_l) sum_r w_r
-    s^P_l(rho_r) s^H_l(rho_r) sum_k w_k B_{l,k}^2, so the error is predicted
-    from the signal's per-degree energies E_l alone:
+    s^P_l(rho_r) s^H_l(rho_r) sum_k w_k B_{l,k}^2 (s with the kernel seed),
+    so the error is predicted from the signal's per-degree energies E_l alone:
     ``predicted_rel_l2`` = sqrt(sum_l (m_l - 1)^2 E_l / sum_l E_l).  Rotations
     keep every E_l, so the prediction holds for f o Q^-1 too.
 
@@ -590,18 +591,17 @@ def round_trip(
     }
 
 
-def per_degree_reconstruction_check(lp: LambdaParam, gamma: GammaVector, l: int, *, energy: tuple | None = None) -> float:
-    """Fourier-side reconstruction multiplier of the pair of ``gamma`` for one degree; 1 after C-scaling.
+def per_degree_reconstruction_check(lp: LambdaParam, gamma: GammaVector, l: int, *, energy: np.ndarray | None = None) -> float:
+    """Fourier-side reconstruction multiplier of the pair of ``gamma`` for one degree; 1 for an admissible pair.
 
     The general-n stand-in for full inversion: integrates the pair's
-    coefficient products over all scales, through the same helper as
-    :func:`verify_pair_condition1`, on a window of its own degree, and scales
-    by C/N(n, l).  ``energy`` is an :func:`energy_table` up to l or beyond,
-    such as the one a verify report builds for its pair-condition rows;
-    without it, one up to l is built.  Degree 0 is annihilated (returns 0)
-    for order >= 1.
+    unit-seed coefficient products over all scales, through the same helper
+    as :func:`verify_pair_condition1`, on a window of its own degree, over
+    (n-1)^order Gamma(order).  ``energy`` is an :func:`energy_table` up to l
+    or beyond, such as the one a verify report builds for its pair rows;
+    without it, one up to l is built.  Degree 0 is annihilated (returns 0).
     """
     if l == 0:
         return 0.0
-    (val,), p = _scale_integrals(lp, gamma, [l], energy)
-    return _scaled_constant(lp, gamma.order, p) * val / dim_harmonic(lp.n, l)
+    (val,) = _scale_integrals(lp, gamma, [l], energy)
+    return val / _unit_pair_norm(lp, gamma.order)

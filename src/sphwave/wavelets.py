@@ -200,16 +200,17 @@ def directional_wavelet_field(spec: WaveletSpec, L: int) -> CoefficientField:
 
 
 def modified_wavelet_table(lp: LambdaParam, gamma: GammaVector, L: int) -> np.ndarray:
-    """The rho-free table B_{l,k} = sum_d gamma_d (d-th derivative of the unweighted kernel).
+    """The rho-free table B_{l,k} = sum_d gamma_d (d-th derivative of the unit zonal seed).
 
-    Shape (L+1, order+1).  The modified wavelet of either kind at scale rho
-    has the coefficients ``scale_weights(...)[:, :, None] * B``; the ladder
-    runs once however many scales are used.
+    Shape (L+1, order+1); its energies sum_k w_k B_{l,k}^2 are the collapse
+    value u^order.  The modified wavelet of either kind at scale rho has the
+    coefficients ``scale_weights(...)[:, :, None] * B`` times the kernel's
+    zonal seed per degree; the ladder runs once however many scales are used.
     """
     if abs(gamma.lam - lp.lam) > 1e-12:
         raise ValueError(f"gamma vector solved for lam={gamma.lam}, sphere has lam={lp.lam}")
     dfrak = gamma.order
-    field = zonal_field(lp, _zonal_seed(lp, L))
+    field = zonal_field(lp, np.ones(L + 1))
     acc = np.zeros((L + 1, dfrak + 1))
     acc[:, :1] = gamma.gammas[0] * field.coeffs
     for d in range(1, dfrak + 1):
@@ -226,7 +227,7 @@ def modified_wavelet_field(lp: LambdaParam, gamma: GammaVector, kind: str, rho: 
     family does not.
     """
     WaveletSpec(lp=lp, kind=kind, order=gamma.order, rho=rho)  # validates kind and rho
-    weights = scale_weights(lp, kind, gamma.order, [rho], np.arange(L + 1))[0]
+    weights = scale_weights(lp, kind, gamma.order, [rho], np.arange(L + 1))[0] * _zonal_seed(lp, L)
     return CoefficientField(lp, weights[:, None] * modified_wavelet_table(lp, gamma, L))
 
 

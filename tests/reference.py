@@ -10,10 +10,19 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from sphwave.admissibility import _TRAPEZOID_STEP, _pair_energy, _scaled_constant, _upper_gamma_q
+from sphwave.admissibility import _TRAPEZOID_STEP, _upper_gamma_q
 from sphwave.euclid import EuclideanPoint
 from sphwave.harmonics import GaussJacobiRule
-from sphwave.rotderiv import CoefficientField, _angular, _norm_column, beta_ladder, sector_basis_frame, synthesize
+from sphwave.rotderiv import (
+    CoefficientField,
+    _angular,
+    _norm_column,
+    beta_ladder,
+    derivative_order,
+    sector_basis_frame,
+    sector_weights,
+    synthesize,
+)
 from sphwave.special import LambdaParam, _check_t, _log_rising, _resolve_order, dim_harmonic, gauss_gegenbauer, gegenbauer_batch
 from sphwave.transform import RotationGrid
 from sphwave.wavelets import (
@@ -195,23 +204,56 @@ def q_table_all_pairs(lam: Fraction, dfrak: int) -> dict:
     return table
 
 
-def per_degree_reconstruction_check(lp: LambdaParam, gamma, l: int) -> float:
-    """The degree-l reconstruction multiplier as a one-degree sweep of its own.
+def _kernel_seed_mpmath(n: int, l: int):
+    """The kernel's zonal seed (lam + l)/lam / (sigma A_l^0) of degree l, in the working mpmath precision.
 
-    The full (nodes x (l+1)) scale-weight table on the degree's trapezoid
-    window, its column sums over axis 0, and a table B up to degree l whose
-    power of two is fixed by those sums; the package reads E_l from a shared
-    table and sums only column l.
+    A_l^0 is the k1 = 0 sector normalization of ``norm_const_a``, written
+    out in gamma functions: sqrt(2l + 1) on S^2, and for n >= 3
+    A^2 = 2^(2n-6) (n-2) Gamma(lam)^2 Gamma((n-2)/2)^2 / ((n-1) pi Gamma(n-2))
+    (n + 2l - 1) l! / (l + n - 2)!.
     """
-    lam, dfrak = lp.lam, gamma.order
+    lam = mpmath.mpf(n - 1) / 2
+    sigma = 2 * mpmath.pi ** (mpmath.mpf(n + 1) / 2) / mpmath.gamma(mpmath.mpf(n + 1) / 2)
+    if n == 2:
+        a_sq = mpmath.mpf(2 * l + 1)
+    else:
+        half = mpmath.mpf(n - 2) / 2
+        a_sq = (
+            mpmath.mpf(2) ** (2 * n - 6) * (n - 2) * mpmath.gamma(lam) ** 2 * mpmath.gamma(half) ** 2
+            / ((n - 1) * mpmath.pi * mpmath.gamma(n - 2))
+            * (n + 2 * l - 1) * mpmath.factorial(l) / mpmath.factorial(l + n - 2)
+        )
+    return (lam + l) / lam / (sigma * mpmath.sqrt(a_sq))
+
+
+def per_degree_reconstruction_check(lp: LambdaParam, gamma, l: int) -> float:
+    """The degree-l reconstruction multiplier C F_l E_l / N(n, l) of the kernel-seed pair, as a one-degree sweep of its own.
+
+    F is the column sums over axis 0 of the full (nodes x (l+1)) scale-weight
+    table on the degree's trapezoid window.  E_l = sum_k w_k B_{l,k}^2 of
+    the table that ladders the gamma-weighted derivatives of the kernel's
+    zonal seed, as the package did before its table moved to the unit seed;
+    the seed, the squares, C and N(n, l) are formed in 40-digit mpmath or
+    exact integers, so nothing overflows.  The package instead reads E_l of
+    the unit seed and divides by (n-1)^order Gamma(order).
+    """
+    lam, dfrak, n = lp.lam, gamma.order, lp.n
     a = l * (2.0 * lam + l) / (2.0 * lam)
     x_lo, x_hi = -40.0 / dfrak - math.log(a), math.log(60.0 / a)
     x = x_lo + _TRAPEZOID_STEP * np.arange(math.ceil((x_hi - x_lo) / _TRAPEZOID_STEP) + 1)
     rho, ls = np.exp(x), np.arange(l + 1)
     s = scale_weights(lp, KIND_POISSON, dfrak, rho, ls) * scale_weights(lp, KIND_HEAT, dfrak, rho, ls)
     factor = _TRAPEZOID_STEP * s.sum(axis=0)
-    E, p = _pair_energy(lp, gamma, l, factor)
-    return _scaled_constant(lp, dfrak, p) * float((factor * E)[l]) / dim_harmonic(lp.n, l)
+    with mpmath.workdps(40):
+        seed = np.zeros(l + 1)
+        seed[l] = float(_kernel_seed_mpmath(n, l))
+        row = np.zeros(dfrak + 1)
+        for d, g in enumerate(gamma.gammas):
+            row[: d + 1] += g * derivative_order(seed, lp, d).coeffs[l]
+        energy = mpmath.fsum(w * mpmath.mpf(b) ** 2 for w, b in zip(sector_weights(n, dfrak), row))
+        sigma = 2 * mpmath.pi ** (mpmath.mpf(n + 1) / 2) / mpmath.gamma(mpmath.mpf(n + 1) / 2)
+        C = sigma**2 / ((n - 1) ** dfrak * mpmath.gamma(dfrak))
+        return float(C * mpmath.mpf(factor[l]) * energy / dim_harmonic(n, l))
 
 
 def synthesize_frame_per_column(field: CoefficientField, cos_theta1, sin_theta1, theta2) -> np.ndarray:

@@ -14,7 +14,6 @@ from sphwave.admissibility import (
     GammaVector,
     _assert_collapse,
     _laguerre_roots,
-    _pair_energy,
     _positive_root_count,
     _q_table,
     _scale_integrals,
@@ -33,11 +32,11 @@ from sphwave.admissibility import (
     verify_pair_condition1,
     zonal_product_series,
 )
-from sphwave.rotderiv import CoefficientField, derivative_order, sector_pair_sum, sector_weights
+from sphwave.rotderiv import CoefficientField, derivative_order, sector_pair_sum
 from sphwave.harmonics import gauss_jacobi_rule
 from sphwave.special import LambdaParam, dim_harmonic, gegenbauer_weighted_sum, reproducing_kernel
 from sphwave.transform import per_degree_reconstruction_check
-from sphwave.wavelets import KIND_HEAT, KIND_POISSON, TruncationError, modified_wavelet_field, modified_wavelet_table
+from sphwave.wavelets import KIND_HEAT, KIND_POISSON, TruncationError, _zonal_seed, modified_wavelet_field
 
 from reference import (
     gegenbauer_weighted_sum_one_row,
@@ -503,38 +502,44 @@ def test_trapezoid_scale_integrals_match_closed_form(n, dfrak):
     # over a 40-degree sweep and for single degrees (a narrower window)
     lp = LambdaParam(n)
     gamma = solve_gamma(lp.lam, dfrak)
-    energy, p = _pair_energy(lp, gamma, 40, 1.0)
-    sweep, q = _scale_integrals(lp, gamma, range(1, 41))
-    assert p == q == 0
+    energy = energy_table(lp, gamma, 40)
+    sweep = _scale_integrals(lp, gamma, range(1, 41))
     for l, val in enumerate(sweep, start=1):
         u = l * (2 * lp.lam + l)
         closed = math.gamma(dfrak) * (2 * lp.lam / u) ** dfrak * energy[l]
         assert val == pytest.approx(closed, rel=1e-13, abs=0.0)
         if l in (1, 7, 40):
-            assert _scale_integrals(lp, gamma, [l])[0][0] == pytest.approx(closed, rel=1e-13, abs=0.0)
+            assert _scale_integrals(lp, gamma, [l])[0] == pytest.approx(closed, rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("n", [230, 240, 260])
-def test_pair_energy_carries_a_power_of_two_past_the_float_range(n):
-    # B ~ 1/sigma_n: from n = 240 on its squares overflow, so the energies
-    # come scaled by 2^-p; at n = 230 they fit and p = 0
+@pytest.mark.parametrize("n", [2, 3, 30, 150, 230, 240, 260])
+def test_unit_seed_energies_are_the_collapse_value(n):
+    # the table is per unit seed, so its energies are u^order itself: finite
+    # at every feasible order up to degree 5000, on spheres where the kernel
+    # seed's squares (about N(n, l) / sigma^2) pass the float range
     lp = LambdaParam(n)
+    ls = np.arange(5001)
+    u = ls * (2 * lp.lam + ls)
+    for order in range(1, 7):
+        try:
+            gamma = solve_gamma(lp.lam, order)
+        except GammaSolveError:
+            continue
+        energy = energy_table(lp, gamma, 5000)
+        assert isinstance(energy, np.ndarray) and np.isfinite(energy).all()
+        np.testing.assert_allclose(energy, u**order, rtol=1e-13, atol=0.0, err_msg=f"order {order}")
+    if n < 230:
+        return
+    # with the kernel seed a_l put back, C (scale integral) a_l^2 E_l / N(n, l) = 1, sigma in mpmath
     gamma = solve_gamma(lp.lam, 2)
-    energy, p = _pair_energy(lp, gamma, 20, 1.0)
-    assert np.isfinite(energy).all()
-    assert (p == 0) is (n == 230)
-    B = modified_wavelet_table(lp, gamma, 20)
-    exact = [sum(w * mpmath.mpf(b) ** 2 for w, b in zip(sector_weights(n, 2), row)) for row in B]
-    for l in range(1, 21):
-        assert float(exact[l] / mpmath.ldexp(energy[l], p)) == pytest.approx(1.0, abs=1e-14)
-    vals, q = _scale_integrals(lp, gamma, range(1, 21))
-    assert q == p
+    vals = _scale_integrals(lp, gamma, range(1, 21))
+    seed = _zonal_seed(lp, 20)
     sigma = 2 * mpmath.pi ** (mpmath.mpf(n + 1) / 2) / mpmath.gamma(mpmath.mpf(n + 1) / 2)
     C = sigma**2 / (n - 1) ** 2  # below the normal floats at n = 260
     for l, val in enumerate(vals, start=1):
-        assert float(mpmath.ldexp(val, p) * C / dim_harmonic(n, l)) == pytest.approx(1.0, rel=1e-9)
+        assert float(C * val * mpmath.mpf(seed[l]) ** 2 / dim_harmonic(n, l)) == pytest.approx(1.0, rel=1e-9)
     s = math.exp(-0.3 * 5) * 0.3**2 * math.exp(-0.3 * 5 * (2 * lp.lam + 5) / (2 * lp.lam) + 0.3 * 5)
-    want = mpmath.ldexp(energy[5], p) * s
+    want = mpmath.mpf(s) * mpmath.mpf(seed[5]) ** 2 * energy_table(lp, gamma, 5)[5]
     if want < mpmath.mpf(2) ** 1024:
         assert pair_coefficient_sum(lp, gamma, 0.3, 5) == pytest.approx(float(want), rel=1e-13)
     else:  # the sum itself is past the float range

@@ -570,8 +570,8 @@ def test_limit_on_large_spheres_writes_strict_json(n, tmp_path):
 
 @pytest.mark.parametrize("n", [240, 260])
 def test_verify_on_large_spheres_writes_strict_json(n, tmp_path):
-    # the wavelet table's squares overflow from n = 240 on; an exact power of
-    # two carried through the pair energies keeps every row finite
+    # the kernel seed's squares overflow from n = 240 on; the pair rows read
+    # the unit-seed energies u^order, which stay finite
     out = tmp_path / "verify.json"
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
@@ -582,6 +582,28 @@ def test_verify_on_large_spheres_writes_strict_json(n, tmp_path):
     rows = [c for c in report["checks"] if c["check"].startswith("pair_condition1")]
     assert len(rows) == 20
     assert all(c["value"] == pytest.approx(c["expected"], rel=1e-9) for c in rows)
+
+
+@pytest.mark.parametrize(("n", "order", "band"), [(260, 6, 1000), (260, 1, 1300), (240, 1, 1700)])
+def test_verify_at_large_bands_passes_or_names_where_n_l_leaves_the_floats(n, order, band, tmp_path):
+    # the unit-seed energies stay finite at every band, so these reports pass;
+    # N(n, l) itself is past the float range from l = 1617 at n = 240, which
+    # ends the report as a usage error
+    out = tmp_path / "verify.json"
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--n", str(n), "--order", str(order), "--band", str(band), "--out", str(out)])
+    if n == 240:
+        assert code == EXIT_USAGE
+        assert stderr.getvalue() == "error: N(n, l) is past the float range from l=1617 on at n=240; verify bands up to 1616\n"
+        assert not list(tmp_path.iterdir())
+        return
+    assert code == EXIT_OK, stderr.getvalue()
+    assert stderr.getvalue() == ""
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["failures"] == 0 and len(report["checks"]) == band + 3
 
 
 def test_limit_value_beyond_the_float_range_is_a_usage_error(tmp_path):

@@ -198,9 +198,11 @@ def test_transform_covariance():
     assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-13)
 
 
-def test_reconstruction_multipliers_match_the_one_degree_sweep_bit_for_bit():
-    # one column summed in order, E_l read from a shared table up to degree 30,
-    # against the full table, its 2-D column sums and a table B of its own
+def test_reconstruction_multipliers_match_the_kernel_seed_sweep():
+    # the unit-seed multiplier, one column summed in order, against the full
+    # table, its 2-D column sums and the kernel-seed energy with C and N(n, l)
+    # in mpmath; E_l read from a shared table up to degree 30 or from a table
+    # of the call's own keeps every bit
     for n in [*range(2, 13), 150, 235, 240, 260]:
         lp = LambdaParam(n)
         for order in range(1, 7):
@@ -210,10 +212,9 @@ def test_reconstruction_multipliers_match_the_one_degree_sweep_bit_for_bit():
                 continue
             energy = energy_table(lp, gamma, 30)
             for l in range(1, 31):
-                want = reference.per_degree_reconstruction_check(lp, gamma, l)
-                assert math.isfinite(want), (n, order, l)
-                assert per_degree_reconstruction_check(lp, gamma, l) == want, (n, order, l)
-                assert per_degree_reconstruction_check(lp, gamma, l, energy=energy) == want, (n, order, l)
+                got = per_degree_reconstruction_check(lp, gamma, l)
+                assert per_degree_reconstruction_check(lp, gamma, l, energy=energy) == got, (n, order, l)
+                assert got == pytest.approx(reference.per_degree_reconstruction_check(lp, gamma, l), rel=1e-13, abs=0.0)
 
 
 def test_per_degree_multiplier_examples():
