@@ -14,7 +14,12 @@ Real gamma vectors exist for some (lam, dfrak) and not for others: order 3 on
 the 2-sphere, for instance, is infeasible.  The solver decides every case in
 exact rational arithmetic (a Sturm count) and reports failure as a
 first-class, certificated outcome.  It imports the exact ladder (beta^2 and
-P_{d,j} as integer polynomials in u) from :mod:`sphwave.rotderiv`.
+P_{d,j} as integer polynomials in u) from :mod:`sphwave.rotderiv`.  By
+definition q_{d,d'} = sum_j (prod_{i<j} beta_i^2) P_{d,j} P_{d',j}, but the
+rotation generator is skew-adjoint, so q_{a,b} = (-1)^((a-b)/2) q_{s,s} with
+s = (a+b)/2, and a = 2s, b = 0 gives q_{s,s} = (-1)^s P_{2s,0}: the diagonal
+is the ladder's zonal column, read off one exact run to step 2 dfrak with
+no prefix products.
 
 The solver is single-threaded and deterministic; verification sweeps are pure
 functions safe to parallelize over degrees.
@@ -28,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rotderiv import CoefficientField, _ladder, _padd, _pmul, _reduced, _twice_lam, sector_pair_sum, sector_weights
+from .rotderiv import CoefficientField, _ladder, _reduced, _twice_lam, sector_pair_sum, sector_weights
 from .special import LambdaParam, dim_harmonic, gegenbauer_weighted_sum, surface_measure
 from .wavelets import (
     KIND_HEAT,
@@ -82,30 +87,23 @@ class GammaVector:
             raise ValueError("top coefficient must be positive")
 
 
-def _q_sum(P: dict, prefix: list, d: int, dp: int) -> tuple:
-    """q_{d,d'} = sum_j prefix[j] P_{d,j} P_{d',j}, an exact polynomial in u."""
-    out = ([0], 1)
-    for j in range(min(d, dp) + 1):
-        if (d, j) in P and (dp, j) in P:
-            out = _padd(out, _pmul(prefix[j], _pmul(P[(d, j)], P[(dp, j)])))
-    return out
-
-
 def q_polynomial(lam, d: int, dp: int) -> tuple:
-    """Coefficients (in u) of q_{d,d'}; the zero polynomial across parities.
+    """Coefficients (in u) of q_{d,d'} = (-1)^((d-d')/2) q_{s,s}, s = (d+d')/2; the zero polynomial across parities.
 
     Exact rationals; degree (d + d')/2 for matching parities.
     """
     if (d - dp) % 2:
         return (Fraction(0),)
-    nums, den = _q_sum(*_ladder(_twice_lam(lam), max(d, dp)), d, dp)
-    return tuple(Fraction(x, den) for x in nums)
+    s = (d + dp) // 2
+    nums, den = _q_table(_twice_lam(lam), s)[s]
+    sign = -1 if (d - dp) // 2 % 2 else 1
+    return tuple(Fraction(sign * x, den) for x in nums)
 
 
 def _q_table(mu: int, dfrak: int) -> list:
-    """The diagonal q_{s,s}, s = 0..dfrak, in lowest terms; q_{a,b} = (-1)^((a-b)/2) q_{s,s} with s = (a+b)/2 gives the rest."""
-    P, prefix = _ladder(mu, dfrak)
-    return [_reduced(*_q_sum(P, prefix, s, s)) for s in range(dfrak + 1)]
+    """The diagonal q_{s,s} = (-1)^s P_{2s,0}, s = 0..dfrak, in lowest terms, from one ladder run to step 2 dfrak."""
+    P = _ladder(mu, 2 * dfrak, 0)
+    return [_reduced([(-1) ** s * x for x in P[(2 * s, 0)][0]], P[(2 * s, 0)][1]) for s in range(dfrak + 1)]
 
 
 def _spectral_coeffs(dfrak: int, qs: list) -> tuple:
@@ -193,7 +191,7 @@ def solve_gamma(lam, dfrak: int) -> GammaVector:
     The skew-adjoint rotation generator gives q_{a,b} = (-1)^((a-b)/2) q_{s,s}
     with s = (a+b)/2, so sum_{a,b} gamma_a gamma_b q_{a,b} = sum_s c_s q_{s,s}
     where A(y) = sum_s c_s y^s equals |sum_d gamma_d (ix)^d|^2 at y = x^2;
-    only the diagonal q_{s,s}, s = 0..dfrak, are built.
+    only the diagonal q_{s,s} = (-1)^s P_{2s,0}, s = 0..dfrak, are built.
     The collapse to u^dfrak fixes c exactly, in integers over one denominator
     (lam = mu/2 makes every beta^2 an integer polynomial over an integer).
     Real gammas exist exactly when A has no sign change on y > 0; a Sturm
@@ -241,20 +239,21 @@ def _assert_collapse(vec: GammaVector, qs: list, l_max: int = 30, tol: float = 1
     ``qs`` holds the float coefficients of q_{0,0}..q_{order,order}.  The
     weight of q_{s,s} is (-1)^s times the t^(2s) coefficient of h(t) h(-t),
     h(t) = sum_d gamma_d t^d.  The weighted q_{s,s} are summed into one
-    polynomial, which one matrix product evaluates at all six u.
+    polynomial, which Horner's rule evaluates at each u.
     """
-    ls = np.array([1, 2, 3, 5, 11, l_max], dtype=float)
-    u = ls * (2.0 * vec.lam + ls)
-    g = np.asarray(vec.gammas)
-    alt = (-1.0) ** np.arange(vec.order + 1)
-    weights = alt * np.convolve(g, alt * g)[::2]
-    Q = np.zeros((vec.order + 1, vec.order + 1))
-    for s, q in enumerate(qs):
-        Q[s, : len(q)] = q
-    total = (u[:, None] ** np.arange(vec.order + 1)) @ (weights @ Q)
-    for l, got, want in zip(ls.tolist(), total.tolist(), (u**vec.order).tolist()):
+    g, order = vec.gammas, vec.order
+    weights = [
+        sum((-1) ** (s + a) * g[a] * g[2 * s - a] for a in range(max(0, 2 * s - order), min(2 * s, order) + 1))
+        for s in range(order + 1)
+    ]
+    poly = [sum(w * q[i] for w, q in zip(weights, qs) if i < len(q)) for i in range(order + 1)]
+    for l in (1, 2, 3, 5, 11, l_max):
+        u = l * (2.0 * vec.lam + l)
+        got, want = 0.0, u**order
+        for c in reversed(poly):
+            got = got * u + c
         if abs(got - want) > tol * want:
-            raise GammaSolveError(f"solved gammas fail the collapse identity at l={int(l)}: {got} vs {want}")
+            raise GammaSolveError(f"solved gammas fail the collapse identity at l={l}: {got} vs {want}")
 
 
 def admissibility_constant(lp: LambdaParam, dfrak: int) -> float:
@@ -408,26 +407,34 @@ def _upper_gamma_q(d, x):
 _TAIL_PREFIX = 64
 
 
-def _tail_weights(lam: float, dfrak: int, R: float) -> np.ndarray:
-    """Degree weights w_l = (2 lam)^dfrak Gamma(dfrak, x_l) (lam + l)/lam of the scale tail, l = 0..L (w_0 = 0).
+def _tail_weights(lam: float, dfrak: int, R_values) -> list:
+    """Per cutoff R, the degree weights w_l = (2 lam)^dfrak Gamma(dfrak, x_l) (lam + l)/lam of the scale tail, l = 0..L (w_0 = 0).
 
     x_l = R l (2 lam + l)/(2 lam).  Every w_l >= 0 and |C_l(t)| <= C_l(1), so
     the partial sums S_L = sum_{l<=L} w_l C_l(1) rise to sigma^2 sup |Phi_R|.
     L is the first degree whose remainder has a geometric majorant
     (:func:`certified_degree`) below 1e-12 S_L; each term is bounded through
     Gamma(d, x) <= x^(d-1) e^-x / (1 - (d-1)/x) for x > d - 1.  Terms and
-    bounds are formed in logs, so no C_l(1) overflows.  They are formed on a
-    prefix of degrees that doubles until it holds a certified L, up to the
-    cap: the cumulative sums and the scan are prefix-stable, so the first
-    prefix with a hit gives the degree and weights of the whole range.
+    bounds are formed in logs, so no C_l(1) overflows.  All cutoffs share one
+    table on a prefix of degrees, one row per R, and the prefix doubles until
+    every row holds a certified L, up to the cap: the cumulative sums and the
+    scan are prefix-stable, so the first prefix with a hit gives each row the
+    degree and weights of the whole range.  Raises ValueError for an order
+    below 1 or a cutoff that is not a finite float above 0.
     """
-    failure = f"scale tail at R={R:g} not certified below degree cap {TRUNCATION_CAP}"
-    top = _TAIL_PREFIX
-    while True:
+    if dfrak < 1:
+        raise ValueError(f"order must be >= 1 for the scale tail, got {dfrak}")
+    R_values = [float(R) for R in R_values]
+    for R in R_values:
+        if not (math.isfinite(R) and R > 0.0):
+            raise ValueError(f"cutoff R must be a finite float > 0, got {R!r}")
+    out = [None] * len(R_values)
+    todo, top = list(range(len(R_values))), _TAIL_PREFIX
+    while todo:
         ls = np.arange(top + 3)
-        x = R * ls * (2.0 * lam + ls) / (2.0 * lam)
+        x = np.array([R_values[i] for i in todo])[:, None] * ls * (2.0 * lam + ls) / (2.0 * lam)
         weights = (2.0 * lam) ** dfrak * _upper_gamma_q(dfrak, x) * math.gamma(dfrak) * (lam + ls) / lam
-        weights[0] = 0.0
+        weights[:, 0] = 0.0
         # log C_l(1), with C_l(1) = prod_{i<=l} (2 lam + i - 1)/i
         log_c = np.concatenate(([0.0], np.cumsum(np.log1p((2.0 * lam - 1.0) / ls[1:]))))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -435,14 +442,18 @@ def _tail_weights(lam: float, dfrak: int, R: float) -> np.ndarray:
             bound = np.exp(dfrak * math.log(2.0 * lam) + (dfrak - 1) * np.log(x) - x - np.log1p((1 - dfrak) / x)
                            + np.log((lam + ls) / lam) + log_c)
         bound[x <= dfrak] = np.inf
-        try:
-            L = certified_degree(bound, 1e-12 * np.cumsum(terms)[: top + 1], failure)
-        except TruncationError:
-            if top == TRUNCATION_CAP:
-                raise
-            top = min(2 * top, TRUNCATION_CAP)
-            continue
-        return weights[: L + 1]
+        limits = 1e-12 * np.cumsum(terms, axis=1)[:, : top + 1]
+        left = []
+        for i, w, b, limit in zip(todo, weights, bound, limits):
+            failure = f"scale tail at R={R_values[i]:g} not certified below degree cap {TRUNCATION_CAP}"
+            try:
+                out[i] = w[: certified_degree(b, limit, failure) + 1]
+            except TruncationError:
+                if top == TRUNCATION_CAP:
+                    raise
+                left.append(i)
+        todo, top = left, min(2 * top, TRUNCATION_CAP)
+    return out
 
 
 def tail_integral(lp: LambdaParam, dfrak: int, R: float, t):
@@ -453,11 +464,8 @@ def tail_integral(lp: LambdaParam, dfrak: int, R: float, t):
     summed to the degree of :func:`_tail_weights`, whose dropped remainder is
     below 1e-12 of sup |Phi_R| = Phi_R(1) at every t.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
-    if dfrak < 1:
-        raise ValueError("tail integral defined for order >= 1")
-    out = gegenbauer_weighted_sum(lp.lam, _tail_weights(lp.lam, dfrak, R), np.asarray(t, dtype=float)) / lp.sigma**2
+    (weights,) = _tail_weights(lp.lam, dfrak, [R])
+    out = gegenbauer_weighted_sum(lp.lam, weights, np.asarray(t, dtype=float)) / lp.sigma**2
     return out if out.shape else float(out)
 
 
@@ -467,49 +475,63 @@ _SIGN_CHANGE_SAMPLES = 8
 
 
 def _cosine_coeffs(lam: float, c: np.ndarray) -> np.ndarray:
-    """B_j, j = 0..L, with sum_l c_l C_l^lam(cos theta) = sum_j B_j cos(j theta).
+    """B_j, j = 0..L, with sum_l c_l C_l^lam(cos theta) = sum_j B_j cos(j theta), for each row of c.
 
     C_l^lam(cos theta) = sum_{p+q=l} g_p g_q cos((q - p) theta) with
     g_k = (lam)_k / k!, so B_j = (2 - delta_{j0}) sum_p g_p g_{p+j} c_{2p+j}:
-    one slice update per p, every term >= 0 when c >= 0.
+    one slice update per p, every term >= 0 when c >= 0.  A row padded with
+    zero weights gains only zero terms, added after its own, so it keeps the
+    bits of its unpadded coefficients.
     """
-    L = c.shape[0] - 1
+    L = c.shape[-1] - 1
     g = np.cumprod(np.concatenate(([1.0], (lam + np.arange(L)) / np.arange(1.0, L + 1))))
-    B = np.zeros(L + 1)
+    B = np.zeros(c.shape)
     for p in range(L // 2 + 1):
-        B[: L - 2 * p + 1] += g[p] * g[p : L - p + 1] * c[2 * p :]
-    B[1:] *= 2.0
+        B[..., : L - 2 * p + 1] += g[p] * g[p : L - p + 1] * c[..., 2 * p :]
+    B[..., 1:] *= 2.0
     return B
 
 
-def _sign_changes(lam: float, c: np.ndarray) -> np.ndarray:
-    """Ascending angles theta in (0, pi) where sum_l c_l C_l^lam(cos theta) changes sign.
+def _sign_changes(lam: float, rows: list) -> list:
+    """Per weight row c, the ascending angles theta in (0, pi) where sum_l c_l C_l^lam(cos theta) changes sign.
 
-    One irfft samples the cosine series at theta_k = pi k / N, N a power of
-    two with at least ``_SIGN_CHANGE_SAMPLES`` samples per period of cos(L theta);
-    each bracket [theta_k, theta_k+1] with a sign change starts at its linear
-    interpolant and takes three Newton steps on the cosine series, kept
-    inside the bracket.
+    One :func:`_cosine_coeffs` pass over the zero-padded rows gives each
+    row's cosine series B.  A row of degree L is sampled at theta_k = pi k / N,
+    N a power of two with at least ``_SIGN_CHANGE_SAMPLES`` samples per period
+    of cos(L theta), by one irfft over all the rows that share N.  Each
+    bracket [theta_k, theta_k+1] with a sign change starts at its linear
+    interpolant and takes three Newton steps on the row's own cosine series,
+    kept inside the bracket.
     """
-    B = _cosine_coeffs(lam, c)
-    L = B.shape[0] - 1
-    N = 1 << (_SIGN_CHANGE_SAMPLES * (L + 1) - 1).bit_length()
-    spectrum = np.zeros(N + 1)
-    spectrum[0] = 2.0 * N * B[0]
-    spectrum[1 : L + 1] = N * B[1:]
-    vals = np.fft.irfft(spectrum, 2 * N)[: N + 1]
-    k = np.flatnonzero(np.diff(vals > 0.0))
-    h = math.pi / N
-    lo, hi = k * h, (k + 1) * h
-    theta = lo + h * vals[k] / (vals[k] - vals[k + 1])
-    j = np.arange(L + 1)
-    for _ in range(3):
-        jt = np.outer(theta, j)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = (np.cos(jt) @ B) / (np.sin(jt) @ (j * B))
-        # the slope vanishes at theta = pi, the end of the last bracket: stay put there
-        theta = np.clip(theta + np.where(np.isfinite(step), step, 0.0), lo, hi)
-    return theta
+    sizes = [c.shape[0] for c in rows]
+    padded = np.zeros((len(rows), max(sizes, default=1)))
+    for r, c in enumerate(rows):
+        padded[r, : sizes[r]] = c
+    coeffs = _cosine_coeffs(lam, padded)
+    by_n = {}
+    for r, size in enumerate(sizes):
+        by_n.setdefault(1 << (_SIGN_CHANGE_SAMPLES * size - 1).bit_length(), []).append(r)
+    out = [None] * len(rows)
+    for N, idx in by_n.items():
+        spectrum = np.zeros((len(idx), N + 1))
+        for i, r in enumerate(idx):
+            spectrum[i, 0] = 2.0 * N * coeffs[r, 0]
+            spectrum[i, 1 : sizes[r]] = N * coeffs[r, 1 : sizes[r]]
+        samples = np.fft.irfft(spectrum, 2 * N)[:, : N + 1]
+        h = math.pi / N
+        for r, vals in zip(idx, samples):
+            B, j = coeffs[r, : sizes[r]], np.arange(sizes[r])
+            k = np.flatnonzero(np.diff(vals > 0.0))
+            lo, hi = k * h, (k + 1) * h
+            theta = lo + h * vals[k] / (vals[k] - vals[k + 1])
+            for _ in range(3):
+                jt = np.outer(theta, j)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    step = (np.cos(jt) @ B) / (np.sin(jt) @ (j * B))
+                # the slope vanishes at theta = pi, the end of the last bracket: stay put there
+                theta = np.clip(theta + np.where(np.isfinite(step), step, 0.0), lo, hi)
+            out[r] = theta
+    return out
 
 
 def tail_l1_sweep(lp: LambdaParam, dfrak: int, R_values) -> list:
@@ -525,23 +547,37 @@ def tail_l1_sweep(lp: LambdaParam, dfrak: int, R_values) -> list:
     so between consecutive sign changes a_1 > a_2 > ... of Phi_R, with
     a_0 = 1 and a_last = -1 (where G vanishes), the norm is
     (sigma_{n-1}/sigma_n) sum_i |G(a_i) - G(a_i+1)|.  G is summed in its
-    Gegenbauer form, one recurrence at order lam + 1 over the roots of each
-    R; the cosine form of G would cancel at eps Phi_R(1).  The sign changes
-    come from :func:`_sign_changes`: they are resolved at 8 samples per
-    period of the top harmonic, not certified, so a pair of changes closer
-    than the grid could be missed.  A root's error enters the norm only
-    quadratically, because G' = -Phi_R w vanishes at a root.
+    Gegenbauer form, one recurrence at order lam + 1; the cosine form of G
+    would cancel at eps Phi_R(1).  The sign changes come from
+    :func:`_sign_changes`: they are resolved at 8 samples per period of the
+    top harmonic, not certified, so a pair of changes closer than the grid
+    could be missed.  A root's error enters the norm only quadratically,
+    because G' = -Phi_R w vanishes at a root.
+
+    All cutoffs go through each stage at once: one weight table, one
+    sign-change pass, and one multi-row Gegenbauer sum of every R's row at
+    the roots of all of them, of which each row reads its own.  Every stage
+    keeps each row's bits, so a norm does not depend on which other cutoffs
+    are swept with it.  Raises ValueError for an order below 1 or a cutoff
+    that is not a finite float above 0.
     """
     lam = lp.lam
+    c = [w / lp.sigma**2 for w in _tail_weights(lam, dfrak, R_values)]
+    if not c:
+        return []
+    a = [np.cos(theta) for theta in _sign_changes(lam, c)]
+    rows = []
+    for w in c:
+        l = np.arange(1.0, w.shape[0])
+        rows.append(w[1:] * 2.0 * lam / (l * (l + 2.0 * lam)))
+    longest_first = sorted(range(len(rows)), key=lambda r: -rows[r].shape[0])
+    sums = gegenbauer_weighted_sum([lam + 1.0] * len(rows), [rows[r] for r in longest_first], np.concatenate(a))
+    ends = np.cumsum([0] + [x.shape[0] for x in a])
     ratio = surface_measure(lp.n - 1) / lp.sigma
-    norms = []
-    for R in R_values:
-        c = _tail_weights(lam, dfrak, R) / lp.sigma**2
-        a = np.cos(_sign_changes(lam, c))
-        l = np.arange(1.0, c.shape[0])
-        sums = gegenbauer_weighted_sum(lam + 1.0, c[1:] * 2.0 * lam / (l * (l + 2.0 * lam)), a)
-        G = (1.0 - a * a) ** (lam + 0.5) * sums
-        norms.append(float(ratio * np.sum(np.abs(np.diff(np.concatenate(([0.0], G, [0.0])))))))
+    norms = [0.0] * len(rows)
+    for i, r in enumerate(longest_first):
+        G = (1.0 - a[r] * a[r]) ** (lam + 0.5) * sums[i, ends[r] : ends[r + 1]]
+        norms[r] = float(ratio * np.sum(np.abs(np.diff(np.concatenate(([0.0], G, [0.0]))))))
     return norms
 
 
@@ -579,7 +615,7 @@ def tail_l1_plateau(lp: LambdaParam, dfrak: int) -> float:
     vanishes there.
     """
     if dfrak < 1:
-        raise ValueError("tail integral defined for order >= 1")
+        raise ValueError(f"order must be >= 1 for the scale tail, got {dfrak}")
     m, alpha = dfrak - 1, Fraction(lp.n, 2)
     p = [
         (-1) ** i * math.prod((alpha + t for t in range(i + 1, m + 1)), start=Fraction(1))

@@ -109,15 +109,17 @@ def _beta_sq(mu: int, j: int) -> tuple:
     return _reduced([-c * j * (mu + j), c], (mu + 2 * j - 1) * (mu + 2 * j + 1))
 
 
-def _ladder(mu: int, dmax: int) -> tuple:
-    """(P, prefix): a_l^j(f^(d)) = (prod_{i<j} beta_{l,i}) P[(d, j)](u) a_l^0(f) for d <= dmax.
+def _ladder(mu: int, dmax: int, top: int) -> dict:
+    """P with a_l^j(f^(d)) = (prod_{i<j} beta_{l,i}) P[(d, j)](u) a_l^0(f), for d <= dmax.
 
-    prefix[j] = prod_{i<j} beta_{l,i}^2, j = 0..dmax; each beta_{l,j}^2 is built once.
+    Only the entries that can still reach a column j <= ``top`` by step dmax
+    are built, j <= top + dmax - d: ``top = dmax`` gives every entry, ``top = 0``
+    the zonal column's ancestors alone.  Each beta_{l,j}^2 is built once.
     """
-    beta_sq = [_beta_sq(mu, j) for j in range(dmax)]
+    beta_sq = [_beta_sq(mu, j) for j in range(min(dmax, (top + dmax) // 2))]
     P = {(0, 0): ([1], 1)}
     for d in range(dmax):
-        for j in range(d + 2):
+        for j in range(min(d + 2, top + dmax - d)):
             term = ([0], 1)
             if (d, j + 1) in P:
                 term = _pmul(beta_sq[j], P[(d, j + 1)])
@@ -126,7 +128,7 @@ def _ladder(mu: int, dmax: int) -> tuple:
                 term = _padd(term, ([-x for x in nums], den))
             if any(term[0]):
                 P[(d + 1, j)] = term
-    return P, list(itertools.accumulate(beta_sq, _pmul, initial=([1], 1)))
+    return P
 
 
 def beta(lam: float, l: int, k1: int) -> float:
@@ -337,7 +339,7 @@ def structure_polynomial_check(lp: LambdaParam, zonal_coeffs, d: int) -> list:
     zonal = np.asarray(zonal_coeffs, dtype=float)
     field = derivative_order(zonal, lp, d)
     mu = _twice_lam(lp.lam)
-    P, _ = _ladder(mu, d)
+    P = _ladder(mu, d, d)
     betas = [beta_ladder(lp.lam, zonal.shape[0] - 1, i) for i in range(d)]
     prods = list(itertools.accumulate(betas, np.multiply, initial=np.ones_like(zonal)))
     reports = []

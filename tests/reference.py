@@ -66,6 +66,11 @@ def gegenbauer_weighted_sum_one_row(order, weights, t) -> np.ndarray:
     return acc
 
 
+def gegenbauer_weighted_sum_rows_one_by_one(orders, rows, t) -> np.ndarray:
+    """The multi-row ``gegenbauer_weighted_sum`` as one :func:`gegenbauer_weighted_sum_one_row` loop per row, stacked."""
+    return np.array([gegenbauer_weighted_sum_one_row(order, w, t) for order, w in zip(orders, rows)])
+
+
 def loop_error_bound(order, weights) -> float:
     """A priori bound on the rounding error of :func:`gegenbauer_weighted_sum_one_row` at any t.
 
@@ -544,3 +549,4 @@ def steered_rotation_grid(band: int, order: int) -> RotationGrid:
     wa, wb, wg = np.meshgrid(np.full(n_twist, 1.0 / n_twist), w[::-1] / 2.0, np.full(n_steer, 1.0 / n_steer), indexing="ij")
     euler = np.stack([a.ravel(), b.ravel(), g.ravel()], axis=1)
     return RotationGrid(band=band, euler=euler, weights=(wa * wb * wg).ravel())
+

@@ -1,6 +1,7 @@
 """q polynomials, gamma solving, pair condition, zonal product, scale tail."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -39,7 +40,7 @@ from sphwave.transform import per_degree_reconstruction_check
 from sphwave.wavelets import KIND_HEAT, KIND_POISSON, TruncationError, _zonal_seed, modified_wavelet_field
 
 from reference import (
-    gegenbauer_weighted_sum_one_row,
+    gegenbauer_weighted_sum_rows_one_by_one,
     q_table_all_pairs,
     tail_l1_mpmath,
     tail_l1_plateau_mpmath,
@@ -96,12 +97,15 @@ def rationals(poly) -> list:
 
 
 def test_q_table_matches_q_polynomial():
-    # the solver's table holds the diagonal q_{s,s} alone, built by the public builder's prefix-product sum
+    # the solver's table holds the diagonal q_{s,s} alone, read off the ladder's
+    # zonal column; the definition is the prefix-product sum over every column
     for mu in (1, 2, 3, 4):
         qs = _q_table(mu, 6)
         assert len(qs) == 7
+        ref = q_table_all_pairs(Fraction(mu, 2), 6)
         for s, q in enumerate(qs):
-            assert tuple(rationals(q)) == q_polynomial(Fraction(mu, 2), s, s)
+            assert rationals(q) == ref[(s, s)], (mu, s)
+            assert q_polynomial(Fraction(mu, 2), s, s) == tuple(ref[(s, s)]), (mu, s)
 
 
 def test_integer_q_table_equals_the_fraction_ladder():
@@ -255,8 +259,9 @@ def test_gamma_exact_zeros_on_three_sphere():
 
 def test_q_skew_adjoint_identity():
     # q_{a,b} = (-1)^((a-b)/2) q_{s,s} with s = (a+b)/2, which lets the solver
-    # work with the diagonal polynomials alone
-    for n in range(2, 13):
+    # work with the diagonal polynomials alone, and with (a, b) = (2s, 0) read
+    # them off the ladder's zonal column; checked against the definition
+    for n in range(2, 61):
         lam = Fraction(n - 1, 2)
         table = _q_table(n - 1, 6)
         for order in range(6):
@@ -594,17 +599,37 @@ def test_tail_vanishes_for_large_cutoff():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_tail_weights_on_a_growing_prefix_keep_their_bits(n):
+    # one table for all cutoffs, each row certified on its own prefix, against each cutoff over the full cap
     lam = LambdaParam(n).lam
+    Rs = (1.0, 0.3, 0.1, 0.03, 1e-3, 1e-4, 1e-5)
     for order in range(1, 7):
-        for R in (1.0, 0.3, 0.1, 0.03, 1e-3, 1e-4, 1e-5):
-            got, want = _tail_weights(lam, order, R), tail_weights_full_cap(lam, order, R)
+        for R, got in zip(Rs, _tail_weights(lam, order, Rs)):
+            want = tail_weights_full_cap(lam, order, R)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (order, R)
-        # past the cap both raise, with one message
+        # past the cap both raise, with one message, also behind a cutoff that certifies
         with pytest.raises(TruncationError) as prefix:
-            _tail_weights(lam, order, 1e-7)
+            _tail_weights(lam, order, [1.0, 1e-7])
         with pytest.raises(TruncationError) as full:
             tail_weights_full_cap(lam, order, 1e-7)
         assert str(prefix.value) == str(full.value)
+
+
+@pytest.mark.parametrize("function", ["tail_l1_sweep", "tail_integral"])
+@pytest.mark.parametrize(
+    "order, R, name",
+    [(2, 0.0, "R"), (2, math.nan, "R"), (2, -0.1, "R"), (2, math.inf, "R"), (0, 0.1, "order")],
+    ids=["R=0", "R=nan", "R<0", "R=inf", "order=0"],
+)
+def test_tail_rejects_a_bad_order_or_cutoff_by_name(function, order, R, name):
+    # a ValueError naming the argument, before any degree is formed and without a warning
+    lp = LambdaParam(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^(cutoff )?{name} must be"):
+            if function == "tail_l1_sweep":
+                tail_l1_sweep(lp, order, [1.0, R])
+            else:
+                tail_integral(lp, order, R, 0.2)
 
 
 def test_tail_cutoff_beyond_the_cap_raises():
@@ -623,7 +648,7 @@ def test_tail_degree_certifies_against_the_sup_norm(n, order):
     lam = lp.lam
     nodes = gauss_jacobi_rule(lam, 400).nodes
     for R in (1.0, 0.03, 1e-4):
-        L = _tail_weights(lam, order, R).size - 1
+        L = _tail_weights(lam, order, [R])[0].size - 1
         ls = np.arange(1, L + 401)
         x = R * ls * (2 * lam + ls) / (2 * lam)
         tail = (2 * lam) ** order * _upper_gamma_q(order, x) * math.gamma(order) * (lam + ls) / lam
@@ -673,8 +698,8 @@ def test_tail_l1_sweep_matches_mpmath(n, order):
     lp = LambdaParam(n)
     norms = tail_l1_sweep(lp, order, TAIL_SWEEP)
     for R, got in zip(TAIL_SWEEP, norms):
-        c = _tail_weights(lp.lam, order, R)
-        starts = np.cos(_sign_changes(lp.lam, c / lp.sigma**2))
+        (c,) = _tail_weights(lp.lam, order, [R])
+        starts = np.cos(_sign_changes(lp.lam, [c / lp.sigma**2])[0])
         assert got == pytest.approx(tail_l1_mpmath(n, order, R, c.size - 1, starts), rel=1e-10, abs=0.0), R
 
 
@@ -690,11 +715,11 @@ def test_tail_sign_changes_survive_a_16x_finer_grid(monkeypatch):
         for order in range(1, 7):
             coarse = tail_l1_sweep(lp, order, TAIL_SWEEP)
             for R in TAIL_SWEEP:
-                c = _tail_weights(lp.lam, order, R) / lp.sigma**2
+                c = _tail_weights(lp.lam, order, [R])[0] / lp.sigma**2
                 monkeypatch.setattr(adm, "_SIGN_CHANGE_SAMPLES", 8)
-                a = _sign_changes(lp.lam, c)
+                (a,) = _sign_changes(lp.lam, [c])
                 monkeypatch.setattr(adm, "_SIGN_CHANGE_SAMPLES", 128)
-                b = _sign_changes(lp.lam, c)
+                (b,) = _sign_changes(lp.lam, [c])
                 theta = np.concatenate((a, b))
                 vals = gegenbauer_weighted_sum(lp.lam, c, np.cos(np.concatenate(([0.0], theta - 1e-4, theta + 1e-4))))
                 # 1e-4 on either side of the change, |Phi_R| is above the floor
@@ -709,11 +734,15 @@ def test_tail_sign_changes_survive_a_16x_finer_grid(monkeypatch):
 
 
 def test_tail_l1_sweep_per_cutoff_degrees_match_separate_sweeps():
-    # one rule serves cutoffs with their own truncation degrees
-    lp = LambdaParam(2)
-    joint = tail_l1_sweep(lp, 1, [1.0, 0.1, 1e-3])
-    apart = tail_l1_sweep(lp, 1, [1.0, 0.1]) + tail_l1_sweep(lp, 1, [1e-3])
-    assert joint == apart
+    # one pass serves cutoffs with their own truncation degrees, in any order:
+    # every norm has the bits of the cutoff swept alone
+    for n in range(2, 7):
+        lp = LambdaParam(n)
+        for order in range(1, 7):
+            joint = tail_l1_sweep(lp, order, TAIL_SWEEP)
+            apart = [tail_l1_sweep(lp, order, [R])[0] for R in TAIL_SWEEP]
+            assert [x.hex() for x in joint] == [x.hex() for x in apart], (n, order)
+            assert tail_l1_sweep(lp, order, TAIL_SWEEP[::-1]) == joint[::-1], (n, order)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -725,9 +754,9 @@ def test_tail_l1_sweep_matches_the_per_degree_loop(order, monkeypatch):
     lp = LambdaParam(2)
     R_values = [1.0, 0.3, 0.1, 0.03, 1e-4]
     blocked = tail_l1_sweep(lp, order, R_values)
-    monkeypatch.setattr(adm, "gegenbauer_weighted_sum", gegenbauer_weighted_sum_one_row)
+    monkeypatch.setattr(adm, "gegenbauer_weighted_sum", gegenbauer_weighted_sum_rows_one_by_one)
     for R, got, expect in zip(R_values, blocked, tail_l1_sweep(lp, order, R_values)):
-        L = adm._tail_weights(lp.lam, order, R).shape[0] - 1
+        L = adm._tail_weights(lp.lam, order, [R])[0].shape[0] - 1
         assert got == pytest.approx(expect, rel=np.finfo(float).eps * (L + 1) ** 2, abs=0.0), R
 
 

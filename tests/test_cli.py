@@ -216,6 +216,17 @@ def test_limit_report_has_no_tolerance(tmp_path):
     assert json.loads(out.read_text())["checks"][0]["tol"] is None
 
 
+@pytest.mark.parametrize("radius", ["1e3", "1e20", "1e100"])
+def test_limit_fails_where_the_finest_image_leaves_the_near_hemisphere(radius, tmp_path, capsys):
+    # rho_min |xi| >= 2 puts the finest scale's image past theta1 = pi/2, where
+    # the errors decrease whatever xi is: the row fails and says why
+    out = tmp_path / "lim.json"
+    assert run(["limit", "--order", "6", "--xi-radius", radius, "--out", str(out)]) == EXIT_VERIFY
+    (row,) = json.loads(out.read_text(), parse_constant=_reject_constant)["checks"]
+    assert row["pass"] is False and "near hemisphere" in row["reason"]
+    assert "near hemisphere" in capsys.readouterr().out
+
+
 def test_verify_tail_row_states_its_criterion(tmp_path):
     out = tmp_path / "verify.json"
     for order in (1, 2):
