@@ -233,8 +233,8 @@ def solve_gamma(lam, dfrak: int) -> GammaVector:
     return vec
 
 
-def _assert_collapse(vec: GammaVector, qs: list, l_max: int = 30, tol: float = 1e-9) -> None:
-    """Check sum_{a,b} gamma_a gamma_b (-1)^((a-b)/2) q_{(a+b)/2}(u) = u^order at six degrees.
+def _assert_collapse(vec: GammaVector, qs: list) -> None:
+    """Check sum_{a,b} gamma_a gamma_b (-1)^((a-b)/2) q_{(a+b)/2}(u) = u^order to 1e-9 at l = 1, 2, 3, 5, 11, 30.
 
     ``qs`` holds the float coefficients of q_{0,0}..q_{order,order}.  The
     weight of q_{s,s} is (-1)^s times the t^(2s) coefficient of h(t) h(-t),
@@ -247,12 +247,12 @@ def _assert_collapse(vec: GammaVector, qs: list, l_max: int = 30, tol: float = 1
         for s in range(order + 1)
     ]
     poly = [sum(w * q[i] for w, q in zip(weights, qs) if i < len(q)) for i in range(order + 1)]
-    for l in (1, 2, 3, 5, 11, l_max):
+    for l in (1, 2, 3, 5, 11, 30):
         u = l * (2.0 * vec.lam + l)
         got, want = 0.0, u**order
         for c in reversed(poly):
             got = got * u + c
-        if abs(got - want) > tol * want:
+        if abs(got - want) > 1e-9 * want:
             raise GammaSolveError(f"solved gammas fail the collapse identity at l={l}: {got} vs {want}")
 
 
@@ -327,24 +327,23 @@ def _scale_integrals(lp: LambdaParam, gamma: GammaVector, degrees, energy: np.nd
 def verify_pair_condition1(
     lp: LambdaParam, gamma: GammaVector, l_max: int, *, tol_identity: float = 1e-6, energy: np.ndarray | None = None
 ) -> list:
-    """Check the per-degree admissibility integral against N(n, l), both ways.
+    """Check the per-degree admissibility integral against N(n, l).
 
     The pair is the one of ``gamma``, of order dfrak = ``gamma.order``.  For
-    each degree l <= l_max the unit-seed scale integral is evaluated (a) in
-    closed form, Gamma(dfrak) (2 lam / u)^dfrak times the collapse value
-    u^dfrak, which cancel, and (b) by a trapezoid rule in log rho over
-    s^P_l s^H_l E_l, with E_l from ``energy``, an :func:`energy_table` up to
-    l_max or beyond, or one built here.  Over (n-1)^dfrak Gamma(dfrak) the
-    quadrature is the multiplier ``ratio``, which must be 1 to
-    ``tol_identity``; the two paths must agree to 1e-8 relative.  The kernel
-    seed's a_l^2 = N(n, l) / sigma^2 and C cancel, so the scaled paths are
-    N(n, l) times each multiplier.  Returns one report dict per degree;
+    each degree l <= l_max the unit-seed scale integral of s^P_l s^H_l E_l is
+    evaluated by a trapezoid rule in log rho, with E_l from ``energy``, an
+    :func:`energy_table` up to l_max or beyond, or one built here.  Over
+    (n-1)^dfrak Gamma(dfrak), which is also its closed form Gamma(dfrak)
+    (2 lam / u)^dfrak u^dfrak, the quadrature is the multiplier ``ratio``.
+    A row passes when |ratio - 1| is below ``tol_identity`` and below 1e-8,
+    a floor that holds whatever ``tol_identity`` is.  The kernel seed's
+    a_l^2 = N(n, l) / sigma^2 and C cancel, so ``quadrature_scaled`` is
+    N(n, l) times the multiplier.  Returns one report dict per degree;
     failures are recorded, not raised.  Raises ValueError from the first
     degree whose N(n, l) is past the float range.
     """
     vals = _scale_integrals(lp, gamma, range(1, l_max + 1), energy)
     norm = _unit_pair_norm(lp, gamma.order)
-    closed = math.gamma(gamma.order) * (2.0 * lp.lam) ** gamma.order
     rows = []
     for l, val in enumerate(vals, start=1):
         try:
@@ -353,17 +352,14 @@ def verify_pair_condition1(
             raise ValueError(
                 f"N(n, l) is past the float range from l={l} on at n={lp.n}; verify bands up to {l - 1}"
             ) from None
-        paths = abs(val / closed - 1.0)
         ratio = val / norm
         rows.append(
             {
                 "l": l,
                 "expected": expected,
-                "closed_scaled": expected * (closed / norm),
                 "quadrature_scaled": expected * ratio,
-                "paths_rel_diff": paths,
                 "ratio": ratio,
-                "pass": bool(paths < 1e-8 and abs(ratio - 1.0) < tol_identity),
+                "pass": bool(abs(ratio - 1.0) < min(1e-8, tol_identity)),
             }
         )
     return rows

@@ -20,9 +20,11 @@ polynomial in u = l(2 lam + l) over an integer, and a_l^j(f^(d)) =
 beta in floats.
 
 The sector family of hyperspherical harmonics, indexed by (l, k1) -- the
-members depending on the first two angles alone -- is evaluated by
-:func:`sector_basis_frame`: rotational derivatives of zonal functions never
-leave it.  On the 2-sphere the basis is the real combination
+members depending on the first two angles alone -- holds every rotational
+derivative of a zonal function.  One evaluator sums it, :func:`synthesize_frame`
+(a single basis function is the synthesis of a unit field); the S^2 round trip
+of :mod:`sphwave.transform` reaches the same basis through Wigner-d tables
+instead.  On the 2-sphere the basis is the real combination
 ``Yt_l^k = Y_l^{-k} + Y_l^k``; the zonal member is taken as ``Yt_l^0 = Y_l^0``
 (no doubling), so coefficient fields are real in every dimension.  The k >= 1
 members then carry squared norm 2, a weight made explicit in all inner-product
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import LambdaParam, gegenbauer_batch, gegenbauer_value, gegenbauer_weighted_sum, norm_const_a
+from .special import LambdaParam, gegenbauer_value, gegenbauer_weighted_sum, norm_const_a
 
 __all__ = [
     "beta",
@@ -51,7 +53,6 @@ __all__ = [
     "derivative_order",
     "synthesize",
     "synthesize_frame",
-    "sector_basis_frame",
     "sector_weights",
     "sector_pair_sum",
     "structure_polynomial_check",
@@ -250,8 +251,9 @@ def synthesize_frame(field: CoefficientField, cos_theta1, sin_theta1, theta2) ->
     reconstructing it through arccos would lose half the digits.  Sums all
     nonzero order columns in one :func:`gegenbauer_weighted_sum` call, which
     holds O(sqrt(L)) values per point and column, so high degrees on many
-    points stay cheap in memory; :func:`sector_basis_frame` keeps every basis
-    function instead.
+    points stay cheap in memory.  This is the package's one evaluator of the
+    sector harmonics Y_l^k = A_l^k sin^k theta1 C_{l-k}^{lam+k}(cos theta1)
+    (angular factor), A_l^k from :func:`sphwave.special.norm_const_a`.
     """
     lp = field.lp
     c1 = np.asarray(cos_theta1, dtype=float)
@@ -268,29 +270,6 @@ def synthesize_frame(field: CoefficientField, cos_theta1, sin_theta1, theta2) ->
             radial = radial * s1**k
         total = total + radial * _angular(lp, k, theta2)
     return total
-
-
-def sector_basis_frame(lp: LambdaParam, L: int, K: int, cos_theta1, sin_theta1, theta2) -> np.ndarray:
-    """Every sector basis function Y_l^k, l <= L, k <= K, at the given points.
-
-    Shape ``(L+1, K+1) + shape(points)``; entries with k > l are zero.  A
-    field's synthesis is the contraction of its coefficients with this array,
-    so one evaluation serves any number of fields of the same band and order
-    bound.  Points are given as in :func:`synthesize_frame`.
-    """
-    c1 = np.asarray(cos_theta1, dtype=float)
-    s1 = np.asarray(sin_theta1, dtype=float)
-    theta2 = np.asarray(theta2, dtype=float)
-    shape = np.broadcast(c1, theta2).shape
-    out = np.zeros((L + 1, K + 1) + shape)
-    for k in range(min(K, L) + 1):
-        col = out[k:, k]
-        col[...] = gegenbauer_batch(lp.lam + k, L - k, c1)
-        col *= _norm_column(lp, L, k).reshape((-1,) + (1,) * len(shape))
-        if k > 0:
-            col *= s1**k
-        col *= _angular(lp, k, theta2)
-    return out
 
 
 def _norm_column(lp: LambdaParam, L: int, k: int) -> np.ndarray:

@@ -7,10 +7,10 @@ Conventions
 -----------
 * The Gegenbauer index convention ``C_l = 0`` for ``l < 0`` is honoured at the API
   boundary, so recursions built on top need no guards.
-* Gamma-function ratios of scalars go through ``math.lgamma``; ``Gamma`` itself
-  is formed only at small arguments.  Ratios over a degree array are sums of
-  logs of their integer factors, which stay accurate at high degree where a
-  difference of two large log-gammas would not.
+* Normalization constants are products of exact rational factors, each under
+  its own square root: no log-gamma, no ``exp`` of a log sum and no N(n, l),
+  which overflows a float long before its root does.  ``Gamma`` itself is
+  formed only at small arguments.
 * Only numpy and the standard library are used.
 """
 
@@ -248,45 +248,46 @@ def gauss_gegenbauer(m: int, alpha: float) -> tuple:
     return np.concatenate((-x[m % 2 :][::-1], x)), np.concatenate((w[m % 2 :][::-1], w))
 
 
-def _log_rising(start, count: int):
-    """log(start (start + 1) ... (start + count - 1)) as a sum of count logs, over an integer array."""
-    return np.log(np.asarray(start)[..., None] + np.arange(count)).sum(axis=-1)
+def _root_factors(n: int, ls) -> tuple:
+    """(h_l, p_l) over a degree array: h_l = sqrt((n+2l-1)/(n-1)), p_l = prod_{i=1}^{n-2} sqrt((l+i)/i).
+
+    sqrt(N(n, l)) = h_l p_l, and the zonal normalization is A_l^0 = h_l / p_l.
+    Each factor of p_l is rooted alone, so p_l is finite where p_l^2 =
+    C(l+n-2, n-2) is not (n = 260, l = 5000).
+    """
+    x = np.asarray(ls, dtype=float)
+    p = np.ones_like(x)
+    for i in range(1, n - 1):
+        p = p * np.sqrt((x + i) / i)
+    return np.sqrt((n + 2 * x - 1) / (n - 1)), p
 
 
 def norm_const_a(lp: LambdaParam, l, k1: int):
-    """Normalization constant of the sector harmonic of degree l, order k1.
+    """Normalization constant A_l^k1 of the sector harmonic of degree l, order k1.
 
-    Uses the closed doubling-formula reduction for n >= 3 and the dedicated
-    two-dimensional formula for n = 2, in log space so degrees beyond 200
-    stay finite.  The degree-dependent ratio Gamma(l-k1+1)/Gamma(l+k1+1)
-    (n = 2), or Gamma(l-k1+1)/Gamma(n+l+k1-1), is a sum of 2 k1, or
-    n + 2 k1 - 2, logs of integers.  ``l`` may be an integer array (a whole
-    order-k1 column at once); the result then has its shape, and a scalar
-    ``l`` gives a float.
+    Y_l^k = A_l^k sin^k theta1 C_{l-k}^{lam+k}(cos theta1) (angular factor) has
+    unit norm under d sigma / sigma (norm 2 for k >= 1 on S^2, in the real
+    basis of :mod:`sphwave.rotderiv`).  A_l^0 = h_l / p_l (see
+    :func:`_root_factors`) and A_l^k = A_l^0 sqrt(s_k(l)), with s_k(l) =
+    c_k prod_{i<k} 4 (lam+i)^2 e_i / ((l-i)(l+n-1+i)): c_k = e_i = 1 on S^2,
+    and c_k = (n+2k-2)/(n-2), e_i = (i+1)/(n-2+i) for n >= 3.  Each factor of
+    s_k is an integer quotient, rounded once, over an integer product exact
+    in floats; up to n = 260 and l = 3900 the constants are within 2e-14 of
+    30-digit values.  ``l`` may be an integer array (a whole order-k1 column at once); the
+    result then has its shape, and a scalar ``l`` gives a float.
     """
     ls = np.asarray(l)
     if k1 < 0 or np.any(ls < k1):
         raise ValueError(f"order k1 must satisfy 0 <= k1 <= l, got k1={k1}, l={l}")
     n = lp.n
-    if n == 2:
-        lg = (
-            k1 * math.log(2.0)
-            + math.lgamma(k1 + 0.5)
-            + 0.5 * (np.log(2 * ls + 1) - math.log(math.pi) - _log_rising(ls - k1 + 1, 2 * k1))
-        )
-    else:
-        const = (
-            (2 * n + 2 * k1 - 6) * math.log(2.0)
-            + math.lgamma(k1 + 1)
-            + math.log(n + 2 * k1 - 2)
-            + 2.0 * math.lgamma(lp.lam + k1)
-            + 2.0 * math.lgamma((n - 2) / 2)
-            - math.log(n - 1)
-            - math.log(math.pi)
-            - math.lgamma(n + k1 - 2)
-        )
-        lg = 0.5 * (const + np.log(n + 2 * ls - 1) - _log_rising(ls - k1 + 1, n + 2 * k1 - 2))
-    out = np.exp(lg)
+    x = ls.astype(float)
+    h, p = _root_factors(n, x)
+    s = 1.0 if n == 2 else (n + 2 * k1 - 2) / (n - 2)
+    for i in range(k1):
+        e_num, e_den = (1, 1) if n == 2 else (i + 1, n - 2 + i)
+        # 4 (lam + i)^2 e_i = (n - 1 + 2i)^2 e_i, one correctly rounded integer quotient
+        s = s * ((n - 1 + 2 * i) ** 2 * e_num / e_den) / ((x - i) * (x + n - 1 + i))
+    out = h / p * np.sqrt(s)
     return out if out.ndim else float(out)
 
 

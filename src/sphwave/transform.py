@@ -55,8 +55,9 @@ Grid design notes
   trip plus the two scale matmuls; the d table holds (L+1)(2L+1)(d+1)(L+1)
   values and X and Z (L+1) values per rotation node.  At band 64, order 2
   the round trip takes about 0.2 s.  :func:`wavelet_transform` and
-  :func:`inverse_transform` take any rotation frame and evaluate the full
-  basis; they are the reference.
+  :func:`inverse_transform` take any rotation frame and synthesize the
+  wavelet fields on it with :func:`sphwave.rotderiv.synthesize_frame`; they
+  are the reference.
 * Only the coefficients, the samples and what is formed from them depend on
   the signal.  The pair's gamma, the sphere grid, the d table and y_theta,
   the scale weights, B, the twist modes, the Haar weights and the
@@ -95,7 +96,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admissibility import GammaVector, _scale_integrals, _unit_pair_norm, admissibility_constant, solve_gamma
-from .rotderiv import CoefficientField, sector_basis_frame, sector_weights
+from .rotderiv import CoefficientField, sector_weights, synthesize_frame
 from .special import LambdaParam, gauss_gegenbauer, surface_measure
 from .wavelets import KIND_HEAT, KIND_POISSON, _zonal_seed, modified_wavelet_table, scale_weights
 
@@ -316,9 +317,7 @@ def wavelet_transform(
             "quadrature is not exact for same-band signals",
             stacklevel=2,
         )
-    lp = psi_field.lp
-    basis = sector_basis_frame(lp, psi_field.degree_max, psi_field.order_bound, *rot_frame)
-    return np.tensordot(psi_field.coeffs, basis @ (grid.weights * np.asarray(f_values)) / lp.sigma, axes=2)
+    return synthesize_frame(psi_field, *rot_frame) @ (grid.weights * np.asarray(f_values)) / psi_field.lp.sigma
 
 
 def inverse_transform(
@@ -335,14 +334,17 @@ def inverse_transform(
     family per scale node (already C-scaled, one band and order bound);
     ``rho_weights`` are the trapezoid-in-log weights realizing the
     d(rho)/rho measure.  ``grid`` is the sphere grid ``rot_frame`` was built
-    on; the output has one value per node of it.
+    on; the output has one value per node of it.  Each rotation node
+    contributes the synthesis of its own field V(R) on its frame.
     """
     omega = np.stack([field.coeffs for field in omega_fields])
     lp = omega_fields[0].lp
-    basis = sector_basis_frame(lp, omega.shape[1] - 1, omega.shape[2] - 1, *rot_frame)
     # V_{l,k}(R) = sum_r rho_w_r omega_r[l, k] W_r(R) nu_R, the scale sum first
     V = np.tensordot(np.asarray(rho_weights, dtype=float)[:, None, None] * omega, W * rot.weights, axes=(0, 0))
-    return np.tensordot(V, basis, axes=3)
+    total = np.zeros(grid.size)
+    for r in range(V.shape[2]):
+        total += synthesize_frame(CoefficientField(lp, V[:, :, r]), *(a[r] for a in rot_frame))
+    return total
 
 
 def wigner_d_table(L: int, K: int, beta) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .rotderiv import CoefficientField, derivative_order, derivative_step, zonal_field
-from .special import LambdaParam, norm_const_a
+from .special import LambdaParam, _root_factors
 
 if TYPE_CHECKING:  # admissibility builds its pair sums from this module's table
     from .admissibility import GammaVector
@@ -100,18 +100,23 @@ def scale_weights(lp: LambdaParam, kind: str, order: int, rhos, degrees) -> np.n
 
 
 def _zonal_seed(lp: LambdaParam, L: int) -> np.ndarray:
-    """Kernel zonal coefficients without the degree weight: (1/sigma) (lam+l)/lam / A_l^0."""
+    """Kernel zonal coefficients without the degree weight, l = 0..L: (1/sigma) (lam+l)/lam / A_l^0.
+
+    That is sqrt(N(n, l)) / sigma, formed as h_l p_l / sigma (see
+    :func:`sphwave.special._root_factors`) without N(n, l) itself.
+    """
     if L < 0:
         raise ValueError("L must be >= 0")
-    ls = np.arange(L + 1)
-    return (lp.lam + ls) / lp.lam / norm_const_a(lp, ls, 0) / lp.sigma
+    h, p = _root_factors(lp.n, np.arange(L + 1))
+    return h * p / lp.sigma
 
 
 def kernel_zonal_coeffs(spec: WaveletSpec, L: int) -> np.ndarray:
     """Zonal coefficients a_l^0 of the undifferentiated kernel, l = 0..L.
 
-    a_l^0 = (1/sigma) (lam+l)/lam * w_l / A_l^0 with w_l the kind-specific
-    degree weight.
+    a_l^0 = sqrt(N(n, l)) w_l / sigma, with w_l the kind-specific degree
+    weight: the kernel's degree-l part (lam+l)/lam w_l C_l^lam / sigma over
+    Y_l^0 = A_l^0 C_l^lam.
     """
     return scale_weights(spec.lp, spec.kind, 0, [spec.rho], np.arange(L + 1))[0] * _zonal_seed(spec.lp, L)
 
@@ -191,11 +196,18 @@ def directional_wavelet_field(spec: WaveletSpec, L: int) -> CoefficientField:
     """Coefficient field of the order-d directional wavelet at scale rho, truncated at degree L.
 
     The Poisson kind carries the rho^d prefactor of the bracketed wavelet; the
-    heat family is the bare derivative.
+    heat family is the bare derivative.  On large spheres the seed
+    sqrt(N(n, l)) / sigma leaves the float range at high degree, even where
+    the weight w_l would bring the coefficient back; the first degree with a
+    coefficient that is not a finite float raises ValueError.
     """
-    field = derivative_order(kernel_zonal_coeffs(spec, L), spec.lp, spec.order)
-    if spec.kind == KIND_POISSON and spec.order > 0:
-        field = field.scaled(spec.rho**spec.order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = derivative_order(kernel_zonal_coeffs(spec, L), spec.lp, spec.order)
+        if spec.kind == KIND_POISSON and spec.order > 0:
+            field = field.scaled(spec.rho**spec.order)
+    bad = np.flatnonzero(~np.isfinite(field.coeffs).all(axis=1))
+    if bad.size:
+        raise ValueError(f"wavelet coefficient of degree l={bad[0]} is not a finite float at n={spec.lp.n}")
     return field
 
 

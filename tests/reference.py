@@ -19,11 +19,10 @@ from sphwave.rotderiv import (
     _norm_column,
     beta_ladder,
     derivative_order,
-    sector_basis_frame,
     sector_weights,
     synthesize,
 )
-from sphwave.special import LambdaParam, _check_t, _log_rising, _resolve_order, dim_harmonic, gauss_gegenbauer, gegenbauer_batch
+from sphwave.special import LambdaParam, _check_t, _resolve_order, dim_harmonic, gauss_gegenbauer, gegenbauer_batch
 from sphwave.transform import RotationGrid
 from sphwave.wavelets import (
     KIND_HEAT,
@@ -122,6 +121,11 @@ def gegenbauer_weighted_sum_exact(order, weights, t) -> np.ndarray:
                 acc = acc + W[l + 1] * cur
     scale = den << _FIXED_POINT_BITS
     return np.array([float(Fraction(a, scale)) for a in acc]).reshape(t.shape)
+
+
+def _log_rising(start, count: int):
+    """log(start (start + 1) ... (start + count - 1)) as a sum of count logs, over an integer array."""
+    return np.log(np.asarray(start)[..., None] + np.arange(count)).sum(axis=-1)
 
 
 def _gegenbauer_norm_inv(l: int, lam: float) -> float:
@@ -491,9 +495,11 @@ def poisson_kernel_closed(lp: LambdaParam, rho: float, theta1):
 
 
 def sector_harmonic(lp: LambdaParam, l: int, k: int, theta1, theta2):
-    """The sector harmonic Y_l^k at (theta1, theta2): entry [l, k] of :func:`sector_basis_frame`; 0 for k > l."""
-    theta1 = np.asarray(theta1, dtype=float)
-    return sector_basis_frame(lp, l, k, np.cos(theta1), np.sin(theta1), theta2)[l, k]
+    """The sector harmonic Y_l^k at (theta1, theta2): the synthesis of the unit field at (l, k); 0 for k > l."""
+    coeffs = np.zeros((l + 1, k + 1))
+    if k <= l:
+        coeffs[l, k] = 1.0
+    return synthesize(CoefficientField(lp, coeffs), theta1, theta2)
 
 
 def beta_ladder_closed_form(lam: float, L: int, k1: int) -> np.ndarray:

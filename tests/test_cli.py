@@ -91,6 +91,18 @@ def test_coeffs_table(tmp_path):
     assert len(lines) - 1 == sum(min(l, 1) + 1 for l in range(7))
 
 
+def test_coeffs_whose_seed_leaves_the_floats_exits_2_and_writes_nothing(tmp_path, capsys):
+    # at n = 250 the seed sqrt(N(n, l)) / sigma overflows from l = 1757 on,
+    # where exp(-rho l) is 0: the table once held 244 nan cells, exit 0
+    argv = ["coeffs", "--n", "250", "--order", "1", "--band", "2000", "--rho", "0.5", "--out", str(tmp_path / "c.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == EXIT_USAGE
+    assert not caught, [str(w.message) for w in caught]
+    assert capsys.readouterr().err == "error: wavelet coefficient of degree l=1757 is not a finite float at n=250\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_gamma_report_values(tmp_path):
     out = tmp_path / "gamma.json"
     assert run(["gamma", "--n", "3", "--order", "2", "--out", str(out)]) == 0
@@ -469,6 +481,8 @@ def test_fuzzed_arguments_exit_cleanly(argv, tmp_path_factory):
     for path in written:
         if path.suffix == ".json" or argv[0] not in ("eval", "coeffs"):  # eval and coeffs write a CSV table at out
             json.loads(path.read_text(), parse_constant=_reject_constant)
+        elif argv[0] == "coeffs":
+            assert np.all(np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))), argv
 
 
 _BAD_SCALES = st.sampled_from([0.0, -0.0, -0.5, math.inf, -math.inf, math.nan])
@@ -521,6 +535,7 @@ def _subcommand_argv(draw):
 @given(argv=_subcommand_argv())
 @example(argv=["eval", "--n", "200", "--order", "1", "--rho", "0.5", "--grid", "3"])
 @example(argv=["eval", "--n", "160", "--order", "1", "--rho", "0.5", "--grid", "3"])
+@example(argv=["coeffs", "--n", "250", "--order", "1", "--band", "2000", "--rho", "0.5"])
 @example(argv=["verify", "--n", "260", "--order", "6", "--band", "12"])
 @example(argv=["transform", "--n", "2", "--order", "8", "--band", "12"])
 @example(argv=["limit", "--n", "2", "--order", "2", "--xi-radius", "1e160"])
@@ -544,10 +559,10 @@ def test_every_subcommand_exits_cleanly_on_drawn_arguments(argv, tmp_path_factor
     written = sorted(out_dir.iterdir())
     if code == EXIT_USAGE:
         assert not written, (argv, written)
-    if argv[0] == "limit":
+    if argv[0] in ("limit", "coeffs"):
         # no warning at any exit; a usage error leaves one error line (after argparse's usage when it rejects a flag)
         assert not caught, (argv, [str(w.message) for w in caught])
-    if argv[0] == "limit" and code == EXIT_USAGE:
+    if argv[0] in ("limit", "coeffs") and code == EXIT_USAGE:
         lines = [line for line in stderr.getvalue().splitlines() if not line.startswith(("usage:", " "))]
         assert len(lines) == 1 and "error:" in lines[0], (argv, stderr.getvalue())
     for path in written:
@@ -637,9 +652,9 @@ def test_verify_check_names_are_unique(tmp_path):
 
 @pytest.mark.parametrize(("n", "band"), [(235, 12), (244, 4)])
 def test_verify_closed_path_stays_finite_at_order_6(n, band, tmp_path):
-    # the closed path's u^order cancels against (2 lam / u)^order; formed
-    # before that, it overflowed to inf here and failed rows whose
-    # quadrature matched N(n, l)
+    # a closed path with u^order formed before (2 lam / u)^order cancelled it
+    # overflowed to inf here and failed rows whose quadrature matched N(n, l);
+    # that path was the divisor (n-1)^order Gamma(order) itself and is gone
     out = tmp_path / "verify.json"
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sphwave.harmonics import GaussJacobiRule, gauss_jacobi_rule
-from sphwave.rotderiv import sector_basis_frame
 from sphwave.special import LambdaParam, gegenbauer_batch, reproducing_kernel
 from sphwave.transform import build_sphere_grid, grid_inner
 
@@ -64,8 +63,7 @@ def test_sector_orthonormality(n):
     lmax = 12
     grid = build_sphere_grid(n, 2 * lmax)
     th1, th2 = grid.angles[:, 0], grid.angles[:, 1]
-    frame = sector_basis_frame(lp, lmax, lmax, np.cos(th1), np.sin(th1), th2)
-    basis = {(l, k1): frame[l, k1] for l in range(lmax + 1) for k1 in range(l + 1)}
+    basis = {(l, k1): sector_harmonic(lp, l, k1, th1, th2) for l in range(lmax + 1) for k1 in range(l + 1)}
     keys = list(basis)
     rng = np.random.default_rng(0)
     picks = rng.choice(len(keys), size=40, replace=False)

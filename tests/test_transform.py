@@ -498,7 +498,6 @@ def test_round_trip_evaluates_no_rotated_basis(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("round_trip evaluated a rotated basis")
 
-    monkeypatch.setattr(transform, "sector_basis_frame", forbidden)
     monkeypatch.setattr(transform, "rotation_matrices", forbidden)
     monkeypatch.setattr(transform, "rotated_sector_frame", forbidden)
     for module in (rotderiv, transform):

@@ -2,18 +2,20 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from sphwave.admissibility import GammaSolveError, solve_gamma
 from sphwave.harmonics import gauss_jacobi_rule
 from sphwave.rotderiv import derivative_order, sector_pair_sum, synthesize
-from sphwave.special import LambdaParam, reproducing_kernel
+from sphwave.special import LambdaParam, dim_harmonic, reproducing_kernel
 from sphwave.wavelets import (
     KIND_HEAT,
     KIND_POISSON,
     TruncationError,
     WaveletSpec,
+    _zonal_seed,
     directional_wavelet_field,
     g1_closed,
     g2_closed,
@@ -41,6 +43,20 @@ def test_spec_validation():
     for rho in (math.inf, math.nan, -0.5):
         with pytest.raises(ValueError):
             WaveletSpec(lp=lp, kind=KIND_POISSON, order=1, rho=rho)
+
+
+@pytest.mark.parametrize("n", [2, 3, 30, 150, 235, 240, 260])
+def test_zonal_seed_matches_mpmath_root_of_the_dimension(n):
+    # the seed is sqrt(N(n, l)) / sigma from rational factors under square
+    # roots: within 2e-14 of 40-digit arithmetic, sigma exact there too (the
+    # exp of a log sum was off by up to 4.5e-13 at n = 235)
+    lp = LambdaParam(n)
+    seed = _zonal_seed(lp, 1000)
+    assert np.all(np.isfinite(seed))
+    with mpmath.workdps(40):
+        sigma = 2 * mpmath.pi ** (mpmath.mpf(n + 1) / 2) / mpmath.gamma(mpmath.mpf(n + 1) / 2)
+        worst = max(abs(mpmath.mpf(value) * sigma / mpmath.sqrt(dim_harmonic(n, l)) - 1) for l, value in enumerate(seed))
+    assert worst <= 2e-14
 
 
 def test_kernel_coeff_degree_zero():
@@ -318,6 +334,17 @@ def test_truncation_never_certifies_on_an_underflowed_weight():
     assert truncation_degree(WaveletSpec(lp=LambdaParam(160), kind=KIND_POISSON, order=1, rho=0.5), 1e-10) == 1454
     with pytest.raises(TruncationError, match="weight underflows a float at l=1491"):
         truncation_degree(WaveletSpec(lp=LambdaParam(200), kind=KIND_POISSON, order=1, rho=0.5), 1e-10)
+
+
+@pytest.mark.parametrize(("n", "order", "band", "rho", "first"), [(250, 1, 2000, 0.5, 1757), (220, 2, 5000, 0.05, 3997)])
+def test_field_whose_seed_leaves_the_floats_names_the_degree(n, order, band, rho, first, recwarn):
+    # sqrt(N(n, l)) / sigma overflows where exp(-rho l) has flushed to 0 (or
+    # nearly), and inf * 0 or inf - inf left nan in the field
+    spec = WaveletSpec(lp=LambdaParam(n), kind=KIND_POISSON, order=order, rho=rho)
+    with pytest.raises(ValueError, match=rf"degree l={first} is not a finite float at n={n}$"):
+        directional_wavelet_field(spec, L=band)
+    assert not recwarn.list
+    assert np.all(np.isfinite(directional_wavelet_field(spec, L=first - 1).coeffs))
 
 
 def test_library_errors_are_value_errors():
