@@ -297,31 +297,27 @@ def pair_coefficient_sum(lp: LambdaParam, gamma: GammaVector, rho: float, l: int
 _TRAPEZOID_STEP = 1.0 / 7.0
 
 
-def _scale_integrals(lp: LambdaParam, gamma: GammaVector, degrees, energy: np.ndarray | None = None) -> list:
-    """Per degree l >= 1, the integral over rho > 0 of s^P_l s^H_l E_l = rho^order exp(-rho u / 2 lam) E_l.
-
-    One trapezoid rule in x = log rho, on the window of the given degrees,
-    serves them all: each degree's column of the two :func:`scale_weights`
-    products is summed node by node, in order (``np.add.accumulate``), so a
-    degree's sum does not depend on which other degrees are asked for.  E_l
-    comes from ``energy``, an :func:`energy_table` up to some L >=
-    max(degrees), or from one built here.  Independent of the closed form
-    Gamma(order) (2 lam / u)^order E_l.
-    """
-    if gamma.order < 1:
+def _fine_scale_rule(lam: float, order: int, degrees) -> tuple:
+    """(rho, w) of the trapezoid in x = log rho with step h on the window of the given degrees >= 1, every w = h."""
+    if order < 1:
         raise ValueError("the admissible pair needs order >= 1")
-    degrees = list(degrees)
-    if not degrees:
-        return []
-    E = energy_table(lp, gamma, max(degrees)) if energy is None else energy
-    dfrak, lam = gamma.order, lp.lam
     a_lo, a_hi = (l * (2.0 * lam + l) / (2.0 * lam) for l in (min(degrees), max(degrees)))
-    x_lo, x_hi = -40.0 / dfrak - math.log(a_hi), math.log(60.0 / a_lo)
+    x_lo, x_hi = -40.0 / order - math.log(a_hi), math.log(60.0 / a_lo)
     x = x_lo + _TRAPEZOID_STEP * np.arange(math.ceil((x_hi - x_lo) / _TRAPEZOID_STEP) + 1)
-    rho = np.exp(x)
-    s = scale_weights(lp, KIND_POISSON, dfrak, rho, degrees) * scale_weights(lp, KIND_HEAT, dfrak, rho, degrees)
-    factor = _TRAPEZOID_STEP * np.add.accumulate(s)[-1]
-    return (factor * E[degrees]).tolist()
+    return np.exp(x), np.full(x.shape, _TRAPEZOID_STEP)
+
+
+def _scale_multipliers(lp: LambdaParam, gamma: GammaVector, rule: tuple, degrees, energy: np.ndarray | None = None) -> np.ndarray:
+    """The pair's multipliers m_l = sum_r w_r s^P_l(rho_r) s^H_l(rho_r) E_l / ((n-1)^order Gamma(order)) on a scale rule.
+
+    ``rule`` (rho, w) is :func:`_fine_scale_rule` or the transform's ``log_rho_grid``; s^P s^H =
+    rho^order exp(-rho u / 2 lam) are the unit-seed :func:`scale_weights`, and E_l comes from
+    ``energy``, an :func:`energy_table` up to max(degrees) or beyond, or one built here.
+    """
+    rho, w = rule
+    E = energy_table(lp, gamma, max(degrees)) if energy is None else energy
+    s = scale_weights(lp, KIND_POISSON, gamma.order, rho, degrees) * scale_weights(lp, KIND_HEAT, gamma.order, rho, degrees)
+    return w @ s * E[degrees] / _unit_pair_norm(lp, gamma.order)
 
 
 def verify_pair_condition1(
@@ -330,29 +326,29 @@ def verify_pair_condition1(
     """Check the per-degree admissibility integral against N(n, l).
 
     The pair is the one of ``gamma``, of order dfrak = ``gamma.order``.  For
-    each degree l <= l_max the unit-seed scale integral of s^P_l s^H_l E_l is
-    evaluated by a trapezoid rule in log rho, with E_l from ``energy``, an
-    :func:`energy_table` up to l_max or beyond, or one built here.  Over
-    (n-1)^dfrak Gamma(dfrak), which is also its closed form Gamma(dfrak)
-    (2 lam / u)^dfrak u^dfrak, the quadrature is the multiplier ``ratio``.
-    A row passes when |ratio - 1| is below ``tol_identity`` and below 1e-8,
-    a floor that holds whatever ``tol_identity`` is.  The kernel seed's
-    a_l^2 = N(n, l) / sigma^2 and C cancel, so ``quadrature_scaled`` is
-    N(n, l) times the multiplier.  Returns one report dict per degree;
-    failures are recorded, not raised.  Raises ValueError from the first
-    degree whose N(n, l) is past the float range.
+    each degree l <= l_max the multiplier ``ratio`` is sum_r w_r s^P_l s^H_l
+    E_l / ((n-1)^dfrak Gamma(dfrak)) (:func:`_scale_multipliers`) on the
+    fine trapezoid in log rho over the window of degrees 1..l_max, with E_l
+    from ``energy``, an :func:`energy_table` up to l_max or beyond, or one
+    built here; its closed form is 1.  A row passes when |ratio - 1| is
+    below ``tol_identity`` and below 1e-8, a floor that holds whatever
+    ``tol_identity`` is.  ``quadrature_scaled`` is N(n, l) times the ratio.
+    Returns one report dict per degree; failures are recorded, not raised.
+    Raises ValueError from the first degree whose N(n, l) is past the float
+    range.
     """
-    vals = _scale_integrals(lp, gamma, range(1, l_max + 1), energy)
-    norm = _unit_pair_norm(lp, gamma.order)
+    if l_max < 1:
+        return []
+    degrees = range(1, l_max + 1)
+    ratios = _scale_multipliers(lp, gamma, _fine_scale_rule(lp.lam, gamma.order, degrees), degrees, energy)
     rows = []
-    for l, val in enumerate(vals, start=1):
+    for l, ratio in zip(degrees, ratios.tolist()):
         try:
             expected = float(dim_harmonic(lp.n, l))
         except OverflowError:
             raise ValueError(
                 f"N(n, l) is past the float range from l={l} on at n={lp.n}; verify bands up to {l - 1}"
             ) from None
-        ratio = val / norm
         rows.append(
             {
                 "l": l,

@@ -79,8 +79,9 @@ Grid design notes
   cutoff costs Q(1, .) = 1.1e-7 at degree 1.  The coarse end grows with the
   order: 1 - m_1 reads 4.0e-6 at order 2 and 1.7e-4 at order 4, against
   Q(2, .) = 1.9e-6 and Q(4, .) = 9.3e-5, the rest being trapezoid error.
-  The round trip multiplies degree l by a known discrete multiplier m_l, so
-  its error is predicted exactly from the signal's per-degree energies.
+  The round trip multiplies degree l by m_l = sum_r w_r s^P_l s^H_l E_l /
+  ((n-1)^d Gamma(d)) on this rule, which the checks read on their step-1/7
+  rule, so its error is predicted exactly from the per-degree energies.
 
 Everything here is embarrassingly parallel over (scale, rotation) nodes with
 deterministic reduction order; grids are immutable and shareable.
@@ -95,7 +96,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissibility import GammaVector, _scale_integrals, _unit_pair_norm, admissibility_constant, solve_gamma
+from .admissibility import GammaVector, _fine_scale_rule, _scale_multipliers, admissibility_constant, solve_gamma
 from .rotderiv import CoefficientField, sector_weights, synthesize_frame
 from .special import LambdaParam, gauss_gegenbauer, surface_measure
 from .wavelets import KIND_HEAT, KIND_POISSON, _zonal_seed, modified_wavelet_table, scale_weights
@@ -462,12 +463,13 @@ def _round_trip_plan(band: int, dfrak: int, rho_min: float, rho_max: float, rho_
     grid, the (l, m, k, beta) d table and its k = 0 column as harmonics at the
     theta nodes, the unit-seed wavelet table B, the Poisson scale weights and
     the weighted heat ones C rho_w s^H (both times the kernel seed), the twist
-    modes, the Haar weight per beta and the per-degree multipliers m_l.  Every array, the grid's included, is
-    read-only, since the cache hands the same ones to every call.  One plan
-    is kept (``maxsize=1``); its d table and y_theta hold (L+1)^2 (2L+1) (K+2)
-    floats, about 17.5 MB at band 64, order 2 and 58 MB at band 96.  A solver
-    failure raises, and exceptions are not cached.  ``typed`` keeps a call
-    with, say, a float ``rho_steps`` from reusing a plan it could not build.
+    modes, the Haar weight per beta and the multipliers m_l, E_l from B.  Every
+    array, the grid's included, is read-only, since the cache hands the same
+    ones to every call.  One plan is kept (``maxsize=1``); its d table and
+    y_theta hold (L+1)^2 (2L+1) (K+2) floats, about 17.5 MB at band 64, order 2
+    and 58 MB at band 96.  A solver failure raises, and exceptions are not
+    cached.  ``typed`` keeps a call with, say, a float ``rho_steps`` from
+    reusing a plan it could not build.
     """
     lp = LambdaParam(2)
     gamma = solve_gamma(lp.lam, dfrak)
@@ -485,7 +487,7 @@ def _round_trip_plan(band: int, dfrak: int, rho_min: float, rho_max: float, rho_
     y_theta = np.sqrt(2.0 * np.arange(band + 1) + 1.0)[:, None, None] * d[:, :, 0, :]
     rhos, rho_w = log_rho_grid(rho_min, rho_max, rho_steps)
     C = admissibility_constant(lp, dfrak)
-    B = modified_wavelet_table(lp, gamma, band)[:, : K + 1]
+    B = modified_wavelet_table(lp, gamma, band)  # its energies are energy_table's, bit for bit
     ls = np.arange(band + 1)
     seed = _zonal_seed(lp, band)  # B is per unit seed
     s_p = scale_weights(lp, KIND_POISSON, dfrak, rhos, ls) * seed
@@ -497,8 +499,8 @@ def _round_trip_plan(band: int, dfrak: int, rho_min: float, rho_max: float, rho_
     w_k = (np.where(ks % 2, -1.0, 1.0) * sector_weights(2, K))[:, None]
     modes = np.stack([w_k * np.cos(twist), w_k * np.sin(twist)], axis=1).reshape(2 * K + 2, n_gamma)
     nu = grid.weights[::n_alpha] / (4.0 * np.pi * n_gamma)  # the Haar weight of a node, by beta
-    multipliers = C * (rho_w @ (s_p * s_h)) * (B**2 @ sector_weights(2, K)) / (2 * ls + 1)
-    plan = (grid, d, y_theta, B, s_p, C * rho_w[:, None] * s_h, modes, nu, multipliers)
+    multipliers = _scale_multipliers(lp, gamma, (rhos, rho_w), ls, B**2 @ sector_weights(2, dfrak))
+    plan = (grid, d, y_theta, B[:, : K + 1], s_p, C * rho_w[:, None] * s_h, modes, nu, multipliers)
     for a in (grid.angles, grid.weights) + plan[1:]:
         a.flags.writeable = False
     return plan
@@ -526,11 +528,11 @@ def round_trip(
     ``rotation`` Q, a 3x3 rotation matrix, makes the analysed signal f o Q^-1;
     a generic Q fills the sin(k phi) modes that sector fields never hold.
 
-    The round trip multiplies degree l by m_l = (C / N_l) sum_r w_r
-    s^P_l(rho_r) s^H_l(rho_r) sum_k w_k B_{l,k}^2 (s with the kernel seed),
-    so the error is predicted from the signal's per-degree energies E_l alone:
-    ``predicted_rel_l2`` = sqrt(sum_l (m_l - 1)^2 E_l / sum_l E_l).  Rotations
-    keep every E_l, so the prediction holds for f o Q^-1 too.
+    The round trip multiplies degree l by m_l = sum_r w_r s^P_l s^H_l E_l /
+    ((n-1)^dfrak Gamma(dfrak)) on the :func:`log_rho_grid` rule, the checks'
+    function on their fine trapezoid, so the error is predicted from the
+    signal's per-degree energies e_l alone: ``predicted_rel_l2`` =
+    sqrt(sum_l (m_l - 1)^2 e_l / sum_l e_l).  Rotations keep every e_l.
 
     The transform W lives on every node of the steered rotation grid, but no
     basis is evaluated on it: it goes through the signal's coefficients f_lm
@@ -596,14 +598,11 @@ def round_trip(
 def per_degree_reconstruction_check(lp: LambdaParam, gamma: GammaVector, l: int, *, energy: np.ndarray | None = None) -> float:
     """Fourier-side reconstruction multiplier of the pair of ``gamma`` for one degree; 1 for an admissible pair.
 
-    The general-n stand-in for full inversion: integrates the pair's
-    unit-seed coefficient products over all scales, through the same helper
-    as :func:`verify_pair_condition1`, on a window of its own degree, over
-    (n-1)^order Gamma(order).  ``energy`` is an :func:`energy_table` up to l
-    or beyond, such as the one a verify report builds for its pair rows;
-    without it, one up to l is built.  Degree 0 is annihilated (returns 0).
+    The general-n stand-in for full inversion: m_l = sum_r w_r s^P_l s^H_l
+    E_l / ((n-1)^order Gamma(order)) on the fine trapezoid in log rho over a
+    window of its own degree, the function that :func:`verify_pair_condition1`
+    reads on the band's window and the round trip on :func:`log_rho_grid`.
+    ``energy`` is an :func:`energy_table` up to l or beyond, such as a verify
+    report's; without it, one up to l is built.  Degree 0 returns 0.
     """
-    if l == 0:
-        return 0.0
-    (val,) = _scale_integrals(lp, gamma, [l], energy)
-    return val / _unit_pair_norm(lp, gamma.order)
+    return 0.0 if l == 0 else float(_scale_multipliers(lp, gamma, _fine_scale_rule(lp.lam, gamma.order, [l]), [l], energy)[0])

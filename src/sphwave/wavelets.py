@@ -198,13 +198,16 @@ def directional_wavelet_field(spec: WaveletSpec, L: int) -> CoefficientField:
     The Poisson kind carries the rho^d prefactor of the bracketed wavelet; the
     heat family is the bare derivative.  On large spheres the seed
     sqrt(N(n, l)) / sigma leaves the float range at high degree, even where
-    the weight w_l would bring the coefficient back; the first degree with a
-    coefficient that is not a finite float raises ValueError.
+    the weight w_l would bring the coefficient back.  The first degree with a
+    coefficient that is not a finite float, or a rho^d past it, raises ValueError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         field = derivative_order(kernel_zonal_coeffs(spec, L), spec.lp, spec.order)
         if spec.kind == KIND_POISSON and spec.order > 0:
-            field = field.scaled(spec.rho**spec.order)
+            try:
+                field = field.scaled(spec.rho**spec.order)
+            except OverflowError:
+                raise ValueError(f"rho^order is past the float range at rho={spec.rho:g}, order {spec.order}") from None
     bad = np.flatnonzero(~np.isfinite(field.coeffs).all(axis=1))
     if bad.size:
         raise ValueError(f"wavelet coefficient of degree l={bad[0]} is not a finite float at n={spec.lp.n}")

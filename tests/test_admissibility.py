@@ -16,8 +16,9 @@ from sphwave.admissibility import (
     _assert_collapse,
     _laguerre_roots,
     _positive_root_count,
+    _fine_scale_rule,
     _q_table,
-    _scale_integrals,
+    _scale_multipliers,
     _spectral_coeffs,
     _sign_changes,
     _tail_weights,
@@ -508,18 +509,22 @@ def test_admissibility_constant_value():
 
 @pytest.mark.parametrize(("n", "dfrak"), [(2, 1), (2, 2), (2, 6), (3, 3), (3, 6), (4, 2), (5, 5), (6, 1)])
 def test_trapezoid_scale_integrals_match_closed_form(n, dfrak):
-    # the trapezoid in log rho against Gamma(order) (2 lam / u)^order E_l,
-    # over a 40-degree sweep and for single degrees (a narrower window)
+    # the multipliers on the fine trapezoid in log rho against the closed form
+    # Gamma(order) (2 lam / u)^order E_l / ((n-1)^order Gamma(order)), over a
+    # 40-degree sweep and for single degrees (a narrower window)
     lp = LambdaParam(n)
     gamma = solve_gamma(lp.lam, dfrak)
     energy = energy_table(lp, gamma, 40)
-    sweep = _scale_integrals(lp, gamma, range(1, 41))
-    for l, val in enumerate(sweep, start=1):
+    norm = _unit_pair_norm(lp, dfrak)
+    degrees = range(1, 41)
+    sweep = _scale_multipliers(lp, gamma, _fine_scale_rule(lp.lam, dfrak, degrees), degrees)
+    for l, val in zip(degrees, sweep):
         u = l * (2 * lp.lam + l)
-        closed = math.gamma(dfrak) * (2 * lp.lam / u) ** dfrak * energy[l]
+        closed = math.gamma(dfrak) * (2 * lp.lam / u) ** dfrak * energy[l] / norm
         assert val == pytest.approx(closed, rel=1e-13, abs=0.0)
         if l in (1, 7, 40):
-            assert _scale_integrals(lp, gamma, [l])[0] == pytest.approx(closed, rel=1e-13, abs=0.0)
+            single = _scale_multipliers(lp, gamma, _fine_scale_rule(lp.lam, dfrak, [l]), [l])
+            assert single[0] == pytest.approx(closed, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 30, 150, 230, 240, 260])
@@ -541,13 +546,14 @@ def test_unit_seed_energies_are_the_collapse_value(n):
     if n < 230:
         return
     # with the kernel seed a_l put back, C (scale integral) a_l^2 E_l / N(n, l) = 1, sigma in mpmath
+    # (sigma^2 / C is the multiplier's divisor (n-1)^order Gamma(order), so sigma^2 m_l a_l^2 / N(n, l) = 1)
     gamma = solve_gamma(lp.lam, 2)
-    vals = _scale_integrals(lp, gamma, range(1, 21))
+    degrees = range(1, 21)
+    vals = _scale_multipliers(lp, gamma, _fine_scale_rule(lp.lam, 2, degrees), degrees)
     seed = _zonal_seed(lp, 20)
     sigma = 2 * mpmath.pi ** (mpmath.mpf(n + 1) / 2) / mpmath.gamma(mpmath.mpf(n + 1) / 2)
-    C = sigma**2 / (n - 1) ** 2  # below the normal floats at n = 260
-    for l, val in enumerate(vals, start=1):
-        assert float(C * val * mpmath.mpf(seed[l]) ** 2 / dim_harmonic(n, l)) == pytest.approx(1.0, rel=1e-9)
+    for l, val in zip(degrees, vals):
+        assert float(sigma**2 * val * mpmath.mpf(seed[l]) ** 2 / dim_harmonic(n, l)) == pytest.approx(1.0, rel=1e-9)
     s = math.exp(-0.3 * 5) * 0.3**2 * math.exp(-0.3 * 5 * (2 * lp.lam + 5) / (2 * lp.lam) + 0.3 * 5)
     want = mpmath.mpf(s) * mpmath.mpf(seed[5]) ** 2 * energy_table(lp, gamma, 5)[5]
     if want < mpmath.mpf(2) ** 1024:
