@@ -320,6 +320,9 @@ def _scale_multipliers(lp: LambdaParam, gamma: GammaVector, rule: tuple, degrees
     return w @ s * E[degrees] / _unit_pair_norm(lp, gamma.order)
 
 
+_PAIR_TOL_FLOOR = 1e-8  # the pair rows pass on |ratio - 1| below this, whatever tolerance is asked for
+
+
 def verify_pair_condition1(
     lp: LambdaParam, gamma: GammaVector, l_max: int, *, tol_identity: float = 1e-6, energy: np.ndarray | None = None
 ) -> list:
@@ -331,8 +334,9 @@ def verify_pair_condition1(
     fine trapezoid in log rho over the window of degrees 1..l_max, with E_l
     from ``energy``, an :func:`energy_table` up to l_max or beyond, or one
     built here; its closed form is 1.  A row passes when |ratio - 1| is
-    below ``tol_identity`` and below 1e-8, a floor that holds whatever
-    ``tol_identity`` is.  ``quadrature_scaled`` is N(n, l) times the ratio.
+    below ``tol_identity`` and below ``_PAIR_TOL_FLOOR`` (1e-8), a floor
+    that holds whatever ``tol_identity`` is.  ``quadrature_scaled`` is
+    N(n, l) times the ratio.
     Returns one report dict per degree; failures are recorded, not raised.
     Raises ValueError from the first degree whose N(n, l) is past the float
     range.
@@ -355,7 +359,7 @@ def verify_pair_condition1(
                 "expected": expected,
                 "quadrature_scaled": expected * ratio,
                 "ratio": ratio,
-                "pass": bool(abs(ratio - 1.0) < min(1e-8, tol_identity)),
+                "pass": bool(abs(ratio - 1.0) < min(_PAIR_TOL_FLOOR, tol_identity)),
             }
         )
     return rows

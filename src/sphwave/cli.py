@@ -11,16 +11,19 @@ limit      Flat-space limit convergence probe (JSON report).
 
 Outputs are plot-ready tables, byte-identical for identical configs: floats
 are written with shortest round-trip formatting, summation orders are fixed,
-and test signals use fixed seeds.  Every numeric default lands in the report
-metadata.  Exit codes: 0 ok, 2 usage error (also a transform order with no
-real gamma vector, whose certificate goes to stderr, n >= 261, where the
-sphere's squared surface measure is not a normal float, a limit probe
-value or point radius that is not a finite float, and a request too large
-for memory, such as an eval grid of 1e5 per angle), 3 verification/tolerance
-failure (suppressed by --report-only) and an eval series whose truncation
-degree cannot be certified: below the degree cap, or where its bound
-overflows or its weight underflows a float.  Library errors derive from
-ValueError.
+and test signals use fixed seeds.  Every JSON report (for eval and coeffs,
+the ``.json`` sidecar of the table) opens with one header: the subcommand and
+every option the run parsed, defaults included, under its argparse name; a
+command adds only the values it computed.  Exit codes: 0 ok, 2 usage error
+(also a transform order with no real gamma vector, whose certificate goes to
+stderr, a transform on a sphere other than S^2, n >= 261, where the sphere's
+squared surface measure is not a normal float, a limit probe value or point
+radius that is not a finite float, a request too large for memory, such as
+an eval grid of 1e5 per angle, and an --out that cannot be written), 3
+verification/tolerance failure (suppressed by --report-only) and an eval
+series whose truncation degree cannot be certified: below the degree cap, or
+where its bound overflows or its weight underflows a float.  Library errors
+derive from ValueError.
 """
 
 from __future__ import annotations
@@ -29,11 +32,13 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from .admissibility import (
+    _PAIR_TOL_FLOOR,
     GammaSolveError,
     energy_table,
     solve_gamma,
@@ -79,10 +84,9 @@ def _csv_text(header: list, columns: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(path: str, header: list, columns: list) -> None:
-    text = _csv_text(header, columns)
-    with open(path, "w") as fh:
-        fh.write(text)
+def _header(args) -> dict:
+    """A report's header: the subcommand and every option it parsed, defaults included."""
+    return {key: value for key, value in vars(args).items() if key != "fn"}
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -90,6 +94,25 @@ def _write_json(path: str, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
+
+
+def _write_table(args, header: list, columns: list, meta: dict) -> None:
+    """Write the CSV table at ``args.out`` and its JSON sidecar, the report header plus ``meta``.
+
+    The table is built before either file is written, so one too large for
+    memory leaves no file; a sidecar that cannot be written leaves no table,
+    and a table that cannot be written (``--out`` names a directory) no sidecar.
+    """
+    table = _csv_text(header, columns)
+    sidecar = args.out + ".json"
+    _write_json(sidecar, {**_header(args), **meta})
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(table)
+    except OSError:
+        os.remove(sidecar)
+        raise
+    print(f"wrote {args.out} ({len(columns[0])} rows)")
 
 
 def _report_row(check: str, identity: str, value, expected, tol: float | None, ok: bool, operation: str) -> dict:
@@ -104,10 +127,23 @@ def _report_row(check: str, identity: str, value, expected, tol: float | None, o
     }
 
 
+def _gamma_solve_row(failure: GammaSolveError | None) -> dict:
+    """The check that real mixing coefficients exist; a failure carries the solver's certificate."""
+    return _report_row(
+        check="gamma_solve",
+        identity="existence of real mixing coefficients, decided exactly by a Sturm count",
+        value="real solution" if failure is None else str(failure),
+        expected="real solution",
+        tol=0.0,
+        ok=failure is None,
+        operation="admissibility.solve_gamma",
+    )
+
+
 def _finish(args, payload: dict, checks: list, summary: str) -> int:
-    """Write the report with its checks and failure count, print one line, and choose the exit code."""
+    """Write the report (header, payload, checks and failure count), print one line, and choose the exit code."""
     failures = sum(not c["pass"] for c in checks)
-    _write_json(args.out, {**payload, "checks": checks, "failures": failures})
+    _write_json(args.out, {**_header(args), **payload, "checks": checks, "failures": failures})
     print(f"wrote {args.out}: {summary}")
     return EXIT_OK if failures == 0 or args.report_only else EXIT_VERIFY
 
@@ -127,44 +163,25 @@ def cmd_eval(args) -> int:
     theta2 = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     # the sector series separates into radial(theta1) x angular(theta2), so
     # broadcasting a column against a row runs the recurrence on m points
-    series = synthesize(field, theta1[:, None], theta2[None, :])
-    closed = None
+    values = {"value_series": synthesize(field, theta1[:, None], theta2[None, :])}
     if spec.kind == KIND_POISSON:
-        closed = poisson_wavelet_closed(spec, theta1[:, None], theta2[None, :])
-    header = ["theta1", "theta2", "value_series"] + (["value_closed"] if closed is not None else [])
-    values = [series] + ([closed] if closed is not None else [])
+        values["value_closed"] = poisson_wavelet_closed(spec, theta1[:, None], theta2[None, :])
     # row-major grid: each theta1 repeats m times while theta2 cycles
     columns = [
         [cell for cell in _cells(theta1.tolist()) for _ in range(m)],
         _cells(theta2.tolist()) * m,
-    ] + [_cells(v.ravel().tolist()) for v in values]
-    meta = {
-        "subcommand": "eval",
-        "n": args.n,
-        "kind": args.kind,
-        "order": args.order,
-        "rho": args.rho,
-        "grid": m,
-        "tol_series": args.tol_series,
-        "tol": args.tol,
-        "truncation_degree": L,
-        "out": args.out,
-    }
+    ] + [_cells(v.ravel().tolist()) for v in values.values()]
+    meta = {"truncation_degree": L}
     ok = True
-    if closed is not None:
-        max_abs_diff = float(np.max(np.abs(series - closed)))
+    if "value_closed" in values:
+        closed = values["value_closed"]
+        max_abs_diff = float(np.max(np.abs(values["value_series"] - closed)))
         scale = float(np.max(np.abs(closed)))
         meta["max_abs_diff"] = max_abs_diff
         meta["max_rel_diff"] = max_abs_diff / scale if scale else 0.0
         ok = meta["max_rel_diff"] < args.tol
         meta["pass"] = bool(ok)
-    # the table is built before either file is written, so one too large for
-    # memory leaves no file; a report that cannot be written leaves no table
-    table = _csv_text(header, columns)
-    _write_json(args.out + ".json", meta)
-    with open(args.out, "w") as fh:
-        fh.write(table)
-    print(f"wrote {args.out} ({m * m} rows)")
+    _write_table(args, ["theta1", "theta2", *values], columns, meta)
     return EXIT_OK if ok or args.report_only else EXIT_VERIFY
 
 
@@ -174,49 +191,37 @@ def cmd_coeffs(args) -> int:
     field = directional_wavelet_field(spec, L=args.band)
     ls, k1s = zip(*[(l, k1) for l in range(field.degree_max + 1) for k1 in range(min(l, field.order_bound) + 1)])
     coeffs = field.coeffs[list(ls), list(k1s)].tolist()
-    _write_csv(args.out, ["l", "k1", "coeff"], [_cells(ls), _cells(k1s), _cells(coeffs)])
-    _write_json(
-        args.out + ".json",
-        {
-            "subcommand": "coeffs",
-            "n": args.n,
-            "kind": args.kind,
-            "order": args.order,
-            "rho": args.rho,
-            "band": args.band,
-            "out": args.out,
-        },
-    )
-    print(f"wrote {args.out} ({len(ls)} rows)")
+    _write_table(args, ["l", "k1", "coeff"], [_cells(ls), _cells(k1s), _cells(coeffs)], {})
     return EXIT_OK
 
 
 def cmd_gamma(args) -> int:
-    lp = LambdaParam(args.n)
-    payload = {"subcommand": "gamma", "n": args.n, "lam": lp.lam, "order": args.order}
+    lam = LambdaParam(args.n).lam
     try:
-        vec = solve_gamma(lp.lam, args.order)
+        vec = solve_gamma(lam, args.order)
     except GammaSolveError as exc:
-        _write_json(args.out, {**payload, "solved": False, "reason": str(exc)})
-        print(f"no real solution: {exc}")
-        return EXIT_OK if args.report_only else EXIT_VERIFY
-    payload["solved"] = True
-    payload["gammas"] = [float(g) for g in vec.gammas]
-    payload["identity"] = "sector sums collapse to (l(2*lam+l))^order for unit zonal seeds"
-    _write_json(args.out, payload)
-    print(f"wrote {args.out}")
-    return EXIT_OK
+        payload = {"lam": lam, "solved": False, "reason": str(exc)}
+        return _finish(args, payload, [_gamma_solve_row(exc)], f"no real solution: {exc}")
+    payload = {
+        "lam": lam,
+        "solved": True,
+        "gammas": [float(g) for g in vec.gammas],
+        "identity": "sector sums collapse to (l(2*lam+l))^order for unit zonal seeds",
+    }
+    return _finish(args, payload, [_gamma_solve_row(None)], "real solution")
 
 
 def cmd_verify(args) -> int:
     lp = LambdaParam(args.n)
     surface_measure(lp.n)  # n >= 261 is a usage error, as for eval, though no pair row forms sigma
+    # every multiplier row passes on |value / expected - 1| < tol, with the pair condition's floor applied
+    tol = min(args.tol, _PAIR_TOL_FLOOR)
     checks = []
     try:
         gamma = solve_gamma(lp.lam, args.order)
         # one table E_l up to the band serves the pair-condition and the reconstruction rows
         energy = energy_table(lp, gamma, args.band)
-        rows = verify_pair_condition1(lp, gamma, args.band, tol_identity=args.tol, energy=energy)
+        rows = verify_pair_condition1(lp, gamma, args.band, tol_identity=tol, energy=energy)
         for row in rows:
             checks.append(
                 _report_row(
@@ -224,7 +229,7 @@ def cmd_verify(args) -> int:
                     identity="scale integral of coefficient products equals harmonic dimension after C-scaling",
                     value=row["quadrature_scaled"],
                     expected=row["expected"],
-                    tol=args.tol,
+                    tol=tol,
                     ok=row["pass"],
                     operation="admissibility.verify_pair_condition1",
                 )
@@ -237,8 +242,8 @@ def cmd_verify(args) -> int:
                     identity="Fourier-side reconstruction multiplier is 1 after C-scaling",
                     value=m,
                     expected=1.0,
-                    tol=args.tol,
-                    ok=abs(m - 1.0) < args.tol,
+                    tol=tol,
+                    ok=abs(m - 1.0) < tol,
                     operation="transform.per_degree_reconstruction_check",
                 )
             )
@@ -268,50 +273,15 @@ def cmd_verify(args) -> int:
                 )
             )
     except GammaSolveError as exc:
-        checks.append(
-            _report_row(
-                check="gamma_solve",
-                identity="existence of real mixing coefficients, decided exactly by a Sturm count",
-                value=str(exc),
-                expected="real solution",
-                tol=0.0,
-                ok=False,
-                operation="admissibility.solve_gamma",
-            )
-        )
-    payload = {"subcommand": "verify", "n": args.n, "order": args.order, "band": args.band, "tol": args.tol}
-    return _finish(args, payload, checks, f"{sum(c['pass'] for c in checks)}/{len(checks)} checks passed")
+        checks.append(_gamma_solve_row(exc))
+    return _finish(args, {}, checks, f"{sum(c['pass'] for c in checks)}/{len(checks)} checks passed")
 
 
 def cmd_transform(args) -> int:
     lp = LambdaParam(args.n)
-    if lp.n != 2:
-        print("error: full transform round trip is 2-sphere only (use verify for n >= 3)", file=sys.stderr)
-        return EXIT_USAGE
     signal = random_bandlimited_field(lp, args.band, seed=args.seed)
-    rep = round_trip(
-        lp,
-        signal,
-        args.order,
-        rho_min=args.rho_min,
-        rho_max=args.rho_max,
-        rho_steps=args.rho_steps,
-    )
-    payload = {
-        "subcommand": "transform",
-        "n": args.n,
-        "order": args.order,
-        "band": args.band,
-        "seed": args.seed,
-        "rho_min": args.rho_min,
-        "rho_max": args.rho_max,
-        "rho_steps": args.rho_steps,
-        "tol": args.tol,
-        "rotation_nodes": rep["rotation_nodes"],
-        "sphere_nodes": rep["sphere_nodes"],
-        "rel_l2_error": rep["rel_l2_error"],
-        "predicted_rel_l2": rep["predicted_rel_l2"],
-    }
+    rep = round_trip(lp, signal, args.order, rho_min=args.rho_min, rho_max=args.rho_max, rho_steps=args.rho_steps)
+    payload = {key: rep[key] for key in ("rotation_nodes", "sphere_nodes", "rel_l2_error", "predicted_rel_l2")}
     check = _report_row(
         check="round_trip_rel_l2",
         identity="analysis + inversion reproduces a mean-free band-limited signal",
@@ -332,18 +302,6 @@ def cmd_limit(args) -> int:
     xi = EuclideanPoint(tuple(coords))
     rhos = [args.rho_max / 2**k for k in range(args.rho_steps)]
     rep = limit_convergence_probe(lp, args.order, xi, rhos)
-    payload = {
-        "subcommand": "limit",
-        "n": args.n,
-        "order": args.order,
-        "xi_radius": args.xi_radius,
-        "xi_angle": args.xi_angle,
-        "rho": rep["rho"],
-        "target": rep["target"],
-        "errors": rep["errors"],
-        "ratios": rep["ratios"],
-        "empirical_order": rep["empirical_order"],
-    }
     # theta1 = 2 arctan(|rho xi| / 2) passes pi/2 at |rho xi| = 2: beyond it the
     # scaled wavelet is read near the antipode, where its values no longer depend on xi
     reach = rep["rho"][-1] * xi.radius
@@ -364,7 +322,7 @@ def cmd_limit(args) -> int:
             "where the probe does not test the flat-space limit"
         )
         summary += f"; {check['reason']}"
-    return _finish(args, payload, [check], summary)
+    return _finish(args, rep, [check], summary)
 
 
 def _positive_int(minimum: int = 1):
@@ -462,7 +420,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:  # TruncationError and GammaSolveError among them
+    except (ValueError, OSError) as exc:  # TruncationError and GammaSolveError; an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

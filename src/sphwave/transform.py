@@ -550,7 +550,7 @@ def round_trip(
     returned ``grid`` is the plan's and read-only.
     """
     if lp.n != 2:
-        raise ValueError("full round trip is 2-sphere only")
+        raise ValueError("full transform round trip is 2-sphere only (use verify for n >= 3)")
     if dfrak < 1:
         raise ValueError("round trip needs order >= 1")
     band = signal.degree_max

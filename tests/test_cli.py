@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sphwave.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _cells, _write_csv, build_parser, main
+from sphwave.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, _cells, _csv_text, build_parser, main
 from sphwave.rotderiv import synthesize
 from sphwave.special import LambdaParam
 from sphwave.wavelets import (
@@ -159,8 +159,10 @@ def test_verify_rejects_order_zero(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_transform_rejects_higher_dimensions(tmp_path):
+def test_transform_rejects_higher_dimensions(tmp_path, capsys):
     assert run(["transform", "--n", "3", "--order", "1", "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err == "error: full transform round trip is 2-sphere only (use verify for n >= 3)\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_transform_infeasible_order_exit_code(tmp_path, capsys):
@@ -285,15 +287,13 @@ def test_write_csv_bytes_match_per_cell_format(tmp_path):
         [0.1, -0.0, 1 / 3, 5e-324, -1e-300, 1e22, 123456789.0, math.pi, -2.5e-7, 1.0, 0.0, 7e15]
     ).reshape(4, 3)
     table = np.random.default_rng(3).standard_normal((50, 4)) * np.logspace(-12, 12, 4)
+    old = tmp_path / "old.csv"
     for header, array in ((["a", "b", "c"], values), (["w", "x", "y", "z"], table)):
-        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
         _write_csv_per_cell(old, header, [[float(v) for v in row] for row in array])
-        _write_csv(new, header, [_cells(col) for col in array.T.tolist()])
-        assert new.read_bytes() == old.read_bytes()
+        assert _csv_text(header, [_cells(col) for col in array.T.tolist()]).encode() == old.read_bytes()
     int_rows = [[3, 1, -0.25], [40, 0, 1e-30]]  # the coeffs table mixes ints and floats
     _write_csv_per_cell(old, ["l", "k1", "coeff"], int_rows)
-    _write_csv(new, ["l", "k1", "coeff"], [_cells(col) for col in zip(*int_rows)])
-    assert new.read_bytes() == old.read_bytes()
+    assert _csv_text(["l", "k1", "coeff"], [_cells(col) for col in zip(*int_rows)]).encode() == old.read_bytes()
 
 
 def _eval_table_per_cell(path, n, kind, order, rho, grid):
@@ -681,3 +681,89 @@ def test_eval_out_of_memory_is_a_usage_error_that_writes_nothing(stage, tmp_path
     assert code == EXIT_USAGE
     assert stderr.getvalue() == "error: out of memory: Unable to allocate 74.5 GiB for an array with shape (100000, 100000)\n"
     assert not list(tmp_path.iterdir())
+
+
+# one cheap run of every subcommand, and the report each writes (eval and coeffs: the table's sidecar)
+_EVERY_SUBCOMMAND = {
+    "eval": (["eval", "--n", "3", "--order", "2", "--rho", "0.4", "--grid", "3"], ".json"),
+    "heat": (["eval", "--kind", KIND_HEAT, "--order", "1", "--grid", "2", "--report-only"], ".json"),
+    "coeffs": (["coeffs", "--n", "3", "--order", "1", "--band", "4"], ".json"),
+    "gamma": (["gamma", "--n", "3", "--order", "2"], ""),
+    "gamma-infeasible": (["gamma", "--order", "3", "--report-only"], ""),
+    "verify": (["verify", "--n", "3", "--order", "2", "--band", "4", "--tol", "1e-7"], ""),
+    "verify-infeasible": (["verify", "--order", "3", "--report-only"], ""),
+    "transform": (["transform", "--band", "3", "--rho-steps", "20", "--seed", "2"], ""),
+    "limit": (["limit", "--n", "3", "--rho-max", "0.1", "--rho-steps", "3"], ""),
+}
+
+
+@pytest.mark.parametrize("name", list(_EVERY_SUBCOMMAND))
+def test_report_header_is_the_parsed_options(name, tmp_path, capsys):
+    # every option the run parsed, defaults included, lands in the report under its argparse name
+    argv, suffix = _EVERY_SUBCOMMAND[name]
+    argv = argv + ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_OK
+    header = {key: value for key, value in vars(build_parser().parse_args(argv)).items() if key != "fn"}
+    report = json.loads((tmp_path / ("out" + suffix)).read_text(), parse_constant=_reject_constant)
+    assert {key: report.get(key) for key in header} == header
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", list(_EVERY_SUBCOMMAND))
+@pytest.mark.parametrize(("target", "reason"), [("missing/report", "No such file or directory"), ("", "Is a directory")])
+def test_unwritable_out_is_a_usage_error(name, target, reason, tmp_path):
+    # a missing directory, or an --out that is a directory: one error line, no traceback, no file
+    argv, _suffix = _EVERY_SUBCOMMAND[name]
+    out = tmp_path / "out"
+    out.mkdir()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--out", str(out / target)])
+    assert code == EXIT_USAGE
+    assert stdout.getvalue() == ""
+    (line,) = stderr.getvalue().splitlines()
+    assert line.startswith("error:") and reason in line
+    assert [p.name for p in tmp_path.rglob("*")] == ["out"]
+
+
+def test_gamma_reports_one_gamma_solve_row(tmp_path, capsys):
+    out = tmp_path / "gamma.json"
+    assert run(["gamma", "--n", "3", "--order", "2", "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    (row,) = report["checks"]
+    assert row["check"] == "gamma_solve" and row["pass"] is True and report["failures"] == 0
+    assert capsys.readouterr().out == f"wrote {out}: real solution\n"
+    # an infeasible order fails the row the way an infeasible verify does, and carries the certificate
+    verify = tmp_path / "verify.json"
+    assert run(["verify", "--order", "3", "--out", str(verify)]) == EXIT_VERIFY
+    for flags, code in (([], EXIT_VERIFY), (["--report-only"], EXIT_OK)):
+        assert run(["gamma", "--order", "3", "--out", str(out)] + flags) == code
+        report = json.loads(out.read_text())
+        (row,) = report["checks"]
+        assert row["check"] == "gamma_solve" and row["pass"] is False and report["failures"] == 1
+        assert "-8/15" in row["value"] and row["value"] == report["reason"]
+        assert report["checks"] == json.loads(verify.read_text())["checks"]
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}: no real solution: {report['reason']}"
+
+
+@pytest.mark.parametrize(
+    ("multiplier", "tol", "passes"),
+    [(None, None, True), (1 + 5e-8, None, False), (1 + 5e-11, "1e-10", True), (1 + 5e-11, "1e-11", False)],
+)
+def test_verify_multiplier_rows_report_the_tolerance_they_are_judged_by(multiplier, tol, passes, tmp_path, monkeypatch):
+    # pair and reconstruction rows pass on one rule, |value / expected - 1| < tol,
+    # with tol the smaller of --tol and the pair condition's 1e-8 floor
+    import sphwave.admissibility as adm
+    import sphwave.transform as tr
+
+    if multiplier is not None:
+        for module in (adm, tr):
+            monkeypatch.setattr(module, "_scale_multipliers", lambda *args: np.full(len(args[3]), multiplier))
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--n", "3", "--order", "1", "--band", "6", "--out", str(out)] + (["--tol", tol] if tol else [])
+    assert run(argv) == (EXIT_OK if passes else EXIT_VERIFY)
+    rows = [c for c in json.loads(out.read_text())["checks"] if c["check"].startswith(("pair", "reconstruction"))]
+    assert len(rows) == 6 + 3
+    for row in rows:
+        assert row["tol"] == (float(tol) if tol else 1e-8)
+        assert row["pass"] is passes is (abs(row["value"] / row["expected"] - 1.0) < row["tol"]), row
